@@ -326,11 +326,6 @@ class FqElem:
         out = out + [0] * (f.d - len(out))
         return FqElem(f, tuple(out))
 
-    def is_square(self):
-        if not self:
-            return True
-        return self ** ((self.field.q - 1) // 2) == self.field.one()
-
     def cube_character(self) -> int:
         """Exponent e in {0,1,2} with self^((q-1)/3) = omega^e; requires
         q = 1 mod 3 and self != 0."""
@@ -554,9 +549,6 @@ class ZqElem:
             base = base * base
             n >>= 1
         return result
-
-    def coord(self, i: int) -> int:
-        return self.coords[i]
 
     def __repr__(self):
         return f"Zq({list(self.coords)} mod {self.ring.p}^{self.ring.N})"

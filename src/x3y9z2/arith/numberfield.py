@@ -363,15 +363,6 @@ class _PowerBasisElem:
             mat.append([basis_imgs[c][r] for c in range(deg)])
         return _det(mat)
 
-    def trace(self) -> Fraction:
-        deg = self.parent.degree
-        tr = Fraction(0)
-        for i in range(deg):
-            e = [Fraction(0)] * deg
-            e[i] = Fraction(1)
-            tr += (self * self._make(e)).coords[i]
-        return tr
-
     def __repr__(self):
         name = self.parent.gen_name
         parts = []
@@ -625,10 +616,6 @@ class AlgElem(_PowerBasisElem):
         if a.is_zero():
             return Fraction(0)
         return self.parent.monic_poly.resultant(a)
-
-    def is_invertible(self) -> bool:
-        return all(bool(img) if not isinstance(img, Fraction) else img != 0
-                   for img in self.parent.component_images(self))
 
     def scale_to_integral(self) -> "AlgElem":
         """Multiply by the cube of a rational to clear denominators and

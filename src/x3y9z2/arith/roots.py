@@ -9,33 +9,43 @@ verify beta^n = xi exactly.  A positive answer is therefore proven; a
 None may in principle be a precision artifact, so negative results that
 matter are certified separately through cubic characters at split
 primes q = 1 (mod 3).
+
+Residue roots come from Adleman-Manders-Miller (one ell-th root per
+prime ell | n, then the ell-th roots of unity), never from scanning F_q.
+They are returned sorted by coordinates, the order of
+FqField.elements(), and the first one that lifts is taken: which global
+root nf_nth_root returns (the sign of a square root, say) depends on
+that order, and the report pins it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from math import isqrt
 
 from .localfield import (FqField, ZqRing, factor_quartic_mod_p,
                          poly_roots_mod_p, quartic_is_irreducible_mod_p)
 from .numberfield import NfElem, NumberField
 from .rationals import rational_cube_root, rational_reconstruct, rational_sqrt
 
-
-def _primes(start=2):
-    from itertools import count
-    found = []
-    for n in count(max(start, 2)):
-        if all(n % p for p in found if p * p <= n):
-            found.append(n)
-            yield n
+_PRIMES = []            # every prime <= _primes_bound, in order
+_primes_bound = 1
 
 
 def small_primes(bound):
-    out = []
-    for p in _primes():
-        if p > bound:
-            return out
-        out.append(p)
+    """The primes <= bound, from one sieve of Eratosthenes that is
+    re-run at (at least) twice its size when a larger bound comes."""
+    global _primes_bound
+    if bound > _primes_bound:
+        _primes_bound = n = max(bound, 2 * _primes_bound)
+        flags = bytearray([1]) * (n + 1)
+        flags[:2] = b"\0\0"
+        for i in range(2, isqrt(n) + 1):
+            if flags[i]:
+                flags[i * i::i] = bytes(len(range(i * i, n + 1, i)))
+        _PRIMES[:] = [i for i, f in enumerate(flags) if f]
+    return _PRIMES[:bisect_right(_PRIMES, bound)]
 
 
 def _rational_nth_root(x: Fraction, n: int):
@@ -141,39 +151,49 @@ def _small_factor(m: int, bound=10_000):
 
 
 def _residue_nth_roots(target, n: int):
-    """All y in F_q* with y^n = target (target a unit)."""
-    fq = target.field
-    q = fq.q
-    if q <= 5000:
-        return [y for y in fq.elements() if y and y**n == target]
-    # Exponent trick per prime factor of n (n in {2, 3, 6} here).
+    """All y in F_q* with y^n = target (a unit), sorted by coordinates."""
     roots = [target]
-    for ell in ([2] if n % 2 == 0 else []) + [3] * (1 if n % 3 == 0 else 0):
-        new_roots = []
-        m = (q - 1) // ell
-        if m % ell == 0:
-            return [y for y in fq.elements() if y and y**n == target]  # rare: fall back
-        inv = pow(ell, -1, m)
-        # ell-th roots of unity.
-        mus = [fq.one()]
-        for x in fq.elements():
-            if x and len(mus) < ell:
-                cand = x**m
-                if cand != fq.one() and cand not in mus:
-                    mus = [fq.one()]
-                    acc = cand
-                    while acc != fq.one():
-                        mus.append(acc)
-                        acc = acc * cand
-                    break
-        for r in roots:
-            if r**m != fq.one():
-                continue
-            base = r**inv
-            for mu in mus[:ell]:
-                new_roots.append(base * mu)
-        roots = new_roots
-    return [y for y in roots if y**n == target]
+    ell = 2
+    while n > 1:
+        while n % ell == 0:
+            roots = [y for r in roots for y in _ell_th_roots(r, ell)]
+            n //= ell
+        ell += 1
+    return sorted(roots, key=lambda y: y.coords)
+
+
+def _ell_th_roots(a, ell: int):
+    """All ell-th roots of a unit a in F_q, ell prime (Adleman-Manders-Miller;
+    Cohen, GTM 138, Alg. 1.5.1 for ell = 2)."""
+    fq = a.field
+    t, s = fq.q - 1, 0
+    while t % ell == 0:
+        t, s = t // ell, s + 1
+    x0 = a ** pow(ell, -1, t)
+    if s == 0:
+        return [x0]      # x -> x^ell is a bijection of F_q*
+    # g generates the ell-Sylow subgroup; the first non-ell-th power in
+    # elements() order keeps the choice deterministic.
+    cofactor = (fq.q - 1) // ell
+    z = next(z for z in fq.elements() if z and z ** cofactor != fq.one())
+    g = z ** t
+    # x0^ell / a lies in <g>: find c with x0^ell / a = g^c.
+    b = x0 ** ell * a.inverse()
+    acc = fq.one()
+    for c in range(ell**s):
+        if acc == b:
+            break
+        acc = acc * g
+    else:
+        raise ArithmeticError("x0^ell / a is not in the ell-Sylow subgroup")
+    if c % ell:
+        return []        # a is not an ell-th power
+    root = x0 * g ** (ell**s - c // ell)
+    zeta = g ** (ell ** (s - 1))
+    out = [root]
+    for _ in range(ell - 1):
+        out.append(out[-1] * zeta)
+    return out
 
 
 def _root_in_ring(xi: NfElem, n: int, ring: ZqRing):
@@ -208,10 +228,6 @@ def _root_in_ring(xi: NfElem, n: int, ring: ZqRing):
         if beta**n == xi:
             return beta
     return None
-
-
-def nf_is_nth_power(xi, n: int, field=None) -> bool:
-    return nf_nth_root(xi, n, field) is not None
 
 
 # -- cubic characters ----------------------------------------------------

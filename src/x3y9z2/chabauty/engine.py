@@ -87,7 +87,7 @@ class PrimeContext:
         self.p = pr.p
         self.fq = pr.fq()
         self.Ebar = reduce_curve(curve, pr)
-        self.order = curve_order_fq(self.Ebar)
+        self.order = curve_order_at(curve, pr, self.Ebar)
         self.gens_bar = [reduce_point(self.Ebar, curve, g, pr) for g in gens]
         self.psi_bar = self._reduce_psi(psi)
         self.ring, self.alpha_root = pr.zq(prec)
@@ -213,11 +213,6 @@ class ZqPoint:
     def in_kernel(self) -> bool:
         return (self.Y.valuation() == 0 and self.X.valuation() >= 1
                 and self.Z.valuation() >= 1)
-
-    def t_parameter(self):
-        if self.Y.valuation() != 0:
-            raise PrecisionTooLow("point not in the kernel chart")
-        return -(self.X * self.Y.inverse())
 
 
 # -- residue classes of the generator lattice -------------------------------
@@ -641,28 +636,44 @@ class ChabautyRun:
         return True
 
 
-_coprimality_cache = {}
+_coprimality_cache = {}   # repr(E.b) -> #E(F_q) per prime, and the scanned primes
+
+
+def _curve_memo(curve):
+    return _coprimality_cache.setdefault(
+        repr(curve.b), {"orders": {}, "scanned": [], "bound": 0})
+
+
+def curve_order_at(curve, pr, Ebar):
+    """#E(F_q) at the prime pr of K (Ebar: E reduced there), counted once
+    per (curve, prime).  Primes are keyed by (p, idx): primes_above lists
+    them by degree, so a degree cap keeps every index."""
+    orders = _curve_memo(curve)["orders"]
+    key = (pr.p, pr.idx)
+    if key not in orders:
+        orders[key] = curve_order_fq(Ebar)
+    return orders[key]
 
 
 def _reduction_orders(curve, field, bound):
     """[(q, idx, #E(F_q))] over primes of good reduction with a small
-    residue field (degree 1 everywhere; degree 2 for q <= 60)."""
-    key = (repr(curve.b), bound)
-    if key not in _coprimality_cache:
-        out = []
+    residue field (degree 1 everywhere; degree 2 for q <= 60).  A larger
+    bound only scans the primes beyond the largest bound seen so far."""
+    memo = _curve_memo(curve)
+    if bound > memo["bound"]:
         from ..arith.roots import small_primes
         for q in small_primes(bound):
-            if q < 5:
+            if q < 5 or q <= memo["bound"]:
                 continue
             cap = 2 if q <= 60 else 1
             try:
                 for pr in primes_above(field, q, degree_cap=cap):
-                    Ebar = reduce_curve(curve, pr)
-                    out.append((q, pr.idx, curve_order_fq(Ebar)))
+                    curve_order_at(curve, pr, reduce_curve(curve, pr))
+                    memo["scanned"].append((q, pr.idx))
             except BadPrime:
                 continue
-        _coprimality_cache[key] = out
-    return _coprimality_cache[key]
+        memo["bound"] = bound
+    return [(q, idx, memo["orders"][q, idx]) for q, idx in memo["scanned"] if q <= bound]
 
 
 def certify_index_coprimality(curve, gens, ells, field):
@@ -679,7 +690,7 @@ def certify_index_coprimality(curve, gens, ells, field):
         done = False
         for bound in (600, 2000, 5000):
             orders = _reduction_orders(curve, field, bound)
-            specs = [(q, idx) for (q, idx, n) in orders if n % ell == 0]
+            specs = [(q, idx, n) for (q, idx, n) in orders if n % ell == 0]
             if not specs:
                 continue
             result, used = non_divisibility_sieve(curve, gens, ell, specs)

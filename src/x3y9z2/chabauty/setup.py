@@ -20,7 +20,7 @@ from ..arith.rationals import rational_cube_root
 from ..arith.roots import nf_nth_root
 from ..descent import build_descent_forms, genus1_quotients, st_map
 from ..ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass
-from ..ec.reduction import curve_order_fq, primes_above, reduce_curve
+from ..ec.reduction import BadPrime, curve_order_fq, primes_above, reduce_curve
 from ..ec.weierstrass import EcPoint, WeierstrassCurve
 from ..param import STValue, equation_rhs
 from .engine import ChabautyOutcome, CurveProblem, RationalFunctionOnE
@@ -224,13 +224,13 @@ def _verify_trivial_torsion(E: WeierstrassCurve, K, checks):
     for q in (11, 23, 37, 59, 61, 71, 73):
         try:
             prs = primes_above(K, q)
-        except Exception:
+        except BadPrime:
             continue
         for pr in prs:
             if pr.degree == 1:
                 try:
                     Ebar = reduce_curve(E, pr)
-                except Exception:
+                except BadPrime:
                     continue
                 bound = gcd(bound, curve_order_fq(Ebar))
                 used.append((q, pr.idx))

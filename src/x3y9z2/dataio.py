@@ -18,7 +18,6 @@ from .arith.numberfield import EtaleAlgebra, FieldIso, NfElem, NumberField
 from .arith.poly import UPoly
 from .descent import SelmerSetSpec
 from .ec.weierstrass import WeierstrassCurve
-from .param import STValue
 
 
 _DATA_DIR_OVERRIDE = None
@@ -45,10 +44,6 @@ def data_hashes() -> dict:
     for name in ("selmer_generators.json", "mw_generators.json", "paper_tables.json"):
         out[name] = hashlib.sha256(_data_text(name).encode()).hexdigest()
     return out
-
-
-def frac(s) -> Fraction:
-    return Fraction(s)
 
 
 def _upoly(strs) -> UPoly:
@@ -156,7 +151,3 @@ def load_mw_data() -> MwData:
 @lru_cache(maxsize=1)
 def load_tables() -> dict:
     return json.loads(_data_text("paper_tables.json"))
-
-
-def parse_st_set(strs) -> set:
-    return {STValue.parse(s) for s in strs}

@@ -301,25 +301,3 @@ def genus1_quotients(eq_f: MPoly, C: Fraction, algebra: EtaleAlgebra, delta: Alg
         form = binary_form_divide(f_k, lin)
         out.append(Genus1Quotient(label="E_delta", constant=c, form=form, component=0))
     return out
-
-
-def cover_point_to_quotient(sys: CubicFormSystem, quotient: Genus1Quotient, y):
-    """Image (u, s, t) on the quotient of a point y on the descent curve."""
-    beta = sys.beta_at(y)
-    n_beta = beta.norm()
-    m_beta = sys.algebra.component_map(quotient.component, beta)
-    if isinstance(m_beta, Fraction):
-        if m_beta == 0:
-            raise IndeterminatePoint("beta vanishes on the component")
-        u = n_beta / m_beta
-    else:
-        if not m_beta:
-            raise IndeterminatePoint("beta vanishes on the component")
-        u = m_beta.inverse() * n_beta
-    args = tuple(Fraction(v) for v in y)
-    s = sys.forms[0](args)
-    t = -sys.forms[1](args)
-    if isinstance(quotient.constant, Fraction):
-        return (u, s, t)
-    one = quotient.constant.parent.one()
-    return (u, s * one, t * one)

@@ -8,7 +8,7 @@ refused, which is all the pipeline needs (11 and 31 pass the check).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from ..arith.localfield import FqField, ZqRing, factor_quartic_mod_p
 from ..arith.numberfield import NfElem, NumberField
@@ -200,10 +200,11 @@ def _fq_of(Ebar):
 def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs):
     """Certify that <points> + torsion has index prime to m in E(K).
 
-    prime_specs: iterable of (p, prime_idx).  True when every nonzero
-    e in (Z/m)^r has, at some supplied prime, sum(e_i P_i) outside
-    m*E(F_q); otherwise returns the list of surviving vectors (the
-    Inconclusive outcome — never silently converted to a success).
+    prime_specs: iterable of (p, prime_idx), or (p, prime_idx, #E(F_q))
+    when the order is already known.  True when every nonzero e in
+    (Z/m)^r has, at some supplied prime, sum(e_i P_i) outside m*E(F_q);
+    otherwise returns the list of surviving vectors (the Inconclusive
+    outcome — never silently converted to a success).
     """
     from itertools import product
 
@@ -211,7 +212,7 @@ def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs)
     survivors = [e for e in product(range(m), repeat=r) if any(e)]
     used = []
     field = curve.a.parent if isinstance(curve.a, NfElem) else curve.b.parent
-    for (p, idx) in prime_specs:
+    for (p, idx, *order) in prime_specs:
         if not survivors:
             break
         try:
@@ -223,19 +224,29 @@ def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs)
             red = [reduce_point(Ebar, curve, P, pr) for P in points]
         except BadPrime:
             continue
-        mult_set = {_pt_key(m * Q) for Q in all_points_fq(Ebar)}
+        in_mE = _multiple_test(Ebar, m, order[0] if order else curve_order_fq(Ebar))
         still = []
         for e in survivors:
             S = Ebar.zero()
             for k, P in zip(e, red):
                 if k:
                     S = S + k * P
-            if _pt_key(S) in mult_set:
+            if in_mE(S):
                 still.append(e)
         if len(still) < len(survivors):
             used.append((p, idx))
         survivors = still
     return (True, used) if not survivors else (survivors, used)
+
+
+def _multiple_test(Ebar: WeierstrassCurve, m: int, N: int):
+    """Membership test for m*E(F_q), N = #E(F_q).  When gcd(m, N/m) = 1
+    the m-part of E(F_q) has order m, so S is in m*E(F_q) iff (N/m)*S = O;
+    otherwise the multiples of m are enumerated."""
+    if N % m == 0 and gcd(m, N // m) == 1:
+        return lambda S: ((N // m) * S).is_zero()
+    mult_set = {_pt_key(m * Q) for Q in all_points_fq(Ebar)}
+    return lambda S: _pt_key(S) in mult_set
 
 
 def _pt_key(P: EcPoint):

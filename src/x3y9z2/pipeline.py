@@ -408,22 +408,3 @@ def _summarize(claims):
 
 def report_to_json(report) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def verify_tables(primes=(11, 31)):
-    """The table-verification subset: every checkable printed claim."""
-    claims = []
-    claims += verify_parametrizations()
-    claims += verify_mw_table()
-    claims += verify_rank_table_constants()
-    claims += verify_quotient_claims()
-    dd = load_descent_data()
-    mw = load_mw_data()
-    tables = load_tables()
-    setups = {}
-    for eq in (1, 2):
-        for row in tables["quartic_field_table"][f"eq{eq}"]["rows"]:
-            setups[(eq, tuple(row["delta"]))] = chabauty_setup_for_row(dd, mw, eq, row)
-    claims += verify_quartic_table(setups)
-    claims += verify_chabauty_claims(setups)
-    return claims

@@ -5,6 +5,7 @@ pipeline execution (a session fixture); its stage timings are asserted
 against the budgets of the criteria they implement.
 """
 
+import hashlib
 import time
 from fractions import Fraction as F
 
@@ -164,6 +165,17 @@ def test_criterion_6_end_to_end(pipeline_run):
     ok &= report_to_json(report) == report_to_json(report2)
     _line("criterion 6: pipeline = oracle = the 10 signed triples, byte-identical runs",
           ok and wall < 300.0, f"(first run {wall:.1f}s)")
+
+
+# sha256 of the canonical report; a change to it must be a deliberate one.
+REPORT_SHA256 = "d152e33853b9629bb42460f46935cc23bf8f039c352dcc89fecde389da8d8ee3"
+
+
+def test_report_regression_oracle(pipeline_run):
+    report, _, _ = pipeline_run
+    digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    _line("regression oracle: report sha256 unchanged", digest == REPORT_SHA256,
+          f"({digest})")
 
 
 class TestCriterion7Properties:

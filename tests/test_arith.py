@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -9,10 +10,12 @@ from x3y9z2.arith import (
     AlgElem, EtaleAlgebra, NfElem, NotLiftable, NumberField, PadicNum,
     ZeroDivisorError, factor_deg_le4, padic_hensel_root,
 )
+from x3y9z2.arith.localfield import FqField, quartic_is_irreducible_mod_p
 from x3y9z2.arith.poly import MPoly, UPoly
 from x3y9z2.arith.rationals import rational_reconstruct, valuation
-from x3y9z2.arith.roots import (certify_non_cube, nf_cubic_character,
-                                nf_nth_root, degree_one_character_data)
+from x3y9z2.arith.roots import (_residue_nth_roots, certify_non_cube,
+                                degree_one_character_data, nf_cubic_character,
+                                nf_nth_root, small_primes)
 
 F5 = UPoly([0, 8, 0, 0, 1])          # x^4 + 8x (the split quartic)
 FK = UPoly([1, -2, 0, -2, 1])        # x^4 - 2x^3 - 2x + 1 (irreducible)
@@ -204,3 +207,63 @@ class TestRoots:
         x = (K.gen() + 2)
         r = nf_nth_root(x**6, 6)
         assert r is not None and r**6 == x**6
+
+
+# q - 1 = 10, 12, 16, 288, 624, 2400: 3 does not divide 10 or 16, divides
+# 12, 624 and 2400 once and 288 twice; 2 divides 10 once, the rest twice or more.
+ROOT_FIELDS = [(11, None), (13, None), (17, None), (17, [14, 0, 1]),
+               (5, [2, 0, 0, 0, 1]), (7, [1, 1, 0, 0, 1])]
+
+
+class TestResidueRoots:
+    """_residue_nth_roots returns exactly the brute-force list, in
+    FqField.elements() order: which global root nf_nth_root picks (and
+    so the report's generator signs) rests on that order."""
+
+    @pytest.mark.parametrize("p, modulus", ROOT_FIELDS)
+    def test_matches_enumeration(self, p, modulus, rng):
+        fq = FqField(p, modulus)
+        if fq.d == 4:
+            assert quartic_is_irreducible_mod_p(modulus, p)
+        units = [y for y in fq.elements() if y]
+        for n in (2, 3, 6):
+            by_power = {}
+            for y in units:
+                by_power.setdefault(y**n, []).append(y)
+            if fq.q < 300:
+                targets = units
+            else:   # n-th powers and random targets, most of them not powers
+                targets = ([y**n for y in rng.sample(units, 60)]
+                           + rng.sample(units, 60))
+            # Every unit is an n-th power exactly when gcd(n, q - 1) = 1.
+            assert any(t not in by_power for t in targets) == (gcd(n, fq.q - 1) > 1)
+            for t in targets:
+                assert _residue_nth_roots(t, n) == by_power.get(t, []), (fq, n, t)
+
+    def test_spot_check_f17_4(self, rng):
+        fq = FqField(17, [1, 3, 0, 0, 1])
+        assert quartic_is_irreducible_mod_p(fq.h, 17)
+        q = fq.q
+        units = [fq.elem([rng.randrange(17) for _ in range(4)]) for _ in range(12)]
+        for n in (2, 3, 6):
+            k = gcd(n, q - 1)
+            for t in [y**n for y in units if y] + [y for y in units if y]:
+                roots = _residue_nth_roots(t, n)
+                is_power = t ** ((q - 1) // k) == fq.one()
+                # k distinct roots of y^n = t are all of them.
+                assert len(roots) == (k if is_power else 0)
+                assert len({y.coords for y in roots}) == len(roots)
+                assert all(y**n == t for y in roots)
+                assert [y.coords for y in roots] == sorted(y.coords for y in roots)
+
+
+def test_small_primes_matches_trial_division():
+    def trial(bound):
+        out = []
+        for n in range(2, bound + 1):
+            if all(n % p for p in out if p * p <= n):
+                out.append(n)
+        return out
+    # Out of order, so that the sieve both grows and answers from its table.
+    for bound in (400, 1, 2, 3, 10, 97, 5000, 600, 2000, 10_000, 0):
+        assert small_primes(bound) == trial(bound)

@@ -119,6 +119,24 @@ class TestSieve:
         assert outcome.values == []
 
 
+def test_reduction_orders_count_each_prime_once(mw_data, K, monkeypatch):
+    """Widening the bound of _reduction_orders scans only the new primes,
+    and a smaller bound is answered from the same counts."""
+    from x3y9z2.chabauty import engine
+    E = mw_data.curve(1)
+    monkeypatch.setattr(engine, "_coprimality_cache", {})
+    fresh = engine._reduction_orders(E, K, 200)
+    monkeypatch.setattr(engine, "_coprimality_cache", {})
+    counted = []
+    count = engine.curve_order_fq
+    monkeypatch.setattr(engine, "curve_order_fq",
+                        lambda Ebar: counted.append(Ebar) or count(Ebar))
+    small = engine._reduction_orders(E, K, 100)
+    assert engine._reduction_orders(E, K, 200) == fresh
+    assert engine._reduction_orders(E, K, 100) == small == [o for o in fresh if o[0] <= 100]
+    assert len(counted) == len(fresh)
+
+
 class TestSetup:
     def test_row0_checks(self, setup_eq1_row0):
         checks = setup_eq1_row0.checks

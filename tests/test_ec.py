@@ -9,7 +9,7 @@ from x3y9z2.arith.poly import MPoly
 from x3y9z2.ec import (BadPrime, EcPoint, PlaneCubicWithFlex, WeierstrassCurve,
                        curve_order_fq, flex_to_weierstrass, j_invariant,
                        non_divisibility_sieve, reduce_at_prime, torsion_over_Q)
-from x3y9z2.ec.reduction import primes_above, reduce_curve, reduce_point
+from x3y9z2.ec.reduction import all_points_fq, primes_above, reduce_curve, reduce_point
 from x3y9z2.ec.weierstrass import _classical_add
 
 
@@ -199,3 +199,31 @@ class TestSieve:
         specs = [(q, i) for q in (5, 7, 11, 13, 23, 37) for i in range(4)]
         result, used = non_divisibility_sieve(E, thrice, 3, specs)
         assert result is not True  # 3*g1 is 3-divisible everywhere
+
+    def test_one_multiple_path_matches_enumeration(self, mw_data, K):
+        """Where 3 || #E(F_q), the sieve tests S in 3E(F_q) as (N/3)S = O;
+        its survivors must be those of enumerating 3E(F_q)."""
+        from itertools import product
+        E = mw_data.curve(1)
+        g1, g2 = mw_data.points(1)
+        points = [g1, g2, 3 * g1 + g2]
+        checked = 0
+        for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+            try:
+                prs = primes_above(K, q, degree_cap=1)
+            except BadPrime:
+                continue
+            for pr in prs:
+                Ebar = reduce_curve(E, pr)
+                N = curve_order_fq(Ebar)
+                if N % 3 or (N // 3) % 3 == 0:
+                    continue
+                triple = [reduce_point(Ebar, E, P, pr) for P in points]
+                mult = {3 * Q for Q in all_points_fq(Ebar)}
+                expected = [e for e in product(range(3), repeat=3) if any(e)
+                            and sum((k * P for k, P in zip(e, triple)), Ebar.zero()) in mult]
+                for spec in ((q, pr.idx), (q, pr.idx, N)):
+                    result, _ = non_divisibility_sieve(E, points, 3, [spec])
+                    assert (result is True and not expected) or result == expected
+                checked += 1
+        assert checked >= 3
