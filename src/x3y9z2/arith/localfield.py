@@ -43,6 +43,27 @@ def _polmod(a, h, m):
     return a
 
 
+def _fqmul(u, v, h, p):
+    """Product of two coordinate tuples in F_p[w]/(h), h monic of degree
+    d = len(u): a schoolbook product into 2d - 1 integer slots, reduced
+    from the top down by w^d = -(h_0 + ... + h_(d-1) w^(d-1)), with one
+    final reduction mod p."""
+    d = len(u)
+    if d == 1:
+        return (u[0] * v[0] % p,)
+    out = [0] * (2 * d - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = out[k]
+        if c:
+            for i in range(d):
+                out[k - d + i] -= c * h[i]
+    return tuple(c % p for c in out[:d])
+
+
 def _polpowmod(base, e, h, m):
     result = [1]
     base = _polmod(base, h, m)
@@ -197,6 +218,8 @@ class FqField:
     def __init__(self, p: int, modulus=None):
         self.p = p
         self.h = [c % p for c in (modulus or [0, 1])]
+        if self.h[-1] != 1:
+            raise ValueError(f"modulus {list(modulus)} is not monic mod {p}")
         self.d = len(self.h) - 1
         self.q = p**self.d
         if self.d == 1:
@@ -300,9 +323,7 @@ class FqElem:
         if o is None:
             return NotImplemented
         f = self.field
-        prod = _polmod(_polmul(list(self.coords), list(o.coords), f.p), f.h, f.p)
-        prod = prod + [0] * (f.d - len(prod))
-        return FqElem(f, tuple(prod))
+        return FqElem(f, _fqmul(self.coords, o.coords, f.h, f.p))
 
     __rmul__ = __mul__
 

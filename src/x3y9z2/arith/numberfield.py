@@ -389,6 +389,7 @@ class NumberField:
         self.minpoly = minpoly
         self.monic_poly = minpoly
         self.degree = minpoly.degree
+        self._disc = minpoly.discriminant()
         self.gen_name = gen_name
         self._power_table = _build_power_table(minpoly)
 
@@ -414,7 +415,8 @@ class NumberField:
         return NfElem(self, [p[i] for i in range(self.degree)])
 
     def discriminant(self) -> Fraction:
-        return self.minpoly.discriminant()
+        """disc(minpoly), an invariant of the field fixed at construction."""
+        return self._disc
 
     def __repr__(self):
         return f"NumberField({self.minpoly!r}, {self.gen_name})"

@@ -72,7 +72,7 @@ def _inert_prime_rings(field: NumberField, avoid, prec: int, enum_bound=250_000)
     """Yield ZqRing contexts at primes where the defining poly is
     irreducible (so K tensor Q_q is one unramified field)."""
     f_ints = field.minpoly.integer_coeffs()
-    disc = field.minpoly.discriminant()
+    disc = field.discriminant()
     for q in small_primes(400):
         if q in avoid or q < 5:
             continue
@@ -237,7 +237,7 @@ def degree_one_character_data(field: NumberField, bound=400, avoid=()):
     """(q, root) pairs: split primes q = 1 mod 3 with a root of the
     defining polynomial mod q — each gives a cubic character on q-units."""
     f_ints = field.minpoly.integer_coeffs()
-    disc = field.minpoly.discriminant()
+    disc = field.discriminant()
     out = []
     for q in small_primes(bound):
         if q < 5 or q % 3 != 1 or q in avoid:

@@ -390,8 +390,8 @@ class ChabautyRun:
                               for ctx in self.contexts])
             known_by_key.setdefault(key, []).append((nvec, P, val))
         for key in known_by_key:
-            assert any(info["images_key"] == key for info in survivors.values()), \
-                "a known rational-value point was sieved out (soundness bug)"
+            if not any(info["images_key"] == key for info in survivors.values()):
+                raise AssertionError("a known rational-value point was sieved out (soundness bug)")
 
         certs = []
         all_closed = True

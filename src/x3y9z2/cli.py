@@ -62,7 +62,11 @@ def cmd_param_verify(args):
 
 
 def cmd_param_lift(args):
-    sols = lift_to_ninth(args.x, args.v, args.z)
+    try:
+        sols = lift_to_ninth(args.x, args.v, args.z)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     _emit({
         "input": [args.x, args.v, args.z],
         "primitive_solutions": [[s.x, s.y, s.z] for s in sols],

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ..arith.localfield import FqField, ZqRing, factor_quartic_mod_p
+from ..arith.localfield import FqField, ZqRing, _fqmul, factor_quartic_mod_p
 from ..arith.numberfield import NfElem, NumberField
 from ..arith.rationals import valuation
 from .weierstrass import EcPoint, WeierstrassCurve
@@ -82,8 +82,7 @@ def primes_above(field: NumberField, p: int, degree_cap: int = 4):
     """Primes of Z[alpha] above p with residue degree <= degree_cap,
     sorted by (degree, factor); BadPrime when p ramifies in Z[alpha]
     or divides disc(minpoly)."""
-    disc = field.minpoly.discriminant()
-    if disc.numerator % p == 0:
+    if field.discriminant().numerator % p == 0:
         raise BadPrime(f"{p} divides disc of the defining polynomial")
     f_ints = field.minpoly.integer_coeffs()
     factors = factor_quartic_mod_p(f_ints, p, degree_cap=degree_cap)
@@ -167,16 +166,56 @@ def reduce_point(Ebar: WeierstrassCurve, curve: WeierstrassCurve, point, pr: NfP
 
 
 def curve_order_fq(Ebar: WeierstrassCurve) -> int:
-    """#E(F_q) by enumeration (q small)."""
+    """#E(F_q) = 1 + sum over x in F_q of #{y : y^2 = x^3 + a x + b}.
+
+    Counted on coordinate integers: a table of how many y square to each
+    value, then one cubic per x, with the product of F_p[w]/(h) written
+    out for d = 1 and d = 2 (the residue fields the pipeline reaches) and
+    the field's integer product for larger d.  When a = 0 and
+    q = 2 (mod 3), x -> x^3 is a bijection of F_q, so x^3 + b runs over
+    F_q once and #E = q + 1 without a scan.
+    """
     fq = _fq_of(Ebar)
+    p, d, q, h = fq.p, fq.d, fq.q, fq.h
+    a = (fq.one() * Ebar.a).coords
+    b = (fq.one() * Ebar.b).coords
+    if not any(a) and q % 3 == 2:
+        return q + 1
+    if d == 1:
+        (a0,), (b0,) = a, b
+        sq = [0] * p
+        for y in range(p):
+            sq[y * y % p] += 1
+        return 1 + sum(sq[((x * x + a0) * x + b0) % p] for x in range(p))
+    if d == 2:
+        # w^2 = -h1 w - h0; the element c0 + c1 w has index c0 * p + c1.
+        h0, h1 = h[0], h[1]
+        (a0, a1), (b0, b1) = a, b
+        sq = [0] * q
+        for y0 in range(p):
+            for y1 in range(p):
+                t = y1 * y1
+                sq[(y0 * y0 - h0 * t) % p * p + (2 * y0 * y1 - h1 * t) % p] += 1
+        total = 1
+        for x0 in range(p):
+            for x1 in range(p):
+                t = x1 * x1
+                s0 = x0 * x0 - h0 * t + a0          # x^2 + a
+                s1 = 2 * x0 * x1 - h1 * t + a1
+                t = s1 * x1                          # (x^2 + a) x + b
+                c0 = s0 * x0 - h0 * t + b0
+                c1 = s0 * x1 + s1 * x0 - h1 * t + b1
+                total += sq[c0 % p * p + c1 % p]
+        return total
+    from itertools import product
     sq = {}
-    for y in fq.elements():
-        key = y * y
+    for y in product(range(p), repeat=d):
+        key = _fqmul(y, y, h, p)
         sq[key] = sq.get(key, 0) + 1
     total = 1
-    for x in fq.elements():
-        rhs = x * x * x + Ebar.a * x + Ebar.b
-        total += sq.get(rhs, 0)
+    for x in product(range(p), repeat=d):
+        s = tuple(u + v for u, v in zip(_fqmul(x, x, h, p), a))
+        total += sq.get(tuple((u + v) % p for u, v in zip(_fqmul(s, x, h, p), b)), 0)
     return total
 
 

@@ -222,9 +222,10 @@ class SolutionTriple:
 
     def __post_init__(self):
         if self.equation == "cube-ninth-square":
-            assert self.x**3 + self.y**9 == self.z**2, "triple does not satisfy x^3+y^9=z^2"
-        else:
-            assert self.x**3 + self.y**3 == self.z**2, "triple does not satisfy x^3+v^3=z^2"
+            if self.x**3 + self.y**9 != self.z**2:
+                raise ValueError("triple does not satisfy x^3+y^9=z^2")
+        elif self.x**3 + self.y**3 != self.z**2:
+            raise ValueError("triple does not satisfy x^3+v^3=z^2")
 
     def signed_pair(self):
         if self.z == 0:
@@ -256,7 +257,8 @@ def lift_to_ninth(x: int, v: int, z: int, bound: int = 12):
     after content removal.  Empty list when no equivalent primitive
     solution exists (a valid outcome).
     """
-    assert x**3 + v**3 == z**2, "input does not satisfy x^3+v^3=z^2"
+    if x**3 + v**3 != z**2:
+        raise ValueError("input does not satisfy x^3+v^3=z^2")
     x, v, z = _remove_weighted_content(x, v, abs(z))
     found = set()
     for a in range(-bound, bound + 1):

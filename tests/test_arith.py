@@ -10,7 +10,7 @@ from x3y9z2.arith import (
     AlgElem, EtaleAlgebra, NfElem, NotLiftable, NumberField, PadicNum,
     ZeroDivisorError, factor_deg_le4, padic_hensel_root,
 )
-from x3y9z2.arith.localfield import FqField, quartic_is_irreducible_mod_p
+from x3y9z2.arith.localfield import FqField, _polmod, _polmul, quartic_is_irreducible_mod_p
 from x3y9z2.arith.poly import MPoly, UPoly
 from x3y9z2.arith.rationals import rational_reconstruct, valuation
 from x3y9z2.arith.roots import (_residue_nth_roots, certify_non_cube,
@@ -267,3 +267,24 @@ def test_small_primes_matches_trial_division():
     # Out of order, so that the sieve both grows and answers from its table.
     for bound in (400, 1, 2, 3, 10, 97, 5000, 600, 2000, 10_000, 0):
         assert small_primes(bound) == trial(bound)
+
+
+# d = 1, 2 and 4: a split prime, and the residue fields of K above 7 and 5.
+MUL_FIELDS = [(11, [8, 1]), (7, [3, 2, 1]), (5, [1, 3, 0, 3, 1])]
+
+
+class TestFqProduct:
+    @pytest.mark.parametrize("p, modulus", MUL_FIELDS)
+    def test_matches_polynomial_division(self, p, modulus, rng):
+        fq = FqField(p, modulus)
+        for _ in range(300):
+            u = fq.elem([rng.randrange(p) for _ in range(fq.d)])
+            v = fq.elem([rng.randrange(p) for _ in range(fq.d)])
+            ref = _polmod(_polmul(list(u.coords), list(v.coords), p), fq.h, p)
+            assert (u * v).coords == tuple(ref + [0] * (fq.d - len(ref)))
+
+    def test_non_monic_modulus_refused(self):
+        with pytest.raises(ValueError, match="not monic"):
+            FqField(7, [3, 2, 2])
+        with pytest.raises(ValueError, match="not monic"):
+            FqField(5, [1, 0, 0, 0, 5])     # leading coefficient 0 mod 5

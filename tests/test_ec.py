@@ -227,3 +227,37 @@ class TestSieve:
                     assert (result is True and not expected) or result == expected
                 checked += 1
         assert checked >= 3
+
+
+class TestPointCount:
+    """curve_order_fq counts on coordinate integers; all_points_fq, which
+    enumerates E(F_q) with field elements, is the oracle."""
+
+    # Degree-1 primes of K above 11 (q = 2 mod 3) and 37 (q = 1 mod 3),
+    # degree-2 primes above 7 and 13, and the degree-4 prime above 5.
+    @pytest.mark.parametrize("p, degree", [(11, 1), (37, 1), (7, 2), (13, 2), (5, 4)])
+    def test_trusted_curves_match_enumeration(self, mw_data, K, p, degree):
+        prs = [pr for pr in primes_above(K, p) if pr.degree == degree]
+        assert prs
+        for i in range(1, 7):
+            E = mw_data.curve(i)
+            for pr in prs:
+                Ebar = reduce_curve(E, pr)
+                N = curve_order_fq(Ebar)
+                assert N == len(all_points_fq(Ebar)), (i, pr)
+                if pr.fq().q % 3 == 2:
+                    assert N == pr.fq().q + 1
+
+    @pytest.mark.parametrize("p, modulus", [(11, None), (37, [35, 1]), (7, [3, 2, 1]),
+                                            (13, [1, 3, 1])])
+    def test_nonzero_a_matches_enumeration(self, p, modulus, rng):
+        fq = FqField(p, modulus)
+        checked = 0
+        while checked < 4:
+            a = fq.elem([rng.randrange(p) for _ in range(fq.d)])
+            b = fq.elem([rng.randrange(p) for _ in range(fq.d)])
+            if not a:
+                continue
+            Ebar = WeierstrassCurve(a, b, check_smooth=False)
+            assert curve_order_fq(Ebar) == len(all_points_fq(Ebar)), (fq, a, b)
+            checked += 1

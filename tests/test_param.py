@@ -1,5 +1,7 @@
 """Parametrizations, the six equations, transfers, and lifting."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -140,5 +142,14 @@ class TestLift:
                 assert gcd(gcd(abs(sol.x), abs(sol.y)), sol.z) == 1
 
     def test_triple_validation(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="does not satisfy"):
             SolutionTriple(1, 1, 0)
+
+    def test_triple_validation_survives_optimize(self):
+        """The check is an exception, not an assert: python -O keeps it."""
+        out = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "from x3y9z2.param import SolutionTriple; SolutionTriple(1, 1, 1)"],
+            capture_output=True, text=True, timeout=60)
+        assert out.returncode != 0
+        assert "triple does not satisfy x^3+y^9=z^2" in out.stderr

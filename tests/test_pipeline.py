@@ -107,6 +107,11 @@ class TestCli:
         data = json.loads(out.stdout)
         assert data["equivalent_to_primitive"] is False
 
+    def test_lift_refuses_a_non_solution(self):
+        out = self._run("param", "lift", "--x", "1", "--v", "1", "--z", "1")
+        assert out.returncode == 2
+        assert "does not satisfy" in out.stderr and "Traceback" not in out.stderr
+
     def test_descent_build(self):
         out = self._run("descent", "build", "--eq", "5", "--delta", "0")
         assert out.returncode == 0
