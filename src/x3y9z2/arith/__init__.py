@@ -1,5 +1,6 @@
-"""Exact arithmetic substrate: rationals, polynomials, number fields,
-etale algebras and fixed-precision p-adic numbers."""
+"""Exact arithmetic substrate: rationals, polynomials, number fields and
+etale algebras; `localfield` adds finite fields F_q and the unramified
+p-adic rings Z_q, the one p-adic number type."""
 
 from .rationals import (
     Rat,
@@ -21,7 +22,6 @@ from .numberfield import (
     ZeroDivisorError,
     factor_deg_le4,
 )
-from .padic import NotLiftable, PadicNum, padic_hensel_root
 
 __all__ = [
     "Rat", "icbrt", "is_perfect_cube", "is_rational_cube",
@@ -29,5 +29,4 @@ __all__ = [
     "MPoly", "UPoly",
     "AlgElem", "EtaleAlgebra", "FieldIso", "NfElem", "NumberField",
     "ZeroDivisorError", "factor_deg_le4",
-    "NotLiftable", "PadicNum", "padic_hensel_root",
 ]

@@ -398,7 +398,8 @@ class ZqRing:
         self.N = prec
         self.mod = p**prec
         self.h = [c % self.mod for c in modulus]
-        assert self.h[-1] == 1, "modulus must be monic"
+        if self.h[-1] != 1:
+            raise ValueError(f"modulus {list(modulus)} is not monic mod {p}^{prec}")
         self.d = len(self.h) - 1
 
     def elem(self, coords) -> "ZqElem":
@@ -449,7 +450,8 @@ class ZqRing:
                 break
             dfx = _zq_eval_ints(dpoly, x)
             x = x - fx * dfx.inverse()
-        assert not _zq_eval_ints(poly_ints, x), "Hensel lift failed"
+        if _zq_eval_ints(poly_ints, x):
+            raise AssertionError("Hensel lift failed")
         return x
 
     def __repr__(self):
@@ -549,7 +551,8 @@ class ZqElem:
             if e == x:
                 break
             x = e
-        assert (self * x) == r.one(), "Zq inversion failed"
+        if self * x != r.one():
+            raise AssertionError("Zq inversion failed")
         return x
 
     def __truediv__(self, other):

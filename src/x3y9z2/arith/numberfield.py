@@ -159,7 +159,8 @@ def factor_deg_le4(f: UPoly):
     prod = UPoly([f.leading])
     for h, m in out:
         prod = prod * h**m
-    assert prod == f, "factorization round-trip failed"
+    if prod != f:
+        raise AssertionError("factorization round-trip failed")
     return out
 
 

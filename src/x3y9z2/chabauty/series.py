@@ -1,12 +1,12 @@
-"""Formal-group series on y^2 = x^3 + a x + b over Q_p, and the
-Strassman bound on zeros of a p-adic power series in the unit disk.
+"""The formal-group logarithm of y^2 = x^3 + a x + b over Z_p, and the
+PrecisionTooLow exception of the p-adic Chabauty code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..arith.padic import PadicNum
+from ..arith.localfield import ZqElem, ZqRing
 from ..arith.rationals import valuation
 
 
@@ -14,79 +14,10 @@ class PrecisionTooLow(Exception):
     pass
 
 
-def _series_mul(A, B, T):
-    out = [Fraction(0)] * T
-    for i, a in enumerate(A):
-        if a and i < T:
-            for j, b in enumerate(B):
-                if i + j >= T:
-                    break
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
-def formal_group_series(a, b, terms: int):
-    """Power-series data of the formal group of y^2 = x^3 + ax + b.
-
-    Returns (x_series, y_series, log_series) in the parameter t = -x/y:
-    x = t^-2 (1 + O(t)), y = -t^-3 (1 + O(t)), log = t + O(t^2).
-    x_series/y_series are the regular parts after factoring the pole:
-    x(t) = t^-2 * xs(t), y(t) = -t^-3 * ys(t).  Coefficients are exact
-    rationals (integral when a, b are integral).
-    """
-    a, b = Fraction(a), Fraction(b)
-    T = terms + 6
-    # w = t^3 + a t w^2 + b w^3, with w = -1/y; iterate to precision T+3.
-    w = [Fraction(0)] * (T + 3)
-    w[3] = Fraction(1)
-    for _ in range(T):
-        w2 = _series_mul(w, w, T + 3)
-        w3 = _series_mul(w2, w, T + 3)
-        new = [Fraction(0)] * (T + 3)
-        new[3] = Fraction(1)
-        for i in range(T + 2):
-            if i + 1 < T + 3 and w2[i]:
-                new[i + 1] += a * w2[i]
-            if w3[i]:
-                new[i] += b * w3[i]
-        if new == w:
-            break
-        w = new
-    # w = t^3 * u(t), u unit; x = t/w = t^-2 / u; y = -1/w = -t^-3 / u.
-    u = [w[i + 3] for i in range(T)]
-    uinv = _series_inverse(u, T)
-    xs = uinv[:]                      # x = t^-2 * xs
-    ys = uinv[:]                      # y = -t^-3 * ys
-    # omega = dx / (2y) = (x'(t) / (2 y(t))) dt; log = integral of omega.
-    # x(t) = sum xs[k] t^(k-2): x'(t) = sum (k-2) xs[k] t^(k-3).
-    # 2y(t) = -2 t^-3 ys(t); x'/ (2y) = -(sum (k-2) xs[k] t^k) / (2 ys(t)).
-    num = [Fraction(k - 2) * xs[k] for k in range(T)]
-    omega = _series_mul(num, _series_inverse(ys, T), T)
-    omega = [-c / 2 for c in omega]
-    assert omega[0] == 1, "formal differential must start at 1"
-    log = [Fraction(0)] * (T + 1)
-    for k, c in enumerate(omega):
-        log[k + 1] = c / (k + 1)
-    return xs, ys, log
-
-
-def _series_inverse(u, T):
-    assert u[0] != 0
-    inv = [Fraction(0)] * T
-    inv[0] = 1 / u[0]
-    for k in range(1, T):
-        s = Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(u) and u[j]:
-                s += u[j] * inv[k - j]
-        inv[k] = -s / u[0]
-    return inv
-
-
 def _omega_series_mod(a_int: int, b_int: int, p: int, W: int, terms: int):
-    """Coefficients of the invariant differential omega = (1 + ...)dt
-    modulo p^W, by the same w-iteration with plain modular integers."""
+    """Coefficients of the invariant differential omega = (1 + ...)dt in
+    the parameter t = -x/y, modulo p^W: w = -1/y = t^3 + a t w^2 + b w^3
+    is iterated to a fixed point on plain modular integers."""
     mod = p**W
     T = terms + 4
 
@@ -116,8 +47,10 @@ def _omega_series_mod(a_int: int, b_int: int, p: int, W: int, terms: int):
         if new == w:
             break
         w = new
+    # w = t^3 * u(t), u a unit: x = t/w = t^-2 / u and y = -1/w = -t^-3 / u.
     u = [w[i + 3] for i in range(T)]
-    assert u[0] == 1
+    if u[0] != 1:
+        raise AssertionError("w must start at t^3")
     uinv = [0] * T
     uinv[0] = 1
     for k in range(1, T):
@@ -137,7 +70,8 @@ def _omega_series_mod(a_int: int, b_int: int, p: int, W: int, terms: int):
                     omega[i + j] = (omega[i + j] + num[i] * u[j]) % mod
     inv2 = pow(2, -1, mod)
     omega = [(-c * inv2) % mod for c in omega]
-    assert omega[0] == 1
+    if omega[0] != 1:
+        raise AssertionError("formal differential must start at 1")
     return omega[: terms + 1]
 
 
@@ -148,40 +82,41 @@ def _p_integral_residue(x, p: int, W: int) -> int:
     return q.numerator * pow(q.denominator, -1, p**W) % p**W
 
 
-def formal_log(a, b, t: PadicNum, terms: int = 24) -> PadicNum:
+def formal_log(a, b, t: ZqElem, terms: int = 24) -> ZqElem:
     """Formal-group logarithm at parameter t = -x/y of a kernel point.
 
     a, b are the curve coefficients as p-integral rationals (e.g. the
-    residue representatives of an embedded curve).  Requires v_p(t) >= 1;
-    additive on the kernel of reduction to the certified precision.
+    residue representatives of an embedded curve).  t lies in a d = 1
+    ZqRing, i.e. Z_p mod p^N, with v_p(t) >= 1.  The result lies in a
+    d = 1 ZqRing of precision min(N, tail), the digits that the series
+    truncated after `terms` terms certifies; to that precision it is
+    additive on the kernel of reduction.
     """
-    p = t.p
-    if t.is_zero_at_precision():
-        return PadicNum.zero(p, t.val * terms)
+    ring = t.ring
+    if ring.d != 1:
+        raise ValueError("formal_log needs t in a degree-1 ZqRing")
+    p, N = ring.p, ring.N
     mu = t.valuation()
     if mu < 1:
         raise PrecisionTooLow("parameter is not in the kernel of reduction")
-    W = t.abs_prec + 2
-    omega = _omega_series_mod(_p_integral_residue(a, p, W),
-                              _p_integral_residue(b, p, W), p, W, terms)
-    acc = PadicNum.zero(p, t.prec)
-    tk = t
+    mod = p**N
+    omega = _omega_series_mod(_p_integral_residue(a, p, N),
+                              _p_integral_residue(b, p, N), p, N, terms)
+    acc = 0
     for k in range(1, terms + 1):
-        c = Fraction(omega[k - 1], k)
-        if c:
-            acc = acc + tk * PadicNum.from_rational(c, p, t.prec)
-        tk = tk * t
+        # The log coefficient is omega_(k-1) / k.  p^e = p^v_p(k) divides
+        # t^k (k*mu > e), and t mod p^N fixes t^k / p^e mod p^N.
+        pe = p**valuation(k, p)
+        tk = pow(t.coords[0], k, mod * pe) // pe
+        acc += omega[k - 1] * pow(k // pe, -1, mod) * tk
     # Tail: the omitted term at index k has valuation >= k*mu - v_p(k)
     # (log coefficients are integral over p up to the 1/k), so
     # min_{k > terms} (k*mu - v_p(k)) >= k0*mu - max_k (v_p(k) - (k - k0)).
     k0 = terms + 1
-    tail = k0 * mu - _vp_excess(k0, p)
-    cap = min(acc.abs_prec, tail)
+    cap = min(N, k0 * mu - _vp_excess(k0, p))
     if cap < 1:
         raise PrecisionTooLow("series tail dominates the computed value")
-    if acc.is_zero_at_precision() or acc.val >= cap:
-        return PadicNum.zero(p, cap)
-    return PadicNum(p, acc.val, acc.unit, cap - acc.val)
+    return (ring if cap == N else ZqRing(p, ring.h, cap)).elem(acc)
 
 
 def _vp_excess(k0: int, p: int) -> int:
@@ -191,53 +126,3 @@ def _vp_excess(k0: int, p: int) -> int:
     for k in range(k0, k0 + max(64, 4 * p)):
         best = max(best, (valuation(k, p) if k else 0) - (k - k0))
     return best
-
-
-def newton_polygon(coeffs):
-    """Lower-convex-hull vertices (k, v(c_k)) of a p-adic series segment;
-    coefficients must have certified valuations (or be exactly omitted)."""
-    pts = []
-    for k, c in enumerate(coeffs):
-        if isinstance(c, PadicNum):
-            if c.is_zero_at_precision():
-                continue
-            pts.append((k, c.valuation()))
-        elif c:
-            raise TypeError("newton_polygon expects PadicNum coefficients")
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
-def strassman_zero_bound(coeffs, tail_min_valuation) -> int:
-    """Upper bound on zeros in the closed unit disk Z_p.
-
-    coeffs: initial segment c_0..c_T as PadicNum; tail_min_valuation: a
-    certified lower bound on v(c_k) for every k > T.  The bound is the
-    largest index attaining the minimal valuation (Strassman), provided
-    that minimum is certified below the tail; otherwise PrecisionTooLow.
-    """
-    vals = []
-    for k, c in enumerate(coeffs):
-        if c.is_zero_at_precision():
-            vals.append((k, None, c.abs_prec))
-        else:
-            vals.append((k, c.valuation(), c.abs_prec))
-    known = [(k, v) for k, v, _ in vals if v is not None]
-    if not known:
-        raise PrecisionTooLow("no coefficient has certified valuation")
-    m = min(v for _, v in known)
-    if m >= tail_min_valuation:
-        raise PrecisionTooLow("tail may dominate the computed coefficients")
-    # Every zero-at-precision coefficient must be known past m.
-    for k, v, ap in vals:
-        if v is None and ap <= m:
-            raise PrecisionTooLow(f"coefficient {k} undetermined at the minimal valuation")
-    return max(k for k, v in known if v == m)

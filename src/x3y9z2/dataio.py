@@ -69,7 +69,8 @@ class DescentData:
         K = quartic_field()
         self.K = K
         kd = raw["K"]
-        assert _upoly(kd["minpoly"]) == K.minpoly
+        if _upoly(kd["minpoly"]) != K.minpoly:
+            raise AssertionError("trusted minimal polynomial of K differs from the built-in one")
         self.k_generators = [nf(c, K) for c in kd["generators"]]
 
         e5 = raw["eq5"]
@@ -85,7 +86,8 @@ class DescentData:
         for eq in (1, 2):
             ed = raw[f"eq{eq}"]
             alg = EtaleAlgebra(_upoly(ed["defining"]), "theta")
-            assert alg.n_components == 1, "quartic-field equations have irreducible algebras"
+            if alg.n_components != 1:
+                raise AssertionError("quartic-field equations have irreducible algebras")
             afield = alg.components[0][1]
             theta_in_alpha = nf(ed["theta_in_alpha"], K)
             iso = FieldIso(afield, K, theta_in_alpha)

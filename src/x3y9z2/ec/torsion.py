@@ -31,7 +31,8 @@ def integralize_curve(a: Fraction, b: Fraction):
         lam *= p**k
     a2 = a * lam**4
     b2 = b * lam**6
-    assert a2.denominator == 1 and b2.denominator == 1
+    if a2.denominator != 1 or b2.denominator != 1:
+        raise AssertionError("rescaled coefficients are not integral")
     return int(a2), int(b2), lam
 
 
@@ -131,9 +132,8 @@ def torsion_over_Q(curve: WeierstrassCurve):
         n = _torsion_order(P, bound)
         if n is not None:
             torsion[P] = n
-    for P, n in torsion.items():
-        assert all(cnt % _group_order(torsion) == 0 for cnt in counts), \
-            "torsion does not inject into some good reduction"
+    if any(cnt % _group_order(torsion) for cnt in counts):
+        raise AssertionError("torsion does not inject into some good reduction")
     order = _group_order(torsion)
     if order == 1:
         return "trivial", []
@@ -141,7 +141,8 @@ def torsion_over_Q(curve: WeierstrassCurve):
     if max_ord == order:
         structure = f"Z/{order}"
     else:
-        assert order == max_ord * 2, "unexpected torsion structure"
+        if order != max_ord * 2:
+            raise AssertionError("unexpected torsion structure")
         structure = f"Z/2 x Z/{max_ord}"
     pts = sorted(torsion, key=lambda P: (torsion[P], repr(P)))
     return structure, pts

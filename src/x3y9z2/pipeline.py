@@ -87,41 +87,17 @@ def run_eq5_stage(max_depth=12):
     if problems:
         raise PipelineError(f"trusted data failed verification: {problems}")
 
-    cands = enumerate_delta(spec)
-    kept = cubic_norm_filter(cands, spec.leading_coeff)
-    survivors = []
-    for expo, delta in kept:
-        sysd = build_descent_forms(spec.algebra, delta, eq_id=5, expo=expo)
-        system = ProjectiveSystem.from_mpolys(list(sysd.curve_forms()))
-        verdict = is_locally_soluble(system, 3, max_depth=max_depth)
-        if verdict.soluble:
-            survivors.append((expo, delta))
-
-    # Match the 22 survivors with the rank-table classes (mod cubes).
+    counts, survivors = _local_survivors(spec, 5, max_depth)
     rows = tables["rank_table"]["rows"]
-    row_class = []
-    used = set()
-    for k, row in enumerate(rows, start=1):
-        drow = spec.algebra([Fraction(c) for c in row["delta"]])
-        match = None
-        for expo, delta in survivors:
-            if expo in used:
-                continue
-            if _same_class_etale(spec.algebra, delta, drow):
-                match = expo
-                break
-        if match is None:
-            raise PipelineError(f"rank-table row {k} not among the local survivors")
-        used.add(match)
-        row_class.append((k, row, match))
-    if len(used) != len(survivors):
-        raise PipelineError("survivor count does not match the rank table")
+    _match_table_rows("eq5", spec.algebra, survivors, [
+        (f"rank-table row {k}", spec.algebra([Fraction(c) for c in row["delta"]]))
+        for k, row in enumerate(rows, start=1)])
 
     # s/t candidates: torsion (plus base point) of a rank-0 quotient;
     # when both sides have rank 0 the intersection applies.
     values = set()
     per_row_values = []
-    for k, row, expo in row_class:
+    for k, row in enumerate(rows, start=1):
         sides = []
         if row["rk1"] == 0:
             sides.append(("E1", Fraction(row["c1"])))
@@ -136,15 +112,42 @@ def run_eq5_stage(max_depth=12):
             row_vals = vals if row_vals is None else (row_vals & vals)
         per_row_values.append((k, sorted(v.serialize() for v in row_vals)))
         values |= row_vals
-    result = {
-        "n_candidates": len(cands),
-        "n_cubic_norm": len(kept),
-        "n_soluble": len(survivors),
-        "per_row_values": per_row_values,
-        "values": values,
-    }
+    result = {**counts, "per_row_values": per_row_values, "values": values}
     _stage_cache[("eq5", max_depth)] = result
     return result
+
+
+def _local_survivors(spec, eq_id, max_depth):
+    """Enumerate the descent classes of `spec`, keep those that pass the
+    cubic-norm condition and, of these, those soluble over Q_3.  Returns
+    the three counts (under their report keys) and the survivors."""
+    cands = enumerate_delta(spec)
+    kept = cubic_norm_filter(cands, spec.leading_coeff)
+    survivors = []
+    for expo, delta in kept:
+        sysd = build_descent_forms(spec.algebra, delta, eq_id=eq_id, expo=expo)
+        system = ProjectiveSystem.from_mpolys(list(sysd.curve_forms()))
+        if is_locally_soluble(system, 3, max_depth=max_depth).soluble:
+            survivors.append((expo, delta))
+    counts = {"n_candidates": len(cands), "n_cubic_norm": len(kept),
+              "n_soluble": len(survivors)}
+    return counts, survivors
+
+
+def _match_table_rows(label, algebra, survivors, row_deltas):
+    """Check that the table rows, given as (name, delta) pairs, and the
+    local survivors are the same classes modulo cubes, one to one."""
+    if len(survivors) != len(row_deltas):
+        raise PipelineError(f"{label}: {len(survivors)} locally soluble classes, "
+                            f"expected {len(row_deltas)}")
+    used = set()
+    for name, drow in row_deltas:
+        match = next((expo for expo, delta in survivors
+                      if expo not in used and _same_class_etale(algebra, delta, drow)),
+                     None)
+        if match is None:
+            raise PipelineError(f"{label}: {name} not among the local survivors")
+        used.add(match)
 
 
 def _stu_value(stu) -> STValue:
@@ -176,39 +179,19 @@ def run_quartic_stage(eq_id: int, max_depth=12, primes=(11, 31), prec=30):
     dd = load_descent_data()
     tables = load_tables()
     spec = dd.specs[eq_id]
-    cands = enumerate_delta(spec)
-    kept = cubic_norm_filter(cands, spec.leading_coeff)
-    survivors = []
-    for expo, delta in kept:
-        sysd = build_descent_forms(spec.algebra, delta, eq_id=eq_id, expo=expo)
-        system = ProjectiveSystem.from_mpolys(list(sysd.curve_forms()))
-        verdict = is_locally_soluble(system, 3, max_depth=max_depth)
-        if verdict.soluble:
-            survivors.append((expo, delta))
-
+    counts, survivors = _local_survivors(spec, eq_id, max_depth)
     rows = tables["quartic_field_table"][f"eq{eq_id}"]["rows"]
-    if len(survivors) != len(rows):
-        raise PipelineError(
-            f"eq {eq_id}: {len(survivors)} locally soluble classes, expected {len(rows)}")
-    mw = load_mw_data()
     iso = dd.iso[eq_id]
-    used = set()
+    _match_table_rows(f"eq {eq_id}", spec.algebra, survivors, [
+        (f"table class {row['delta']}",
+         spec.algebra(list(iso.inverse_apply(nf(row["delta"])).coords)))
+        for row in rows])
+
+    mw = load_mw_data()
     setups = {}
     outcomes = {}
     values = set()
     for row in rows:
-        drow_alpha = nf(row["delta"])
-        drow = spec.algebra(list(iso.inverse_apply(drow_alpha).coords))
-        match = None
-        for expo, delta in survivors:
-            if expo in used:
-                continue
-            if _same_class_etale(spec.algebra, delta, drow):
-                match = expo
-                break
-        if match is None:
-            raise PipelineError(f"eq {eq_id}: table class {row['delta']} not found locally")
-        used.add(match)
         setup = chabauty_setup_for_row(dd, mw, eq_id, row)
         outcome = rational_st_values(setup.curve, setup.psi, setup.gens,
                                      setup.known_points, primes=primes, prec=prec)
@@ -218,14 +201,7 @@ def run_quartic_stage(eq_id: int, max_depth=12, primes=(11, 31), prec=30):
         setups[(eq_id, tuple(row["delta"]))] = setup
         outcomes[(eq_id, tuple(row["delta"]))] = outcome
         values |= outcome.value_set()
-    result = {
-        "n_candidates": len(cands),
-        "n_cubic_norm": len(kept),
-        "n_soluble": len(survivors),
-        "values": values,
-        "setups": setups,
-        "outcomes": outcomes,
-    }
+    result = {**counts, "values": values, "setups": setups, "outcomes": outcomes}
     _stage_cache[key] = result
     return result
 

@@ -1,14 +1,15 @@
-"""Exact-arithmetic substrate: factorization, algebras, p-adics, roots."""
+"""Exact-arithmetic substrate: factorization, algebras, F_q, roots."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
 from x3y9z2.arith import (
-    AlgElem, EtaleAlgebra, NfElem, NotLiftable, NumberField, PadicNum,
-    ZeroDivisorError, factor_deg_le4, padic_hensel_root,
+    AlgElem, EtaleAlgebra, NfElem, NumberField, ZeroDivisorError, factor_deg_le4,
 )
 from x3y9z2.arith.localfield import FqField, _polmod, _polmul, quartic_is_irreducible_mod_p
 from x3y9z2.arith.poly import MPoly, UPoly
@@ -140,37 +141,6 @@ class TestNumberField:
             assert a * a.inverse() == K.one()
 
 
-class TestPadic:
-    def test_seven_adic_sqrt2(self):
-        root = padic_hensel_root(UPoly([-2, 0, 1]), PadicNum.from_rational(3, 7, 12))
-        assert root.digits(3) == [3, 1, 2]
-        assert (root * root - 2).is_zero_at_precision()
-
-    def test_linear_exact(self):
-        root = padic_hensel_root(UPoly([-5, 1]), PadicNum.from_rational(5, 13, 10))
-        assert root == PadicNum.from_rational(5, 13, 10)
-
-    def test_not_liftable_when_derivative_vanishes(self):
-        with pytest.raises(NotLiftable):
-            padic_hensel_root(UPoly([-1, 0, 0, 1]), PadicNum(3, 0, 1, 1))
-
-    def test_arithmetic_matches_integers_200(self, rng):
-        p, N = 5, 12
-        for _ in range(200):
-            a = rng.randint(-10**6, 10**6)
-            b = rng.randint(-10**6, 10**6)
-            pa = PadicNum.from_rational(a, p, N)
-            pb = PadicNum.from_rational(b, p, N)
-            assert (pa + pb).residue(8) == (a + b) % p**8
-            assert (pa * pb - a * b).is_zero_at_precision() or \
-                (pa * pb).residue(8) == (a * b) % p**8
-
-    def test_division(self):
-        x = PadicNum.from_rational(F(7, 3), 5, 10)
-        y = PadicNum.from_rational(F(1, 3), 5, 10)
-        assert x / y == PadicNum.from_rational(7, 5, 10)
-
-
 def test_rational_reconstruct_roundtrip(rng):
     m = 10**12 + 39
     for _ in range(100):
@@ -288,3 +258,13 @@ class TestFqProduct:
             FqField(7, [3, 2, 2])
         with pytest.raises(ValueError, match="not monic"):
             FqField(5, [1, 0, 0, 0, 5])     # leading coefficient 0 mod 5
+
+
+def test_zq_non_monic_modulus_refused_under_optimize():
+    """ZqRing's monic check is an exception, not an assert: python -O keeps it."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from x3y9z2.arith.localfield import ZqRing; ZqRing(7, [3, 2, 2], 5)"],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode != 0
+    assert "ValueError: modulus [3, 2, 2] is not monic mod 7^5" in out.stderr

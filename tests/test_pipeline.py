@@ -72,6 +72,21 @@ class TestEq5Stage:
              STValue.infinity()]
 
 
+def test_table_rows_must_match_survivors_one_to_one(descent_data):
+    """Rows match survivors modulo cubes; a row outside the survivors, or a
+    count mismatch, stops the stage."""
+    from x3y9z2.pipeline import PipelineError, _match_table_rows
+    spec = descent_data.specs[5]
+    A = spec.algebra
+    g1, g2 = spec.generators[:2]
+    survivors = [((1, 0), g1), ((0, 1), g2)]
+    _match_table_rows("t", A, survivors, [("r1", g2 * g1**3), ("r2", g1)])
+    with pytest.raises(PipelineError, match="r2 not among the local survivors"):
+        _match_table_rows("t", A, survivors, [("r1", g1), ("r2", g1**4)])
+    with pytest.raises(PipelineError, match="1 locally soluble classes, expected 2"):
+        _match_table_rows("t", A, survivors[:1], [("r1", g1), ("r2", g2)])
+
+
 def test_report_json_deterministic():
     payload = {"b": [3, 1], "a": {"y": 2, "x": 1}}
     assert report_to_json(payload) == report_to_json(json.loads(json.dumps(payload)))
