@@ -16,6 +16,8 @@ INF = object()  # projective infinity marker used by STValue-style code
 
 def valuation(n, p: int) -> int:
     """p-adic valuation of a nonzero integer or Fraction."""
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {p}")
     if isinstance(n, Fraction):
         return valuation(n.numerator, p) - valuation(n.denominator, p)
     if n == 0:

@@ -118,10 +118,14 @@ def cmd_local_sweep(args):
             soluble = v.soluble
             survivors += soluble
             verdicts.append({"index": idx, "exponents": list(expo), "soluble": soluble,
-                             "witness_depth": v.depth_searched if soluble else None})
+                             "witness_depth": v.depth_searched if soluble else None,
+                             "nodes": v.nodes})
         except Undecided as e:
             verdicts.append({"index": idx, "exponents": list(expo), "soluble": None,
                              "undecided": str(e)})
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     _emit({"eq": args.eq, "p": args.p, "n_classes": len(classes),
            "survivors": survivors, "verdicts": verdicts}, args)
     return 0 if all(v["soluble"] is not None for v in verdicts) else 1

@@ -22,6 +22,13 @@ F5 = UPoly([0, 8, 0, 0, 1])          # x^4 + 8x (the split quartic)
 FK = UPoly([1, -2, 0, -2, 1])        # x^4 - 2x^3 - 2x + 1 (irreducible)
 
 
+def test_valuation_refuses_p_below_2():
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            valuation(12, p)
+    assert valuation(F(-36, 5), 3) == 2
+
+
 def test_factor_split_quartic():
     factors = factor_deg_le4(F5)
     assert [(f.coeffs, m) for f, m in factors] == [

@@ -140,6 +140,15 @@ class TestCli:
         data = json.loads(out.stdout)
         assert data["n_classes"] == 9
         assert data["survivors"] == 4
+        assert sum(v["nodes"] for v in data["verdicts"]) == 190
+
+    @pytest.mark.parametrize("p", ["1", "4", "103"])
+    def test_local_sweep_refuses_a_bad_prime(self, p):
+        out = subprocess.run([sys.executable, "-m", "x3y9z2.cli", "local", "sweep",
+                              "--eq", "1", "--p", p],
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "prime" in out.stderr and "Traceback" not in out.stderr
 
     def test_ec_verify_tables(self):
         out = self._run("ec", "verify-tables")
