@@ -256,9 +256,9 @@ class FqField:
         """Image of a number-field element under generator -> gen()."""
         acc = self.zero()
         g = self.gen()
-        for c in reversed(elem.coords):
-            acc = acc * g + self.from_fraction(c)
-        return acc
+        for c in reversed(elem.num):
+            acc = acc * g + self.elem(c)
+        return acc * self.from_fraction(Fraction(1, elem.den))
 
     def elements(self):
         from itertools import product
@@ -429,9 +429,9 @@ class ZqRing:
     def from_nf(self, elem) -> "ZqElem":
         acc = self.zero()
         g = self.gen()
-        for c in reversed(elem.coords):
-            acc = acc * g + self.from_fraction(c)
-        return acc
+        for c in reversed(elem.num):
+            acc = acc * g + self.elem(c)
+        return acc * self.from_fraction(Fraction(1, elem.den))
 
     def residue_field(self) -> FqField:
         return FqField(self.p, [c % self.p for c in self.h])

@@ -1,6 +1,14 @@
 """Number fields of degree <= 4, etale algebras Q[x]/(f), and their
 element arithmetic in the power basis of the defining polynomial.
 
+An element is one integer coordinate vector over one positive
+denominator, in lowest terms (Cohen, GTM 138, 4.2): a product is an
+integer schoolbook product, reduced by an integer table of x^deg, ...,
+x^(2deg-2) built once per parent, then one gcd.  That table needs a
+monic integral defining polynomial (after dividing by the leading
+coefficient), and any other is refused with ValueError.  `.coords` is a
+Fraction view of the same element.
+
 Only what the quartic descent needs: no maximal orders, no class
 groups.  Factorization is capped at degree 4 and certified by
 exhausting the 4 = 1+3 = 1+1+2 = 2+2 = ... shapes.
@@ -9,7 +17,7 @@ exhausting the 4 = 1+3 = 1+1+2 = 2+2 = ... shapes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .poly import UPoly
 from .rationals import divisors, rational_sqrt
@@ -164,25 +172,24 @@ def factor_deg_le4(f: UPoly):
     return out
 
 
-def _det(mat):
-    """Exact determinant of a square Fraction matrix."""
-    m = [row[:] for row in mat]
+def _int_det(mat):
+    """Determinant of a square integer matrix (fraction-free Bareiss
+    elimination: every division is exact)."""
+    m = [list(row) for row in mat]
     n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                fac = m[r][c] * inv
-                m[r] = [a - fac * b for a, b in zip(m[r], m[c])]
-    return det
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def mat_inv(mat):
@@ -204,41 +211,81 @@ def mat_inv(mat):
     return [row[n:] for row in m]
 
 
+def _int_product(a, b, table):
+    """Integer coordinates of (sum a_i x^i)(sum b_j x^j) modulo the monic
+    integral polynomial whose power table (rows x^deg .. x^(2deg-2)) is
+    given."""
+    deg = len(a)
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    out = prod[:deg]
+    for c, row in zip(prod[deg:], table):
+        if c:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return out
+
+
 class _PowerBasisElem:
     """Shared arithmetic for elements written in the power basis of a
-    monic defining polynomial (number field or etale algebra)."""
+    monic integral defining polynomial (number field or etale algebra).
 
-    __slots__ = ("parent", "coords")
+    An element is num / den: a tuple of integer coordinates over one
+    positive denominator, in lowest terms (gcd(den, num) = 1; zero is
+    (0, ..., 0) / 1), so equal elements have equal (num, den)."""
+
+    __slots__ = ("parent", "num", "den")
 
     def __init__(self, parent, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != parent.degree:
             raise ValueError("coordinate vector has wrong length")
+        den = lcm(*(c.denominator for c in coords))
         self.parent = parent
-        self.coords = coords
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
 
-    def _make(self, coords):
-        return type(self)(self.parent, coords)
+    def _make(self, num, den):
+        """num / den reduced to lowest terms (den > 0)."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        e = object.__new__(type(self))
+        e.parent = self.parent
+        e.num = tuple(num)
+        e.den = den
+        return e
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as Fractions (a read-only view)."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def as_upoly(self) -> UPoly:
         return UPoly(self.coords)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, _PowerBasisElem):
-            return self.parent is other.parent and self.coords == other.coords
+            return (self.parent is other.parent and self.num == other.num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            return self == self._from_scalar(other)
+            return self.is_rational() and Fraction(self.num[0], self.den) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.parent), self.coords))
+        return hash((id(self.parent), self.num, self.den))
 
     def _from_scalar(self, c):
-        coords = [Fraction(c)] + [Fraction(0)] * (self.parent.degree - 1)
-        return self._make(coords)
+        c = Fraction(c)
+        return self._make([c.numerator] + [0] * (self.parent.degree - 1), c.denominator)
 
     def _coerce(self, other):
         if isinstance(other, _PowerBasisElem):
@@ -253,45 +300,37 @@ class _PowerBasisElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._make([a + b for a, b in zip(self.coords, o.coords)])
+        da, db = self.den, o.den
+        if da == db:
+            return self._make([a + b for a, b in zip(self.num, o.num)], da)
+        return self._make([a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make([-a for a in self.coords])
+        return self._make([-a for a in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._make([a - b for a, b in zip(self.coords, o.coords)])
+        da, db = self.den, o.den
+        if da == db:
+            return self._make([a - b for a, b in zip(self.num, o.num)], da)
+        return self._make([a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._make([a * other for a in self.coords])
+            return self._make([a * other.numerator for a in self.num],
+                              self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        deg = self.parent.degree
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        prod[i + j] += a * b
-        # Reduce powers >= deg using the cached power table.
-        table = self.parent._power_table
-        out = prod[:deg]
-        for k in range(deg, 2 * deg - 1):
-            c = prod[k]
-            if c:
-                row = table[k - deg]
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return self._make(out)
+        return self._make(_int_product(self.num, o.num, self.parent._power_table),
+                          self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -324,13 +363,11 @@ class _PowerBasisElem:
             self.parent._raise_zero_divisor(a, r0)
         inv = s0 * (1 / r0.coeffs[0])
         inv = inv % f
-        return self._make([inv[i] for i in range(self.parent.degree)])
+        return type(self)(self.parent, [inv[i] for i in range(self.parent.degree)])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return self._make([a / other for a in self.coords])
+            return self * (1 / Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -340,29 +377,24 @@ class _PowerBasisElem:
         return self._from_scalar(other) / self
 
     def denominator_lcm(self) -> int:
-        return lcm(*(c.denominator for c in self.coords))
+        return self.den
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def norm(self) -> Fraction:
-        """Determinant of the multiplication-by-self map."""
+        """Determinant of the multiplication-by-self map (for an etale
+        algebra, the product of the component norms)."""
         deg = self.parent.degree
-        # Matrix whose i-th column is self * basis_i.
-        mat = []
-        basis_imgs = []
-        for i in range(deg):
-            e = [Fraction(0)] * deg
-            e[i] = Fraction(1)
-            basis_imgs.append((self * self._make(e)).coords)
-        for r in range(deg):
-            mat.append([basis_imgs[c][r] for c in range(deg)])
-        return _det(mat)
+        table = self.parent._power_table
+        cols = [_int_product(self.num, [int(i == j) for j in range(deg)], table)
+                for i in range(deg)]
+        return Fraction(_int_det(cols), self.den**deg)
 
     def __repr__(self):
         name = self.parent.gen_name
@@ -379,10 +411,12 @@ class _PowerBasisElem:
 
 
 class NumberField:
-    """Q[x]/(minpoly) for a monic irreducible minpoly of degree <= 4."""
+    """Q[x]/(minpoly) for an irreducible minpoly of degree <= 4 whose
+    monic form is integral."""
 
     def __init__(self, minpoly: UPoly, gen_name: str = "a", check=True):
         minpoly = minpoly.monic()
+        self._power_table = _build_power_table(minpoly)
         if check:
             factors = factor_deg_le4(minpoly)
             if len(factors) != 1 or factors[0][1] != 1:
@@ -392,7 +426,6 @@ class NumberField:
         self.degree = minpoly.degree
         self._disc = minpoly.discriminant()
         self.gen_name = gen_name
-        self._power_table = _build_power_table(minpoly)
 
     def _raise_zero_divisor(self, a, g):  # pragma: no cover - fields have none
         raise ZeroDivisionError("unexpected zero divisor in a field")
@@ -426,63 +459,17 @@ class NumberField:
 class NfElem(_PowerBasisElem):
     """Element of a NumberField in the power basis 1, a, a^2, a^3."""
 
-    def minimal_polynomial(self) -> UPoly:
-        """Minimal polynomial over Q (degree divides the field degree)."""
-        # Characteristic polynomial via resultant, then squarefree root.
-        # char(x) = Res_y(minpoly(y), x - elem(y)).
-        deg = self.parent.degree
-        # Compute powers 1, e, e^2, ..., e^deg and find the first linear relation.
-        rows = []
-        acc = self._from_scalar(1)
-        for k in range(deg + 1):
-            rows.append(list(acc.coords))
-            if k < deg:
-                acc = acc * self
-        # Solve for minimal monic relation among rows[0..m].
-        for m in range(1, deg + 1):
-            # rows[m] = sum_{i<m} c_i rows[i]?
-            sol = _solve_linear([rows[i] for i in range(m)], rows[m])
-            if sol is not None:
-                return UPoly([-c for c in sol] + [1])
-        raise AssertionError("no minimal polynomial found")
-
-
-def _solve_linear(basis_rows, target):
-    """Solve sum c_i basis_rows[i] = target over Q; None if unsolvable."""
-    m = len(basis_rows)
-    n = len(target)
-    aug = [[basis_rows[r][c] for r in range(m)] + [target[c]] for c in range(n)]
-    piv_cols = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [a * inv for a in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    sol = [Fraction(0)] * m
-    for r in range(row, n):
-        if aug[r][m]:
-            return None
-    for r, col in enumerate(piv_cols):
-        sol[col] = aug[r][m]
-    return sol
-
 
 def _build_power_table(monic: UPoly):
-    """Coordinates of x^deg, ..., x^(2deg-2) modulo monic."""
+    """Integer coordinates of x^deg, ..., x^(2deg-2) modulo monic, which
+    must be integral (ValueError otherwise)."""
+    if any(c.denominator != 1 for c in monic.coeffs):
+        raise ValueError(f"defining polynomial {monic!r} is not integral")
     deg = monic.degree
     table = []
     p = UPoly.x_power(deg) % monic
     for _ in range(deg - 1):
-        table.append([p[i] for i in range(deg)])
+        table.append(tuple(p[i].numerator for i in range(deg)))
         p = (p * UPoly.x_power(1)) % monic
     return table
 
@@ -524,7 +511,8 @@ class FieldIso:
 
 
 class EtaleAlgebra:
-    """Q[x]/(f) for a squarefree f of degree 4, split into components.
+    """Q[x]/(f) for a squarefree f of degree 4 whose monic form is
+    integral, split into components.
 
     Components are the irreducible factors of f: rational ones carry the
     root itself, higher-degree ones a NumberField.  Component order is
@@ -539,6 +527,7 @@ class EtaleAlgebra:
         self.defining = defining
         self.leading = defining.leading
         self.monic_poly = defining.monic()
+        self._power_table = _build_power_table(self.monic_poly)
         self.degree = 4
         self.gen_name = gen_name
         factors = factor_deg_le4(self.monic_poly)
@@ -557,7 +546,6 @@ class EtaleAlgebra:
             else:
                 field = NumberField(h, gen_name=f"{gen_name}{idx}", check=False)
                 self.components.append(("field", field))
-        self._power_table = _build_power_table(self.monic_poly)
 
     @property
     def n_components(self):
@@ -604,32 +592,12 @@ class EtaleAlgebra:
 class AlgElem(_PowerBasisElem):
     """Element of an EtaleAlgebra in the power basis 1, t, t^2, t^3."""
 
-    def norm(self) -> Fraction:
-        """Product of the component norms (= det of multiplication map)."""
-        total = Fraction(1)
-        alg = self.parent
-        for i, (kind, data) in enumerate(alg.components):
-            img = alg.component_map(i, self)
-            total *= img if kind == "Q" else img.norm()
-        return total
-
-    def norm_resultant(self) -> Fraction:
-        """Independent route: Res(monic f, elem poly) = prod elem(root)."""
-        a = self.as_upoly()
-        if a.is_zero():
-            return Fraction(0)
-        return self.parent.monic_poly.resultant(a)
-
     def scale_to_integral(self) -> "AlgElem":
         """Multiply by the cube of a rational to clear denominators and
         cube content; canonical class representative for display."""
-        d = self.denominator_lcm()
-        e = self * Fraction(d**3, 1)
+        e = self * self.den**3
         # Remove cube content of the integer coordinate gcd.
-        from math import gcd
-        g = 0
-        for c in e.coords:
-            g = gcd(g, c.numerator)
+        g = gcd(*e.num)
         if g:
             c = 1
             k = 2

@@ -109,9 +109,8 @@ def nf_nth_root(xi, n: int, field: NumberField | None = None):
         # A rational can still have an irrational n-th root in K.
     # Only the primes where xi fails to be a unit (or n itself) are unusable.
     avoid = {n}
-    for c in xi.coords:
-        for pr, _ in _small_factor(c.denominator):
-            avoid.add(pr)
+    for pr, _ in _small_factor(xi.den):
+        avoid.add(pr)
     nrm = xi.norm()
     for pr, _ in _small_factor(nrm.numerator):
         avoid.add(pr)
@@ -263,15 +262,14 @@ def nf_cubic_character(xi, q: int, root: int):
             return None
         img = fq.from_fraction(x)
     else:
-        for c in xi.coords:
-            if c.denominator % q == 0:
-                return None
-        acc = fq.zero()
-        for c in reversed(xi.coords):
-            acc = acc * fq.elem(root) + fq.from_fraction(c)
-        img = acc
-        if not img:
+        if xi.den % q == 0:
             return None
+        acc = 0
+        for c in reversed(xi.num):
+            acc = (acc * root + c) % q
+        if not acc:
+            return None
+        img = fq.elem(acc * pow(xi.den, -1, q))
     return img.cube_character()
 
 

@@ -150,7 +150,7 @@ def _beta_cube_forms(algebra: EtaleAlgebra):
         forms = [MPoly(4) for _ in range(4)]
         powers = {}
         for n in range(0, 10):
-            powers[n] = (algebra.gen() ** n).coords
+            powers[n] = (algebra.gen() ** n).num    # integral: f is monic and integral
         for i in range(4):
             for j in range(4):
                 for k in range(4):
@@ -189,9 +189,8 @@ class CubicFormSystem:
             beta = beta + MPoly(4, {tuple(1 if k == i else 0 for k in range(4)): coeff})
         lhs = beta * beta * beta * self.delta
         for e, c in lhs.terms.items():
-            coords = c.coords
             for m in range(4):
-                if self.forms[m].coefficient(e) != coords[m]:
+                if self.forms[m].coefficient(e) * c.den != c.num[m]:
                     return False
         # Also confirm no stray monomials in the Q_i.
         monos = set(lhs.terms)
@@ -232,9 +231,9 @@ def build_descent_forms(algebra: EtaleAlgebra, delta: AlgElem,
     for i in range(4):
         Q = MPoly(4)
         for m in range(4):
-            c = dt[m].coords[i]
+            c = dt[m].num[i]
             if c:
-                Q = Q + B[m] * c
+                Q = Q + B[m] * Fraction(c, dt[m].den)
         forms.append(Q)
     sys = CubicFormSystem(algebra=algebra, delta=delta, forms=forms,
                           eq_id=eq_id, expo=expo)

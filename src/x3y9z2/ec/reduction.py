@@ -47,24 +47,22 @@ class NfPrime:
 
     def residue(self, x: NfElem):
         """Image in F_q; BadPrime if x is not p-integral."""
-        d = x.denominator_lcm()
-        if d % self.p == 0:
+        if x.den % self.p == 0:
             raise BadPrime(f"denominator divisible by {self.p}")
         fq = self._fq
         acc = fq.zero()
         g = fq.gen() if self.degree > 1 else fq.elem((-self.factor[0]) % self.p)
-        for c in reversed(x.coords):
-            acc = acc * g + fq.from_fraction(c)
-        return acc
+        for c in reversed(x.num):
+            acc = acc * g + fq.elem(c)
+        return acc * fq.elem(pow(x.den, -1, self.p))
 
     def embed(self, x: NfElem, prec: int):
         """(u, v): x = u * p^v with u an integral ZqElem (exact to p^prec)."""
         ring, root = self.zq(prec)
-        d = x.denominator_lcm()
-        num = x * d
+        d = x.den
         acc = ring.zero()
-        for c in reversed(num.coords):
-            acc = acc * root + ring.from_fraction(c)
+        for c in reversed(x.num):
+            acc = acc * root + ring.elem(c)
         vd = valuation(d, self.p)
         du = d // self.p**vd
         acc = acc * ring.from_fraction(Fraction(1, du))

@@ -74,12 +74,16 @@ def signed_triples(solutions):
 
 # -- stage: equation 5 -------------------------------------------------------
 
+# Stage results, keyed by the stage's arguments and the hashes of the
+# trusted data files, so that a run on other data (set_data_dir) never
+# answers from a result of the old data.
 _stage_cache = {}
 
 
 def run_eq5_stage(max_depth=12):
-    if ("eq5", max_depth) in _stage_cache:
-        return _stage_cache[("eq5", max_depth)]
+    key = ("eq5", max_depth, *data_hashes().values())
+    if key in _stage_cache:
+        return _stage_cache[key]
     dd = load_descent_data()
     tables = load_tables()
     spec = dd.specs[5]
@@ -113,7 +117,7 @@ def run_eq5_stage(max_depth=12):
         per_row_values.append((k, sorted(v.serialize() for v in row_vals)))
         values |= row_vals
     result = {**counts, "per_row_values": per_row_values, "values": values}
-    _stage_cache[("eq5", max_depth)] = result
+    _stage_cache[key] = result
     return result
 
 
@@ -173,7 +177,7 @@ def _same_class_etale(algebra, d1, d2) -> bool:
 
 
 def run_quartic_stage(eq_id: int, max_depth=12, primes=(11, 31), prec=30):
-    key = ("quartic", eq_id, max_depth, tuple(primes), prec)
+    key = ("quartic", eq_id, max_depth, tuple(primes), prec, *data_hashes().values())
     if key in _stage_cache:
         return _stage_cache[key]
     dd = load_descent_data()

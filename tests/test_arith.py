@@ -4,9 +4,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from nf_reference import (minimal_polynomial, norm_resultant, ref_mul, ref_norm,
+                          ref_power_table)
 
 from x3y9z2.arith import (
     AlgElem, EtaleAlgebra, NfElem, NumberField, ZeroDivisorError, factor_deg_le4,
@@ -102,7 +104,7 @@ class TestEtaleAlgebra:
     def test_generator_norm_vs_resultant_oracle(self):
         g3 = self.A([1, F(1, 6), F(1, 6), F(1, 24)])
         assert g3.norm() == 1
-        assert g3.norm_resultant() == 1
+        assert norm_resultant(g3) == 1
 
     def test_norm_multiplicativity_200(self, rng):
         for _ in range(200):
@@ -125,7 +127,7 @@ class TestEtaleAlgebra:
     def test_norm_agrees_with_resultant_random(self, rng):
         for _ in range(50):
             a = self.A([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)])
-            assert a.norm() == a.norm_resultant()
+            assert a.norm() == norm_resultant(a)
 
 
 class TestNumberField:
@@ -137,8 +139,8 @@ class TestNumberField:
 
     def test_theta_minimal_polynomials(self, K):
         al = K.gen()
-        assert (al * al - 2 * al).minimal_polynomial() == UPoly([-3, 0, 6, 0, 1])
-        assert (al**3 - al**2 - al - 2).minimal_polynomial() == UPoly([-3, 0, -6, 0, 1])
+        assert minimal_polynomial(al * al - 2 * al) == UPoly([-3, 0, 6, 0, 1])
+        assert minimal_polynomial(al**3 - al**2 - al - 2) == UPoly([-3, 0, -6, 0, 1])
 
     def test_inverse_roundtrip(self, K, rng):
         for _ in range(50):
@@ -146,6 +148,96 @@ class TestNumberField:
             if not a:
                 continue
             assert a * a.inverse() == K.one()
+
+
+# K and the eq5, eq1 and eq2 descent algebras.
+PARENTS = [("K", FK), ("A5", F5), ("A1", UPoly([-3, 0, 6, 0, 1])),
+           ("A2", UPoly([-3, 0, -6, 0, 1]))]
+
+
+def _parent(poly):
+    return NumberField(poly) if poly == FK else EtaleAlgebra(poly)
+
+
+def _assert_canonical(e):
+    """num / den in lowest terms, den > 0, and one representation of zero."""
+    assert isinstance(e.den, int) and e.den > 0
+    assert all(isinstance(c, int) for c in e.num)
+    assert gcd(e.den, *e.num) == 1
+    if not e:
+        assert e.num == (0,) * len(e.num) and e.den == 1
+
+
+class TestIntegerRepresentation:
+    """The integer-vector arithmetic against a Fraction reference: the
+    schoolbook product reduced by a Fraction power table (tests/nf_reference.py)."""
+
+    @pytest.mark.parametrize("name, poly", PARENTS, ids=[n for n, _ in PARENTS])
+    def test_matches_fraction_reference(self, name, poly):
+        A = _parent(poly)
+        table = ref_power_table(A.monic_poly)
+        one = [F(1), F(0), F(0), F(0)]
+        rng = random.Random(f"int-repr/{name}")
+
+        def rand():
+            return [F(rng.randint(-30, 30), rng.randint(1, 24)) if rng.random() < 0.8
+                    else F(0) for _ in range(4)]
+
+        for _ in range(300):
+            u, v = rand(), rand()
+            a, b = A(u), A(v)
+            assert a.coords == tuple(u) and b.coords == tuple(v)
+            assert (a + b).coords == tuple(x + y for x, y in zip(u, v))
+            assert (a - b).coords == tuple(x - y for x, y in zip(u, v))
+            assert (a * b).coords == tuple(ref_mul(u, v, table))
+            s = F(rng.randint(-9, 9), rng.randint(1, 24))
+            assert (a * s).coords == tuple(x * s for x in u)
+            assert (s * a).coords == (a * s).coords
+            k = rng.randint(0, 4)
+            power = one
+            for _ in range(k):
+                power = ref_mul(power, u, table)
+            assert (a**k).coords == tuple(power)
+            norm = ref_norm(u, table)
+            assert a.norm() == norm
+            if norm:
+                assert ref_mul(u, list(a.inverse().coords), table) == one
+                assert (b / a).coords == tuple(ref_mul(v, list(a.inverse().coords), table))
+            for e in (a, b, a + b, a - b, a * b, a * s, a**k, a - a, a * 0, (a + b) - b):
+                _assert_canonical(e)
+            c = (a + b) - b
+            assert c == a and hash(c) == hash(a)
+            assert A([x * 6 / 6 for x in u]) == a
+            assert (a == b) == (u == v)
+            assert a - a == 0 and hash(a - a) == hash(A.zero())
+            assert a.denominator_lcm() == lcm(*(x.denominator for x in u))
+            assert a.is_rational() == (not any(u[1:]))
+
+    def test_scalar_forms_agree(self):
+        A = EtaleAlgebra(F5)
+        for s in (0, 7, -3, F(5, 12), F(-8, 3)):
+            e = A(s)
+            _assert_canonical(e)
+            assert e == s and e == A([s, 0, 0, 0]) and e == A([str(s), "0", "0", "0"])
+            assert hash(e) == hash(A([s, 0, 0, 0]))
+            assert (e * 6) / 6 == e and hash((e * 6) / 6) == hash(e)
+            _assert_canonical(e * 6)
+        with pytest.raises(ZeroDivisionError):
+            A.gen() / 0
+
+    def test_non_integral_defining_polynomial_refused_under_optimize(self):
+        """The integrality check is an exception, not an assert: python -O keeps it."""
+        for make in ("NumberField(UPoly([F(1, 2), 0, 0, 0, 1]))",
+                     "EtaleAlgebra(UPoly([0, 1, 0, 0, 2]))"):
+            out = subprocess.run(
+                [sys.executable, "-O", "-c",
+                 "from fractions import Fraction as F; "
+                 "from x3y9z2.arith.numberfield import EtaleAlgebra, NumberField; "
+                 f"from x3y9z2.arith.poly import UPoly; {make}"],
+                capture_output=True, text=True, timeout=60)
+            assert out.returncode != 0
+            assert "ValueError: defining polynomial" in out.stderr
+            assert "is not integral" in out.stderr
 
 
 def test_rational_reconstruct_roundtrip(rng):
@@ -179,6 +271,29 @@ class TestRoots:
         cube = (al + 1) ** 3
         for q, r in degree_one_character_data(K, 80):
             assert nf_cubic_character(cube, q, r) in (0, None)
+
+    # x -> the square root of x^2 that nf_nth_root returns (+x or -x).
+    SQRT_PINS = [
+        ([F(-3, 2), 0, 0, 0], -1),
+        ([0, 1, 0, 0], 1),
+        ([0, -1, 0, 0], -1),
+        ([1, F(-1, 2), 0, 0], 1),
+        ([2, 0, -1, 0], 1),
+        ([5, -3, 2, -1], 1),
+        ([F(3, 5), 0, F(-1, 5), F(1, 7)], 1),
+        ([F(-2, 3), F(5, 6), F(1, 4), F(-7, 12)], 1),
+        ([F(1, 24), F(-1, 24), F(5, 8), F(-1, 3)], -1),
+        ([F(-7, 9), F(2, 9), F(-1, 18), F(4, 3)], 1),
+        ([F(1, 6), F(-5, 4), F(-3, 2), F(7, 10)], 1),
+    ]
+
+    @pytest.mark.parametrize("coords, sign", SQRT_PINS)
+    def test_square_root_choice_is_pinned(self, K, coords, sign):
+        """Which square root comes back (it follows the residue-root order
+        and the inert primes tried) was recorded before the integer
+        representation of K; a change would move generator signs."""
+        x = K(coords)
+        assert nf_nth_root(x * x, 2) == sign * x
 
     def test_sixth_root(self, K):
         x = (K.gen() + 2)

@@ -195,3 +195,27 @@ def test_rank_condition_violated(mw_data):
                               den=(K.one(), K.one(), K.zero()))
     with pytest.raises(RankConditionViolated):
         ChabautyRun(E, psi, [g, g, g, g], [], 11)
+
+
+def test_stage_cache_follows_the_data_dir(tmp_path):
+    """A stage result cached for one data directory is not reused for
+    another: after set_data_dir points at tampered eq5 generators, the
+    next run_eq5_stage in the same process fails as a fresh process does."""
+    import shutil
+    from importlib import resources
+
+    from x3y9z2.dataio import set_data_dir
+    from x3y9z2.pipeline import PipelineError, run_eq5_stage
+    src = resources.files("x3y9z2.data")
+    for name in ("selmer_generators.json", "mw_generators.json", "paper_tables.json"):
+        shutil.copy(str(src.joinpath(name)), tmp_path / name)
+    sel = json.loads((tmp_path / "selmer_generators.json").read_text())
+    sel["eq5"]["generators"][0] = ["1", "-1", "-1/4", "-1/7"]
+    (tmp_path / "selmer_generators.json").write_text(json.dumps(sel))
+    run_eq5_stage()
+    set_data_dir(tmp_path)
+    try:
+        with pytest.raises(PipelineError, match="generator 0 has norm"):
+            run_eq5_stage()
+    finally:
+        set_data_dir(None)
