@@ -9,8 +9,8 @@ modulo p resp. p^N.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-from .poly import UPoly
 from .rationals import valuation
 
 # -- polynomial helpers over Z/m ---------------------------------------
@@ -265,6 +265,18 @@ class FqField:
         for coords in product(range(self.p), repeat=self.d):
             yield FqElem(self, tuple(coords))
 
+    @cached_property
+    def omega(self) -> "FqElem":
+        """A fixed primitive cube root of unity: x^((q-1)/3) for the first
+        element x in enumeration order where that is not 1 (q = 1 mod 3)."""
+        e = (self.q - 1) // 3
+        for x in self.elements():
+            if x:
+                t = x ** e
+                if t != self.one():
+                    return t
+        raise ValueError("no primitive cube root of unity found")
+
     def __repr__(self):
         return f"F_{self.p}^{self.d}"
 
@@ -356,34 +368,10 @@ class FqElem:
         t = self ** ((q - 1) // 3)
         if t == self.field.one():
             return 0
-        # Fix a deterministic primitive cube root of unity.
-        omega = self.field._omega() if hasattr(self.field, "_omega") else None
-        if omega is None:
-            omega = _find_omega(self.field)
-            self.field._omega_cache = omega
-        if t == omega:
-            return 1
-        return 2
+        return 1 if t == self.field.omega else 2
 
     def __repr__(self):
         return f"Fq({list(self.coords)})"
-
-
-def _find_omega(field: FqField) -> FqElem:
-    if hasattr(field, "_omega_cache"):
-        return field._omega_cache
-    q = field.q
-    for x in field.elements():
-        if not x:
-            continue
-        t = x ** ((q - 1) // 3)
-        if t != field.one():
-            field._omega_cache = t
-            return t
-    raise ValueError("no primitive cube root of unity found")
-
-
-FqField._omega = lambda self: _find_omega(self)
 
 
 # -- unramified p-adic rings --------------------------------------------

@@ -17,9 +17,11 @@ exhausting the 4 = 1+3 = 1+1+2 = 2+2 = ... shapes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import gcd, lcm
 
-from .poly import UPoly
+from .poly import MPoly, UPoly
 from .rationals import divisors, rational_sqrt
 
 
@@ -564,6 +566,22 @@ class EtaleAlgebra:
 
     def gen(self) -> "AlgElem":
         return AlgElem(self, [0, 1, 0, 0])
+
+    @cached_property
+    def cube_forms(self):
+        """Cubic forms B_0..B_3 in y0..y3 with (sum y_i t^i)^3 = sum B_m t^m."""
+        powers = [(self.gen() ** n).num for n in range(10)]   # integral: monic f
+        forms = [MPoly(4) for _ in range(4)]
+        for i, j, k in product(range(4), repeat=3):
+            e = [0, 0, 0, 0]
+            e[i] += 1
+            e[j] += 1
+            e[k] += 1
+            mono = MPoly(4, {tuple(e): Fraction(1)})
+            for m, c in enumerate(powers[i + j + k]):
+                if c:
+                    forms[m] = forms[m] + mono * c
+        return forms
 
     def component_map(self, i: int, elem: "AlgElem"):
         """m_i: image of elem in the i-th component (Fraction or NfElem)."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import gcd
 
 from ..arith.numberfield import NfElem, NumberField
@@ -88,6 +89,7 @@ class PrimeContext:
         self.fq = pr.fq()
         self.Ebar = reduce_curve(curve, pr)
         self.order = curve_order_at(curve, pr, self.Ebar)
+        self.gens = gens
         self.gens_bar = [reduce_point(self.Ebar, curve, g, pr) for g in gens]
         self.psi_bar = self._reduce_psi(psi)
         self.ring, self.alpha_root = pr.zq(prec)
@@ -148,10 +150,18 @@ class PrimeContext:
         ring = self.ring
         return ZqPoint(self, ring.zero(), ring.one(), ring.zero(), ring.N)
 
-    def embedded_gens(self, gens):
-        if not hasattr(self, "_gens_q"):
-            self._gens_q = [self.embed_point(g) for g in gens]
-        return self._gens_q
+    @cached_property
+    def gens_q(self):
+        """The generators embedded over Z_q."""
+        return [self.embed_point(g) for g in self.gens]
+
+    def combination(self, nvec) -> "ZqPoint":
+        """sum n_i g_i over Z_q."""
+        acc = self.zero_point()
+        for n, G in zip(nvec, self.gens_q):
+            if n:
+                acc = acc.add(G.mul(n))
+        return acc
 
     def embed_point(self, P: EcPoint) -> "ZqPoint":
         if P.is_zero():
@@ -283,6 +293,17 @@ class SieveData:
     def n_classes(self) -> int:
         return self.o1 * self.k2
 
+    @cached_property
+    def kernel_points(self):
+        """Each lattice basis vector as a point over Z_q at every prime."""
+        out = []
+        for vec in self.basis:
+            per_prime = [ctx.combination(vec) for ctx in self.contexts]
+            if not all(P.in_kernel() for P in per_prime):
+                raise AssertionError("lattice basis point not in the kernel")
+            out.append(per_prime)
+        return out
+
     def class_of(self, nvec) -> tuple:
         if self.rank == 0:
             return ()
@@ -395,7 +416,6 @@ class ChabautyRun:
 
         certs = []
         all_closed = True
-        self._kernel_cache = None
         for cls, info in sorted(survivors.items()):
             pts_here = known_by_key.get(info["images_key"], [])
             closed, cert = self._close_class(sd, cls, info, pts_here)
@@ -414,24 +434,6 @@ class ChabautyRun:
         return all_closed, {"summary": summary, "classes": certs}
 
     # -- analytic pieces ---------------------------------------------------
-
-    def _kernel_basis_points(self, sd: SieveData):
-        if self._kernel_cache is None:
-            basis_pts = []
-            for vec in sd.basis:
-                per_prime = []
-                for ctx in self.contexts:
-                    gq = ctx.embedded_gens(self.gens)
-                    acc = ctx.zero_point()
-                    for n, G in zip(vec, gq):
-                        if n:
-                            acc = acc.add(G.mul(n))
-                    if not acc.in_kernel():
-                        raise AssertionError("lattice basis point not in the kernel")
-                    per_prime.append(acc)
-                basis_pts.append(per_prime)
-            self._kernel_cache = basis_pts
-        return self._kernel_cache
 
     def _chart_values(self, pts, invert):
         """Chart value h_j at each prime for a tuple of ZqPoints."""
@@ -478,16 +480,9 @@ class ChabautyRun:
             cert["mechanism"] = "unclosed-multiple-known"
             return False, cert
 
-        basis_pts = self._kernel_basis_points(sd)
+        basis_pts = sd.kernel_points
         # R0: a global integer representative of the class.
-        R0_pts = []
-        for ci, ctx in enumerate(self.contexts):
-            gq = ctx.embedded_gens(self.gens)
-            acc = ctx.zero_point()
-            for n, G in zip(cls, gq):
-                if n:
-                    acc = acc.add(G.mul(n))
-            R0_pts.append(acc)
+        R0_pts = [ctx.combination(cls) for ctx in self.contexts]
         H0 = self._equations(self._chart_values(R0_pts, invert))
         shifted_pts = []
         Hs = []
@@ -636,12 +631,12 @@ class ChabautyRun:
         return True
 
 
-_coprimality_cache = {}   # repr(E.b) -> #E(F_q) per prime, and the scanned primes
-
-
+@lru_cache(maxsize=None)
 def _curve_memo(curve):
-    return _coprimality_cache.setdefault(
-        repr(curve.b), {"orders": {}, "scanned": [], "bound": 0})
+    """Every per-curve fact, filled on demand: #E(F_q) per prime, the
+    primes scanned so far and their bound, and the trivial-torsion
+    certificate of setup._verify_trivial_torsion."""
+    return {"orders": {}, "scanned": [], "bound": 0, "trivial_torsion": None}
 
 
 def curve_order_at(curve, pr, Ebar):
@@ -711,9 +706,9 @@ def rational_st_values(curve, psi, gens, known_points, primes=(11, 31),
     psi-values; completeness means every surviving residue class is
     closed onto exactly these points.  Soundness of a closing prime p
     additionally requires the generator-subgroup index to be coprime to
-    p and to every prime dividing the local group orders: {2, 3} come
-    from the trusted descent data plus the 3-divisibility sieve, and the
-    rest is certified here by the same sieve (else the prime is skipped).
+    p and to every prime dividing the local group orders.  Coprimality
+    to 2 and 3 is trusted input (README), not certified here; every other
+    such prime is certified by the reduction sieve (else p is skipped).
     """
     certificates = []
     last_reason = ""

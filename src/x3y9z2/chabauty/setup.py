@@ -23,7 +23,7 @@ from ..ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass
 from ..ec.reduction import BadPrime, curve_order_fq, primes_above, reduce_curve
 from ..ec.weierstrass import EcPoint, WeierstrassCurve
 from ..param import STValue, equation_rhs
-from .engine import ChabautyOutcome, CurveProblem, RationalFunctionOnE
+from .engine import CurveProblem, RationalFunctionOnE, _curve_memo
 
 
 def find_primitive_solution(eq_id: int, st: STValue, bound: int = 6):
@@ -199,17 +199,17 @@ def _known_points(E, psi, gens, P0, box):
     return found
 
 
-_torsion_check_cache = {}
-
-
 def _verify_trivial_torsion(E: WeierstrassCurve, K, checks):
     """E(K)_tors = 0 for y^2 = x^3 + c: no 2-torsion (-c not a cube in K),
     no 3-torsion (c not a square; -4c cube with -3c square fails), and a
-    reduction bound kills every other prime."""
-    ckey = E.b.coords
-    if ckey in _torsion_check_cache:
-        checks["trivial_torsion"] = _torsion_check_cache[ckey]
-        return
+    reduction bound kills every other prime.  Certified once per curve."""
+    memo = _curve_memo(E)
+    if memo["trivial_torsion"] is None:
+        memo["trivial_torsion"] = _trivial_torsion_certificate(E, K)
+    checks["trivial_torsion"] = memo["trivial_torsion"]
+
+
+def _trivial_torsion_certificate(E: WeierstrassCurve, K):
     c = E.b
     if nf_nth_root(-c, 3) is not None:
         raise CurveProblem("curve has K-rational 2-torsion")
@@ -244,5 +244,4 @@ def _verify_trivial_torsion(E: WeierstrassCurve, K, checks):
             residual //= ell
     if residual != 1:
         raise CurveProblem(f"torsion bound {bound} not resolved by direct checks")
-    checks["trivial_torsion"] = {"bound_gcd": bound, "primes": used}
-    _torsion_check_cache[ckey] = checks["trivial_torsion"]
+    return {"bound_gcd": bound, "primes": used}

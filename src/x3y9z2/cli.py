@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
+from .arith.rationals import factorize
 from .dataio import load_descent_data, load_mw_data, load_tables, set_data_dir
 from .descent import build_descent_forms, cubic_norm_filter, enumerate_delta
 from .local import ProjectiveSystem, Undecided, is_locally_soluble
@@ -158,10 +158,9 @@ def cmd_chabauty_run(args):
         print(f"delta index out of range (0..{len(rows) - 1})", file=sys.stderr)
         return 2
     row = rows[args.delta]
-    primes = tuple(int(p) for p in args.primes.split(","))
     setup = chabauty_setup_for_row(dd, mw, args.eq, row)
     outcome = rational_st_values(setup.curve, setup.psi, setup.gens,
-                                 setup.known_points, primes=primes,
+                                 setup.known_points, primes=args.primes,
                                  prec=args.precision)
     _emit({"eq": args.eq, "delta": row["delta"], "table_i": row["i"],
            "setup_checks": {k: (v if isinstance(v, (bool, int)) else str(v))
@@ -171,9 +170,8 @@ def cmd_chabauty_run(args):
 
 
 def cmd_pipeline_run(args):
-    report = run_pipeline(primes=tuple(int(p) for p in args.primes.split(",")),
-                          y_bound=args.y_bound, aux_bound=args.aux_bound,
-                          prec=args.precision)
+    report = run_pipeline(primes=args.primes, y_bound=args.y_bound,
+                          aux_bound=args.aux_bound, prec=args.precision)
     bad = []
     for c in report["claims"]:
         if c["verdict"] == "FAIL":
@@ -197,17 +195,26 @@ def cmd_pipeline_run(args):
     return 0
 
 
-def cmd_report(args):
-    report = run_pipeline(primes=tuple(int(p) for p in args.primes.split(",")),
-                          y_bound=args.y_bound, aux_bound=args.aux_bound,
-                          prec=args.precision)
-    text = report_to_json(report)
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+def _primes(text):
+    """--primes: comma-separated primes, e.g. 11,31."""
+    try:
+        primes = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    for p in primes:
+        if p < 2 or factorize(p) != {p: 1}:
+            raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return primes
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
 
 
 def build_parser():
@@ -215,7 +222,7 @@ def build_parser():
                                  description="Exact re-execution of the x^3 + y^9 = z^2 computation")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     ap.add_argument("--data-dir", help="override directory for the trusted data files")
-    ap.add_argument("--precision", type=int, default=30,
+    ap.add_argument("--precision", type=_positive_int, default=30,
                     help="p-adic working precision for the Chabauty stage")
     ap.add_argument("--json-out", help="write JSON output to this file")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -260,22 +267,16 @@ def build_parser():
     cr = csub.add_parser("run")
     cr.add_argument("--eq", type=int, choices=(1, 2), required=True)
     cr.add_argument("--delta", type=int, required=True, help="row index in the class table")
-    cr.add_argument("--primes", default="11,31")
+    cr.add_argument("--primes", type=_primes, default=(11, 31))
     cr.set_defaults(func=cmd_chabauty_run)
 
     pp = sub.add_parser("pipeline", help="the full reproduction")
     ppsub = pp.add_subparsers(dest="subcommand", required=True)
     pr = ppsub.add_parser("run")
-    pr.add_argument("--primes", default="11,31")
+    pr.add_argument("--primes", type=_primes, default=(11, 31))
     pr.add_argument("--y-bound", type=int, default=3)
     pr.add_argument("--aux-bound", type=int, default=10_000)
     pr.set_defaults(func=cmd_pipeline_run)
-
-    r = sub.add_parser("report", help="full run, canonical JSON report")
-    r.add_argument("--primes", default="11,31")
-    r.add_argument("--y-bound", type=int, default=3)
-    r.add_argument("--aux-bound", type=int, default=10_000)
-    r.set_defaults(func=cmd_report)
     return ap
 
 

@@ -100,6 +100,9 @@ class DescentData:
             self.theta[eq] = theta_in_alpha
             self.iso[eq] = iso
             self.C[eq] = Fraction(ed["C"])
+        # verify.quotient_torsion's results by (label, c): they depend on
+        # the eq-5 algebra and constant, so they live as long as this data.
+        self.quotient_torsion = {}
 
     def verify(self):
         problems = []

@@ -15,7 +15,7 @@ from itertools import product
 
 from .arith.numberfield import AlgElem, EtaleAlgebra, NfElem, NumberField
 from .arith.poly import MPoly, binary_form_divide
-from .arith.rationals import factorize, is_rational_cube, strip_primes
+from .arith.rationals import is_rational_cube, strip_primes
 from .arith.roots import degree_one_character_data, nf_cubic_character
 from .param import STValue
 
@@ -144,29 +144,6 @@ def cubic_norm_filter(candidates, C: Fraction):
 # -- cubic forms ---------------------------------------------------------
 
 
-def _beta_cube_forms(algebra: EtaleAlgebra):
-    """Cubic forms B_0..B_3 in y0..y3 with (sum y_i t^i)^3 = sum B_m t^m."""
-    if not hasattr(algebra, "_beta_cube_cache"):
-        forms = [MPoly(4) for _ in range(4)]
-        powers = {}
-        for n in range(0, 10):
-            powers[n] = (algebra.gen() ** n).num    # integral: f is monic and integral
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    e = [0, 0, 0, 0]
-                    e[i] += 1
-                    e[j] += 1
-                    e[k] += 1
-                    vec = powers[i + j + k]
-                    mono = MPoly(4, {tuple(e): Fraction(1)})
-                    for m in range(4):
-                        if vec[m]:
-                            forms[m] = forms[m] + mono * vec[m]
-        algebra._beta_cube_cache = forms
-    return algebra._beta_cube_cache
-
-
 @dataclass
 class CubicFormSystem:
     """The four cubic forms of a descent class: s = Q0, t = -Q1, and the
@@ -224,7 +201,7 @@ def build_descent_forms(algebra: EtaleAlgebra, delta: AlgElem,
     (true for every equation handled here; an SL2(Z) move would be applied
     upstream otherwise).
     """
-    B = _beta_cube_forms(algebra)
+    B = algebra.cube_forms
     gen_pow = [algebra.gen() ** m for m in range(4)]
     dt = [delta * gp for gp in gen_pow]  # delta * t^m
     forms = []

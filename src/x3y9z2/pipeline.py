@@ -16,7 +16,6 @@ Stages (each consumes the previous stage's verified artifacts):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -74,16 +73,8 @@ def signed_triples(solutions):
 
 # -- stage: equation 5 -------------------------------------------------------
 
-# Stage results, keyed by the stage's arguments and the hashes of the
-# trusted data files, so that a run on other data (set_data_dir) never
-# answers from a result of the old data.
-_stage_cache = {}
-
 
 def run_eq5_stage(max_depth=12):
-    key = ("eq5", max_depth, *data_hashes().values())
-    if key in _stage_cache:
-        return _stage_cache[key]
     dd = load_descent_data()
     tables = load_tables()
     spec = dd.specs[5]
@@ -116,9 +107,7 @@ def run_eq5_stage(max_depth=12):
             row_vals = vals if row_vals is None else (row_vals & vals)
         per_row_values.append((k, sorted(v.serialize() for v in row_vals)))
         values |= row_vals
-    result = {**counts, "per_row_values": per_row_values, "values": values}
-    _stage_cache[key] = result
-    return result
+    return {**counts, "per_row_values": per_row_values, "values": values}
 
 
 def _local_survivors(spec, eq_id, max_depth):
@@ -177,9 +166,6 @@ def _same_class_etale(algebra, d1, d2) -> bool:
 
 
 def run_quartic_stage(eq_id: int, max_depth=12, primes=(11, 31), prec=30):
-    key = ("quartic", eq_id, max_depth, tuple(primes), prec, *data_hashes().values())
-    if key in _stage_cache:
-        return _stage_cache[key]
     dd = load_descent_data()
     tables = load_tables()
     spec = dd.specs[eq_id]
@@ -205,9 +191,7 @@ def run_quartic_stage(eq_id: int, max_depth=12, primes=(11, 31), prec=30):
         setups[(eq_id, tuple(row["delta"]))] = setup
         outcomes[(eq_id, tuple(row["delta"]))] = outcome
         values |= outcome.value_set()
-    result = {**counts, "values": values, "setups": setups, "outcomes": outcomes}
-    _stage_cache[key] = result
-    return result
+    return {**counts, "values": values, "setups": setups, "outcomes": outcomes}
 
 
 # -- stage: lifting -----------------------------------------------------------

@@ -55,13 +55,12 @@ def verify_parametrizations():
 # -- eq-5 quotient data -----------------------------------------------------
 
 
-def _quotient_forms():
+def _quotient_forms(dd):
     """Binary cubic forms of the two eq-5 quotients (delta-independent)."""
-    dd = load_descent_data()
     spec = dd.specs[5]
     quots = genus1_quotients(equation_rhs(5), spec.leading_coeff,
                              spec.algebra, spec.algebra.one())
-    return {q.label: q.form for q in quots}, spec
+    return {q.label: q.form for q in quots}
 
 
 def _quotient_curve(form: MPoly, c: Fraction):
@@ -88,17 +87,17 @@ def _quotient_curve(form: MPoly, c: Fraction):
     return PlaneCubicWithFlex(F, flex), flex
 
 
-_torsion_cache = {}
-
-
 def quotient_torsion(label: str, c: Fraction):
     """(structure, [(s,t,u) primitive tuples], flex (s,t,u)) for the
-    quotient c u^3 = form(s,t)."""
+    quotient c u^3 = form(s,t), memoized on the loaded descent data."""
+    dd = load_descent_data()
     key = (label, Fraction(c))
-    if key in _torsion_cache:
-        return _torsion_cache[key]
-    forms, _ = _quotient_forms()
-    form = forms[label]
+    if key not in dd.quotient_torsion:
+        dd.quotient_torsion[key] = _quotient_torsion(_quotient_forms(dd)[label], key[1])
+    return dd.quotient_torsion[key]
+
+
+def _quotient_torsion(form: MPoly, c: Fraction):
     cubic, flex = _quotient_curve(form, c)
     model = flex_to_weierstrass(cubic)
     a_i, b_i, lam = integralize_curve(model.curve.a, model.curve.b)
@@ -110,10 +109,7 @@ def quotient_torsion(label: str, c: Fraction):
         Porig = model.curve.point(x / lam**2, y / lam**3)
         u, s, t = model.pull_point(Porig)
         back.append(_canonical_proj(s, t, u))
-    flex_stu = _canonical_proj(flex[1], flex[2], flex[0])
-    result = (structure, back, flex_stu)
-    _torsion_cache[key] = result
-    return result
+    return structure, back, _canonical_proj(flex[1], flex[2], flex[0])
 
 
 def _canonical_proj(s, t, u):
@@ -137,7 +133,7 @@ def verify_quotient_claims():
     tables = load_tables()
     qc = tables["quotient_claims"]
     claims = []
-    forms, _ = _quotient_forms()
+    forms = _quotient_forms(load_descent_data())
     e1 = forms["E1,delta"]
     e2 = forms["E2,delta"]
 

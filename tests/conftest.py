@@ -1,4 +1,6 @@
 import random
+import shutil
+from importlib import resources
 
 import pytest
 
@@ -30,3 +32,14 @@ def tables():
 @pytest.fixture()
 def rng():
     return random.Random(239)
+
+
+
+@pytest.fixture()
+def data_copy(tmp_path):
+    """A directory holding a copy of the three trusted data files, for
+    set_data_dir or --data-dir after a test has edited one of them."""
+    src = resources.files("x3y9z2.data")
+    for name in ("selmer_generators.json", "mw_generators.json", "paper_tables.json"):
+        shutil.copy(str(src.joinpath(name)), tmp_path / name)
+    return tmp_path

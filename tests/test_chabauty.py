@@ -107,12 +107,13 @@ class TestSieve:
 
 def test_reduction_orders_count_each_prime_once(mw_data, K, monkeypatch):
     """Widening the bound of _reduction_orders scans only the new primes,
-    and a smaller bound is answered from the same counts."""
-    from x3y9z2.chabauty import engine
+    and a smaller bound is answered from the same counts.  The trivial-
+    torsion certificate is made once per curve, in the same memo."""
+    from x3y9z2.chabauty import engine, setup
     E = mw_data.curve(1)
-    monkeypatch.setattr(engine, "_coprimality_cache", {})
+    engine._curve_memo.cache_clear()
     fresh = engine._reduction_orders(E, K, 200)
-    monkeypatch.setattr(engine, "_coprimality_cache", {})
+    engine._curve_memo.cache_clear()
     counted = []
     count = engine.curve_order_fq
     monkeypatch.setattr(engine, "curve_order_fq",
@@ -121,6 +122,16 @@ def test_reduction_orders_count_each_prime_once(mw_data, K, monkeypatch):
     assert engine._reduction_orders(E, K, 200) == fresh
     assert engine._reduction_orders(E, K, 100) == small == [o for o in fresh if o[0] <= 100]
     assert len(counted) == len(fresh)
+
+    engine._curve_memo.cache_clear()
+    monkeypatch.setattr(setup, "curve_order_fq",
+                        lambda Ebar: counted.append(Ebar) or count(Ebar))
+    first, second = {}, {}
+    setup._verify_trivial_torsion(E, K, first)
+    n_counted = len(counted)
+    setup._verify_trivial_torsion(E, K, second)
+    assert n_counted > len(fresh) and len(counted) == n_counted
+    assert second["trivial_torsion"] is first["trivial_torsion"]
 
 
 class TestSetup:

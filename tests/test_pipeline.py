@@ -142,6 +142,21 @@ class TestCli:
         assert data["survivors"] == 4
         assert sum(v["nodes"] for v in data["verdicts"]) == 190
 
+    @pytest.mark.parametrize("args", [
+        ("chabauty", "run", "--eq", "1", "--delta", "0", "--primes", "11,x"),
+        ("chabauty", "run", "--eq", "1", "--delta", "0", "--primes", "25"),
+        ("pipeline", "run", "--primes", "143"),
+        ("pipeline", "run", "--primes", "11,"),
+        ("--precision", "0", "chabauty", "run", "--eq", "1", "--delta", "0"),
+        ("--precision", "x", "pipeline", "run"),
+    ])
+    def test_bad_primes_and_precision_refused(self, args):
+        out = subprocess.run([sys.executable, "-m", "x3y9z2.cli", *args],
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "error: argument --" in out.stderr and "Traceback" not in out.stderr
+        assert out.stdout == ""
+
     @pytest.mark.parametrize("p", ["1", "4", "103"])
     def test_local_sweep_refuses_a_bad_prime(self, p):
         out = subprocess.run([sys.executable, "-m", "x3y9z2.cli", "local", "sweep",
@@ -164,22 +179,20 @@ class TestCli:
         assert data["outcome"]["values"] == ["oo"]
 
 
-def test_data_dir_override_catches_tampering(tmp_path):
+def _edit_json(path, change):
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+
+
+def test_data_dir_override_catches_tampering(data_copy):
     """A corrupted trusted-data file must surface as a FAIL, not pass
     silently (the auditability contract of --data-dir)."""
-    import json as jsonlib
-    import shutil
-    import subprocess
-    import sys
-    from importlib import resources
-    src = resources.files("x3y9z2.data")
-    for name in ("selmer_generators.json", "mw_generators.json", "paper_tables.json"):
-        shutil.copy(str(src.joinpath(name)), tmp_path / name)
-    mw = jsonlib.loads((tmp_path / "mw_generators.json").read_text())
-    mw["curves"][0]["points"][0]["x"][0] = "3"  # g1 pushed off the curve
-    (tmp_path / "mw_generators.json").write_text(jsonlib.dumps(mw))
+    def push_g1_off_the_curve(mw):
+        mw["curves"][0]["points"][0]["x"][0] = "3"
+    _edit_json(data_copy / "mw_generators.json", push_g1_off_the_curve)
     out = subprocess.run([sys.executable, "-m", "x3y9z2.cli",
-                          "--data-dir", str(tmp_path), "ec", "verify-tables"],
+                          "--data-dir", str(data_copy), "ec", "verify-tables"],
                          capture_output=True, text=True, timeout=300)
     assert out.returncode != 0
     assert "FAIL" in out.stdout
@@ -197,25 +210,38 @@ def test_rank_condition_violated(mw_data):
         ChabautyRun(E, psi, [g, g, g, g], [], 11)
 
 
-def test_stage_cache_follows_the_data_dir(tmp_path):
-    """A stage result cached for one data directory is not reused for
-    another: after set_data_dir points at tampered eq5 generators, the
-    next run_eq5_stage in the same process fails as a fresh process does."""
-    import shutil
-    from importlib import resources
-
+def test_stage_cache_follows_the_data_dir(data_copy):
+    """No stage result of one data directory is reused for another: after
+    set_data_dir points at tampered eq5 generators, the next run_eq5_stage
+    in the same process fails as a fresh process does."""
     from x3y9z2.dataio import set_data_dir
     from x3y9z2.pipeline import PipelineError, run_eq5_stage
-    src = resources.files("x3y9z2.data")
-    for name in ("selmer_generators.json", "mw_generators.json", "paper_tables.json"):
-        shutil.copy(str(src.joinpath(name)), tmp_path / name)
-    sel = json.loads((tmp_path / "selmer_generators.json").read_text())
-    sel["eq5"]["generators"][0] = ["1", "-1", "-1/4", "-1/7"]
-    (tmp_path / "selmer_generators.json").write_text(json.dumps(sel))
+
+    def tamper(sel):
+        sel["eq5"]["generators"][0] = ["1", "-1", "-1/4", "-1/7"]
+    _edit_json(data_copy / "selmer_generators.json", tamper)
     run_eq5_stage()
-    set_data_dir(tmp_path)
+    set_data_dir(data_copy)
     try:
         with pytest.raises(PipelineError, match="generator 0 has norm"):
             run_eq5_stage()
+    finally:
+        set_data_dir(None)
+
+
+def test_quotient_torsion_follows_the_data_dir(data_copy):
+    """The torsion of an eq-5 quotient depends on the eq-5 constant of the
+    loaded data: after set_data_dir to data with C = 2, the same call in
+    the same process answers for the new data, as a fresh process does."""
+    from x3y9z2.dataio import set_data_dir
+    from x3y9z2.verify import quotient_torsion
+
+    def set_constant(sel):
+        sel["eq5"]["C"] = "2"
+    _edit_json(data_copy / "selmer_generators.json", set_constant)
+    assert quotient_torsion("E1,delta", 1)[0] == "Z/3"
+    set_data_dir(data_copy)
+    try:
+        assert quotient_torsion("E1,delta", 1) == ("Z/2", [(2, 1, 2)], (2, -1, 0))
     finally:
         set_data_dir(None)
