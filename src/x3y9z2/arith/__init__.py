@@ -1,11 +1,9 @@
 """Exact arithmetic substrate: rationals, polynomials, number fields and
-etale algebras; `localfield` adds finite fields F_q and the unramified
-p-adic rings Z_q, the one p-adic number type."""
+etale algebras; `localfield` adds the unramified p-adic rings Z_q, the
+one residue-ring type, with the finite field F_q as Z_q at precision 1."""
 
 from .rationals import (
-    Rat,
     icbrt,
-    is_perfect_cube,
     is_rational_cube,
     rational_cube_root,
     rational_sqrt,
@@ -24,7 +22,7 @@ from .numberfield import (
 )
 
 __all__ = [
-    "Rat", "icbrt", "is_perfect_cube", "is_rational_cube",
+    "icbrt", "is_rational_cube",
     "rational_cube_root", "rational_sqrt", "strip_primes", "valuation",
     "MPoly", "UPoly",
     "AlgElem", "EtaleAlgebra", "FieldIso", "NfElem", "NumberField",

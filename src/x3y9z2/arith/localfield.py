@@ -1,56 +1,33 @@
-"""Finite fields F_{p^d} and unramified p-adic rings Z_q = Z_p[w]/(h).
+"""Unramified p-adic rings Z_q = Z_p[w]/(h) to precision p^N, and the
+finite fields F_q = Z_q/p as the same ring at N = 1.
 
-Elements are coefficient vectors in the power basis of a monic modulus
-h of degree d (d = 1 recovers F_p and Z_p, which keeps the calling code
-uniform across split, inert and mixed primes).  Everything is exact
-modulo p resp. p^N.
+Elements are coefficient tuples in the power basis of a monic modulus
+h of degree d (d = 1 recovers Z_p and F_p, which keeps the calling code
+uniform across split, inert and mixed primes).  One ring type, ZqRing,
+and one element type, ZqElem, serve both: FqField is ZqRing at
+precision 1 plus the field-only operations (enumeration, the cube root
+of unity and the cubic character).  Everything is exact modulo p^N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .rationals import valuation
 
-# -- polynomial helpers over Z/m ---------------------------------------
+# -- products on coordinate tuples ---------------------------------------
 
 
-def _polmul(a, b, m):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _polmod(a, h, m):
-    a = [c % m for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    dh = len(h) - 1
-    inv_lead = pow(h[-1], -1, m)
-    while len(a) - 1 >= dh:
-        shift = len(a) - 1 - dh
-        c = a[-1] * inv_lead % m
-        for i, hc in enumerate(h):
-            a[shift + i] = (a[shift + i] - c * hc) % m
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _fqmul(u, v, h, p):
-    """Product of two coordinate tuples in F_p[w]/(h), h monic of degree
+def _fqmul(u, v, h, m):
+    """Product of two coordinate tuples in (Z/m)[w]/(h), h monic of degree
     d = len(u): a schoolbook product into 2d - 1 integer slots, reduced
     from the top down by w^d = -(h_0 + ... + h_(d-1) w^(d-1)), with one
-    final reduction mod p."""
+    final reduction mod m."""
     d = len(u)
     if d == 1:
-        return (u[0] * v[0] % p,)
+        return (u[0] * v[0] % m,)
     out = [0] * (2 * d - 1)
     for i, x in enumerate(u):
         if x:
@@ -61,18 +38,19 @@ def _fqmul(u, v, h, p):
         if c:
             for i in range(d):
                 out[k - d + i] -= c * h[i]
-    return tuple(c % p for c in out[:d])
+    return tuple(c % m for c in out[:d])
 
 
-def _polpowmod(base, e, h, m):
-    result = [1]
-    base = _polmod(base, h, m)
+def _fqpow(u, e, h, m):
+    """u^e (e >= 0) in (Z/m)[w]/(h) by square-and-multiply on tuples."""
+    out = (1,) + (0,) * (len(u) - 1)
     while e:
         if e & 1:
-            result = _polmod(_polmul(result, base, m), h, m)
-        base = _polmod(_polmul(base, base, m), h, m)
+            out = _fqmul(out, u, h, m)
         e >>= 1
-    return result
+        if e:
+            u = _fqmul(u, u, h, m)
+    return out
 
 
 def _make_monic(v, p):
@@ -168,14 +146,8 @@ def _has_quadratic_factor(work, p):
     """x^(p^2) = x (mod work, p) on a rootless squarefree quartic iff it
     splits into two irreducible quadratics (callers guarantee p does not
     divide the discriminant)."""
-    xq = _polpowmod([0, 1], p * p, work, p)
-    diff = list(xq)
-    while len(diff) < 2:
-        diff.append(0)
-    diff[1] = (diff[1] - 1) % p
-    while diff and diff[-1] == 0:
-        diff.pop()
-    return not diff
+    x = (0, 1) + (0,) * (len(work) - 3)
+    return _fqpow(x, p * p, work, p) == x
 
 
 def quartic_is_irreducible_mod_p(coeffs, p) -> bool:
@@ -209,172 +181,7 @@ def _poldivmod(a, b, p):
     return q, a
 
 
-# -- finite fields ------------------------------------------------------
-
-
-class FqField:
-    """F_{p^d} = F_p[w]/(h); h monic irreducible of degree d (d=1: h=[0,1])."""
-
-    def __init__(self, p: int, modulus=None):
-        self.p = p
-        self.h = [c % p for c in (modulus or [0, 1])]
-        if self.h[-1] != 1:
-            raise ValueError(f"modulus {list(modulus)} is not monic mod {p}")
-        self.d = len(self.h) - 1
-        self.q = p**self.d
-        if self.d == 1:
-            # Normalize to x - r: elements are plain residues shifted by r.
-            self.root = (-self.h[0]) % p
-
-    def elem(self, coords) -> "FqElem":
-        if isinstance(coords, int):
-            coords = [coords] + [0] * (self.d - 1)
-        coords = [c % self.p for c in coords]
-        coords = coords[: self.d] + [0] * (self.d - len(coords))
-        return FqElem(self, tuple(coords))
-
-    def zero(self):
-        return self.elem(0)
-
-    def one(self):
-        return self.elem(1)
-
-    def gen(self):
-        if self.d == 1:
-            return self.elem(self.root)
-        return self.elem([0, 1] + [0] * (self.d - 2))
-
-    def from_fraction(self, x) -> "FqElem":
-        x = Fraction(x)
-        num = x.numerator % self.p
-        den = x.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError("denominator divisible by p")
-        return self.elem(num * pow(den, -1, self.p))
-
-    def from_nf(self, elem) -> "FqElem":
-        """Image of a number-field element under generator -> gen()."""
-        acc = self.zero()
-        g = self.gen()
-        for c in reversed(elem.num):
-            acc = acc * g + self.elem(c)
-        return acc * self.from_fraction(Fraction(1, elem.den))
-
-    def elements(self):
-        from itertools import product
-        for coords in product(range(self.p), repeat=self.d):
-            yield FqElem(self, tuple(coords))
-
-    @cached_property
-    def omega(self) -> "FqElem":
-        """A fixed primitive cube root of unity: x^((q-1)/3) for the first
-        element x in enumeration order where that is not 1 (q = 1 mod 3)."""
-        e = (self.q - 1) // 3
-        for x in self.elements():
-            if x:
-                t = x ** e
-                if t != self.one():
-                    return t
-        raise ValueError("no primitive cube root of unity found")
-
-    def __repr__(self):
-        return f"F_{self.p}^{self.d}"
-
-
-class FqElem:
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        self.field = field
-        self.coords = coords
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __eq__(self, other):
-        if isinstance(other, FqElem):
-            return self.field is other.field and self.coords == other.coords
-        if isinstance(other, int):
-            return self == self.field.elem(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.d, self.coords))
-
-    def _coerce(self, other):
-        if isinstance(other, FqElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.field.p
-        return FqElem(self.field, tuple(-a % p for a in self.coords))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return FqElem(f, _fqmul(self.coords, o.coords, f.h, f.p))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self:
-            raise ZeroDivisionError
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        f = self.field
-        out = _polpowmod(list(self.coords), n, f.h, f.p)
-        out = out + [0] * (f.d - len(out))
-        return FqElem(f, tuple(out))
-
-    def cube_character(self) -> int:
-        """Exponent e in {0,1,2} with self^((q-1)/3) = omega^e; requires
-        q = 1 mod 3 and self != 0."""
-        q = self.field.q
-        if q % 3 != 1:
-            raise ValueError("residue field has no cubic character")
-        t = self ** ((q - 1) // 3)
-        if t == self.field.one():
-            return 0
-        return 1 if t == self.field.omega else 2
-
-    def __repr__(self):
-        return f"Fq({list(self.coords)})"
-
-
-# -- unramified p-adic rings --------------------------------------------
+# -- unramified p-adic rings and their residue fields ----------------------
 
 
 class ZqRing:
@@ -415,22 +222,20 @@ class ZqRing:
         return self.elem(x.numerator * pow(x.denominator, -1, self.mod))
 
     def from_nf(self, elem) -> "ZqElem":
+        """Image of a number-field element under generator -> gen()."""
         acc = self.zero()
         g = self.gen()
         for c in reversed(elem.num):
             acc = acc * g + self.elem(c)
         return acc * self.from_fraction(Fraction(1, elem.den))
 
-    def residue_field(self) -> FqField:
-        return FqField(self.p, [c % self.p for c in self.h])
+    @cached_property
+    def residue_field(self) -> "FqField":
+        return FqField(self.p, self.h)
 
-    def reduce(self, elem: "ZqElem") -> FqElem:
-        fq = self.residue_field()
-        return fq.elem([c % self.p for c in elem.coords])
-
-    def teich_lift_root(self, residue_root: FqElem, poly_ints) -> "ZqElem":
+    def teich_lift_root(self, residue_root: "ZqElem", poly_ints) -> "ZqElem":
         """Hensel-lift a simple residue root of an integer polynomial."""
-        x = self.elem(list(residue_root.coords))
+        x = self.elem(residue_root.coords)
         dpoly = [i * c for i, c in enumerate(poly_ints)][1:]
         for _ in range(self.N.bit_length() + 2):
             fx = _zq_eval_ints(poly_ints, x)
@@ -444,6 +249,44 @@ class ZqRing:
 
     def __repr__(self):
         return f"Zq(p={self.p}, d={self.d}, N={self.N})"
+
+
+class FqField(ZqRing):
+    """F_q = F_p[w]/(h), the ring Z_q at precision 1; h monic irreducible
+    mod p of degree d (d = 1: h = [0, 1])."""
+
+    def __init__(self, p: int, modulus=None):
+        super().__init__(p, modulus or [0, 1], 1)
+        self.q = p**self.d
+
+    def elements(self):
+        for coords in product(range(self.p), repeat=self.d):
+            yield ZqElem(self, coords)
+
+    @cached_property
+    def omega(self) -> "ZqElem":
+        """A fixed primitive cube root of unity: x^((q-1)/3) for the first
+        element x in enumeration order where that is not 1 (q = 1 mod 3)."""
+        e = (self.q - 1) // 3
+        for x in self.elements():
+            if x:
+                t = x ** e
+                if t != self.one():
+                    return t
+        raise ValueError("no primitive cube root of unity found")
+
+    def cube_character(self, x: "ZqElem") -> int:
+        """Exponent e in {0,1,2} with x^((q-1)/3) = omega^e; requires
+        q = 1 mod 3 and x != 0."""
+        if self.q % 3 != 1:
+            raise ValueError("residue field has no cubic character")
+        t = x ** ((self.q - 1) // 3)
+        if t == self.one():
+            return 0
+        return 1 if t == self.omega else 2
+
+    def __repr__(self):
+        return f"F_{self.p}^{self.d}"
 
 
 def _zq_eval_ints(ints, x: "ZqElem") -> "ZqElem":
@@ -469,6 +312,9 @@ class ZqElem:
         if isinstance(other, (int, Fraction)):
             return self == self.ring.from_fraction(other)
         return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring.p, self.ring.d, self.coords))
 
     def _coerce(self, other):
         if isinstance(other, ZqElem):
@@ -504,9 +350,7 @@ class ZqElem:
         if o is None:
             return NotImplemented
         r = self.ring
-        prod = _polmod(_polmul(list(self.coords), list(o.coords), r.mod), r.h, r.mod)
-        prod = prod + [0] * (r.d - len(prod))
-        return ZqElem(r, tuple(prod))
+        return ZqElem(r, _fqmul(self.coords, o.coords, r.h, r.mod))
 
     __rmul__ = __mul__
 
@@ -530,10 +374,10 @@ class ZqElem:
         if self.valuation() != 0:
             raise ZeroDivisionError("inverse of a non-unit in Zq")
         r = self.ring
+        if r.N == 1:
+            return self ** (r.p**r.d - 2)      # Fermat in F_q
         # Invert in the residue field, then Newton-lift: x -> x(2 - a x).
-        fq = r.residue_field()
-        inv0 = fq.elem([c % r.p for c in self.coords]).inverse()
-        x = r.elem(list(inv0.coords))
+        x = r.elem(r.residue_field.elem(self.coords).inverse().coords)
         for _ in range(r.N.bit_length() + 2):
             e = x * (r.elem(2) - self * x)
             if e == x:
@@ -553,14 +397,8 @@ class ZqElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        r = self.ring
+        return ZqElem(r, _fqpow(self.coords, n, r.h, r.mod))
 
     def __repr__(self):
         return f"Zq({list(self.coords)} mod {self.ring.p}^{self.ring.N})"

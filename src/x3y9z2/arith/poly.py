@@ -11,7 +11,6 @@ truth-testing (zero is falsy).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 
 def _frac(c) -> Fraction:
@@ -266,12 +265,6 @@ class MPoly:
     @classmethod
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars, i, one=Fraction(1)):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): one})
 
     def is_zero(self):
         return not self.terms

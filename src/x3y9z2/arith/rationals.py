@@ -1,18 +1,13 @@
 """Integer and rational helpers on top of fractions.Fraction.
 
 Fraction already keeps gcd(|num|, den) = 1 with den >= 1, so it serves as
-the canonical exact rational type throughout the package (aliased Rat).
+the canonical exact rational type throughout the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-
-Rat = Fraction
-
-INF = object()  # projective infinity marker used by STValue-style code
-
 
 def valuation(n, p: int) -> int:
     """p-adic valuation of a nonzero integer or Fraction."""
@@ -56,10 +51,6 @@ def icbrt(n: int):
         if c >= 0 and c * c * c == m:
             return sign * c
     return None
-
-
-def is_perfect_cube(n: int) -> bool:
-    return icbrt(n) is not None
 
 
 def rational_cube_root(q: Fraction):

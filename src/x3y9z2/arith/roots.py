@@ -164,7 +164,7 @@ def _residue_nth_roots(target, n: int):
 def _ell_th_roots(a, ell: int):
     """All ell-th roots of a unit a in F_q, ell prime (Adleman-Manders-Miller;
     Cohen, GTM 138, Alg. 1.5.1 for ell = 2)."""
-    fq = a.field
+    fq = a.ring
     t, s = fq.q - 1, 0
     while t % ell == 0:
         t, s = t // ell, s + 1
@@ -197,7 +197,7 @@ def _ell_th_roots(a, ell: int):
 
 def _root_in_ring(xi: NfElem, n: int, ring: ZqRing):
     field = xi.parent
-    fq = ring.residue_field()
+    fq = ring.residue_field
     target_res = fq.from_nf(xi)
     if not target_res:
         return None  # avoided primes should prevent this
@@ -205,7 +205,7 @@ def _root_in_ring(xi: NfElem, n: int, ring: ZqRing):
     xi_q = ring.from_nf(xi)
     for r0 in res_roots:
         # Hensel-lift y^n - xi_q (derivative n y^(n-1) is a unit).
-        y = ring.elem(list(r0.coords))
+        y = ring.elem(r0.coords)
         for _ in range(ring.N.bit_length() + 2):
             err = y**n - xi_q
             if not err:
@@ -270,18 +270,4 @@ def nf_cubic_character(xi, q: int, root: int):
         if not acc:
             return None
         img = fq.elem(acc * pow(xi.den, -1, q))
-    return img.cube_character()
-
-
-def certify_non_cube(xi, field: NumberField | None = None, bound=400):
-    """Return (q, root) proving xi is not a cube, or None if every
-    sampled character vanished (inconclusive)."""
-    if isinstance(xi, (int, Fraction)) and field is None:
-        # Rational case: exact cube test is already rigorous.
-        return None if rational_cube_root(Fraction(xi)) is not None else ("exact", None)
-    f = field or xi.parent
-    for q, r in degree_one_character_data(f, bound):
-        e = nf_cubic_character(xi, q, r)
-        if e:
-            return (q, r)
-    return None
+    return fq.cube_character(img)

@@ -19,7 +19,7 @@ from ..arith.poly import MPoly
 from ..arith.rationals import rational_cube_root
 from ..arith.roots import nf_nth_root
 from ..descent import build_descent_forms, genus1_quotients, st_map
-from ..ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass
+from ..ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass, mat_mul
 from ..ec.reduction import BadPrime, curve_order_fq, primes_above, reduce_curve
 from ..ec.weierstrass import EcPoint, WeierstrassCurve
 from ..param import STValue, equation_rhs
@@ -113,7 +113,7 @@ def chabauty_setup_for_row(descent_data, mw_data, eq_id: int, row,
     lam3i = (lam * lam * lam).inverse()
     zero = K.zero()
     twist = [[lam2i, zero, zero], [zero, lam3i, zero], [zero, zero, one]]
-    back = _mat_mul(model.from_curve, twist)
+    back = mat_mul(model.from_curve, twist)
     num = (back[1][2], back[1][0], back[1][1])   # s-row as c + cx*x + cy*y
     den = (back[2][2], back[2][0], back[2][1])   # t-row
     # A common rational rescale leaves s/t unchanged and keeps every
@@ -168,12 +168,6 @@ def chabauty_setup_for_row(descent_data, mw_data, eq_id: int, row,
                          st_printed=st_printed, curve=E_i, psi=psi, gens=gens,
                          known_points=known, p0_point=P0, lambda_twist=lam,
                          checks=checks)
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(1, n)), A[i][0] * B[0][j])
-             for j in range(n)] for i in range(n)]
 
 
 def _known_points(E, psi, gens, P0, box):

@@ -2,14 +2,14 @@
 group law, plane-cubic-to-Weierstrass conversion at a flex, torsion over Q,
 reduction maps and divisibility sieves."""
 
-from .weierstrass import EcPoint, WeierstrassCurve, j_invariant
+from .weierstrass import EcPoint, WeierstrassCurve
 from .cubic import PlaneCubicWithFlex, flex_to_weierstrass
 from .torsion import torsion_over_Q
-from .reduction import BadPrime, curve_order_fq, non_divisibility_sieve, reduce_at_prime
+from .reduction import BadPrime, curve_order_fq, non_divisibility_sieve
 
 __all__ = [
-    "EcPoint", "WeierstrassCurve", "j_invariant",
+    "EcPoint", "WeierstrassCurve",
     "PlaneCubicWithFlex", "flex_to_weierstrass",
     "torsion_over_Q",
-    "BadPrime", "curve_order_fq", "non_divisibility_sieve", "reduce_at_prime",
+    "BadPrime", "curve_order_fq", "non_divisibility_sieve",
 ]

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..arith.poly import MPoly
-from .weierstrass import EcPoint, WeierstrassCurve, _invert
+from ..arith.poly import MPoly, _inv_ring
+from .weierstrass import EcPoint, WeierstrassCurve
 
 
 def mat_mul(A, B):
@@ -39,7 +39,7 @@ def mat_inverse_3x3(M):
     det = a * A + b * B + c * C
     if not det:
         raise ValueError("singular matrix")
-    dinv = _invert(det)
+    dinv = _inv_ring(det)
     return [
         [A * dinv, (c * h - b * i) * dinv, (b * f - c * e) * dinv],
         [B * dinv, (a * i - c * g) * dinv, (c * d - a * f) * dinv],
@@ -108,7 +108,7 @@ def _independent_tangent_vector(gradient, flex, one):
     candidates = []
     # Kernel basis of the 1x3 matrix g.
     idx = next(i for i in range(3) if g[i])
-    ginv = _invert(g[idx])
+    ginv = _inv_ring(g[idx])
     for j in range(3):
         if j == idx:
             continue
@@ -167,7 +167,7 @@ def flex_to_weierstrass(cubic: PlaneCubicWithFlex) -> FlexModel:
     if not E2 or not A3:
         raise ValueError("degenerate cubic: not an elliptic flex model")
 
-    Einv = _invert(E2)
+    Einv = _inv_ring(E2)
     a1 = -F1 * Einv
     a2 = -B2 * Einv
     a3 = G1 * A3 * Einv * Einv
@@ -178,7 +178,7 @@ def flex_to_weierstrass(cubic: PlaneCubicWithFlex) -> FlexModel:
     N1 = [[lam, zero, zero], [zero, -lam, zero], [zero, zero, one]]
 
     # Complete the square: Y' = Y + (a1 X + a3 Z)/2.
-    half = _invert(one * 2)
+    half = _inv_ring(one * 2)
     S1 = [[one, zero, zero],
           [a1 * half, one, a3 * half],
           [zero, zero, one]]
@@ -210,7 +210,7 @@ def flex_to_weierstrass(cubic: PlaneCubicWithFlex) -> FlexModel:
         t = target.terms.get(e)
         if t is None:
             raise AssertionError("flex transform produced a non-Weierstrass form")
-        cand = coeff * _invert(t)
+        cand = coeff * _inv_ring(t)
         if scale is None:
             scale = cand
         elif scale != cand:

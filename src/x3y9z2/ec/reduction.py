@@ -39,9 +39,8 @@ class NfPrime:
     def zq(self, prec: int) -> ZqRing:
         if prec not in self._zq_cache:
             ring = ZqRing(self.p, self.factor, prec)
-            fq = ring.residue_field()
             f_ints = self.field.minpoly.integer_coeffs()
-            root = ring.teich_lift_root(fq.gen(), f_ints)
+            root = ring.teich_lift_root(self._fq.gen(), f_ints)
             self._zq_cache[prec] = (ring, root)
         return self._zq_cache[prec]
 
@@ -49,12 +48,7 @@ class NfPrime:
         """Image in F_q; BadPrime if x is not p-integral."""
         if x.den % self.p == 0:
             raise BadPrime(f"denominator divisible by {self.p}")
-        fq = self._fq
-        acc = fq.zero()
-        g = fq.gen() if self.degree > 1 else fq.elem((-self.factor[0]) % self.p)
-        for c in reversed(x.num):
-            acc = acc * g + fq.elem(c)
-        return acc * fq.elem(pow(x.den, -1, self.p))
+        return self._fq.from_nf(x)
 
     def embed(self, x: NfElem, prec: int):
         """(u, v): x = u * p^v with u an integral ZqElem (exact to p^prec)."""
@@ -87,24 +81,6 @@ def primes_above(field: NumberField, p: int, degree_cap: int = 4):
     if any(m > 1 for _, m in factors):
         raise BadPrime(f"{p} ramifies in Z[alpha]")
     return [NfPrime(field, p, fac, i) for i, (fac, m) in enumerate(factors)]
-
-
-def reduce_at_prime(curve: WeierstrassCurve, point, p: int, prime_idx: int):
-    """Reduce (curve over K, point) at the prime_idx-th prime above p.
-
-    point may be None (reduce the curve alone), an EcPoint, or an (x, y)
-    pair of NfElems.  Returns (curve over F_q, reduced point or None).
-    """
-    a, b = curve.a, curve.b
-    field = a.parent if isinstance(a, NfElem) else b.parent
-    prs = primes_above(field, p)
-    if prime_idx >= len(prs):
-        raise BadPrime(f"no prime with index {prime_idx} above {p}")
-    pr = prs[prime_idx]
-    Ebar = reduce_curve(curve, pr)
-    if point is None:
-        return Ebar, None
-    return Ebar, reduce_point(Ebar, curve, point, pr)
 
 
 def reduce_curve(curve: WeierstrassCurve, pr: NfPrime) -> WeierstrassCurve:
@@ -231,7 +207,7 @@ def all_points_fq(Ebar: WeierstrassCurve):
 
 
 def _fq_of(Ebar):
-    return Ebar.a.field if hasattr(Ebar.a, "field") else Ebar.b.field
+    return Ebar.a.ring if hasattr(Ebar.a, "ring") else Ebar.b.ring
 
 
 def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs):

@@ -10,9 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from ..arith.localfield import FqField
-from ..arith.poly import UPoly
-from ..arith.rationals import divisors, factorize
+from ..arith.rationals import divisors, factorize, valuation
 from .weierstrass import EcPoint, WeierstrassCurve
 
 
@@ -25,8 +23,8 @@ def integralize_curve(a: Fraction, b: Fraction):
     a, b = Fraction(a), Fraction(b)
     lam = 1
     for p in set(factorize(a.denominator)) | set(factorize(b.denominator)):
-        va = _den_val(a, p)
-        vb = _den_val(b, p)
+        va = valuation(a.denominator, p)
+        vb = valuation(b.denominator, p)
         k = max(-(-va // 4), -(-vb // 6))
         lam *= p**k
     a2 = a * lam**4
@@ -34,15 +32,6 @@ def integralize_curve(a: Fraction, b: Fraction):
     if a2.denominator != 1 or b2.denominator != 1:
         raise AssertionError("rescaled coefficients are not integral")
     return int(a2), int(b2), lam
-
-
-def _den_val(x: Fraction, p: int) -> int:
-    v = 0
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v += 1
-    return v
 
 
 def count_points_fp(a: int, b: int, p: int) -> int:
@@ -62,21 +51,12 @@ def good_odd_primes(a: int, b: int, count: int):
     p = 3
     while len(out) < count:
         p += 2
-        if not _is_prime(p):
+        if factorize(p) != {p: 1}:
             continue
         if disc % p == 0:
             continue
         out.append(p)
     return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def _integer_roots_cubic(a: int, b: int):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..arith.poly import _inv_ring
+
 
 class WeierstrassCurve:
     """y^2 = x^3 + a*x + b with a, b in a common exact ring."""
@@ -58,15 +60,6 @@ def _ring_one(a, b):
     return Fraction(1)
 
 
-def j_invariant(curve: WeierstrassCurve):
-    a, b = curve.a, curve.b
-    num = 6912 * a * a * a
-    den = 4 * a * a * a + 27 * b * b
-    if isinstance(den, (int, Fraction)):
-        return Fraction(num) / Fraction(den)
-    return num * den.inverse()
-
-
 class EcPoint:
     __slots__ = ("curve", "X", "Y", "Z")
 
@@ -92,7 +85,7 @@ class EcPoint:
         """(x, y) for finite points; None for the point at infinity."""
         if self.is_zero():
             return None
-        zinv = _invert(self.Z)
+        zinv = _inv_ring(self.Z)
         return (self.X * zinv, self.Y * zinv)
 
     def __eq__(self, other):
@@ -151,12 +144,6 @@ class EcPoint:
         return "O" if aff is None else f"({aff[0]}, {aff[1]})"
 
 
-def _invert(v):
-    if isinstance(v, (int, Fraction)):
-        return Fraction(1) / Fraction(v)
-    return v.inverse()
-
-
 def _complete_add(curve, X1, Y1, Z1, X2, Y2, Z2):
     """Renes-Costello-Batina complete addition for y^2 = x^3 + ax + b."""
     a, b = curve.a, curve.b
@@ -188,9 +175,9 @@ def _classical_add(P: EcPoint, Q: EcPoint) -> EcPoint:
     if not (x1 - x2):
         if not (y1 + y2):
             return curve.zero()
-        lam = (3 * x1 * x1 + curve.a) * _invert(2 * y1)
+        lam = (3 * x1 * x1 + curve.a) * _inv_ring(2 * y1)
     else:
-        lam = (y2 - y1) * _invert(x2 - x1)
+        lam = (y2 - y1) * _inv_ring(x2 - x1)
     x3 = lam * lam - x1 - x2
     y3 = lam * (x1 - x3) - y1
     one = curve._one

@@ -7,18 +7,18 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
+from fq_reference import is_irreducible_quartic, polmod, polmul
 from nf_reference import (minimal_polynomial, norm_resultant, ref_mul, ref_norm,
                           ref_power_table)
 
 from x3y9z2.arith import (
     AlgElem, EtaleAlgebra, NfElem, NumberField, ZeroDivisorError, factor_deg_le4,
 )
-from x3y9z2.arith.localfield import FqField, _polmod, _polmul, quartic_is_irreducible_mod_p
+from x3y9z2.arith.localfield import FqField, ZqElem, ZqRing, quartic_is_irreducible_mod_p
 from x3y9z2.arith.poly import MPoly, UPoly
 from x3y9z2.arith.rationals import rational_reconstruct, valuation
-from x3y9z2.arith.roots import (_residue_nth_roots, certify_non_cube,
-                                degree_one_character_data, nf_cubic_character,
-                                nf_nth_root, small_primes)
+from x3y9z2.arith.roots import (_residue_nth_roots, degree_one_character_data,
+                                nf_cubic_character, nf_nth_root, small_primes)
 
 F5 = UPoly([0, 8, 0, 0, 1])          # x^4 + 8x (the split quartic)
 FK = UPoly([1, -2, 0, -2, 1])        # x^4 - 2x^3 - 2x + 1 (irreducible)
@@ -264,7 +264,9 @@ class TestRoots:
 
     def test_generator_not_cube(self, K):
         assert nf_nth_root(K.gen(), 3) is None
-        assert certify_non_cube(K.gen()) is not None
+        # A nonzero cubic character proves the generator is not a cube.
+        assert any(nf_cubic_character(K.gen(), q, r)
+                   for q, r in degree_one_character_data(K, 400))
 
     def test_characters_kill_cubes(self, K):
         al = K.gen()
@@ -365,21 +367,85 @@ def test_small_primes_matches_trial_division():
 MUL_FIELDS = [(11, [8, 1]), (7, [3, 2, 1]), (5, [1, 3, 0, 3, 1])]
 
 
+def _random_elem(ring, rng):
+    return ring.elem([rng.randrange(ring.mod) for _ in range(ring.d)])
+
+
 class TestFqProduct:
+    """Products and powers in F_q and in Z_q mod p^5 against polynomial
+    multiplication and long division (tests/fq_reference.py)."""
+
     @pytest.mark.parametrize("p, modulus", MUL_FIELDS)
     def test_matches_polynomial_division(self, p, modulus, rng):
-        fq = FqField(p, modulus)
-        for _ in range(300):
-            u = fq.elem([rng.randrange(p) for _ in range(fq.d)])
-            v = fq.elem([rng.randrange(p) for _ in range(fq.d)])
-            ref = _polmod(_polmul(list(u.coords), list(v.coords), p), fq.h, p)
-            assert (u * v).coords == tuple(ref + [0] * (fq.d - len(ref)))
+        for ring in (FqField(p, modulus), ZqRing(p, modulus, 5)):
+            m = ring.mod
+            for _ in range(300):
+                u, v = _random_elem(ring, rng), _random_elem(ring, rng)
+                ref = polmod(polmul(list(u.coords), list(v.coords), m), ring.h, m)
+                assert (u * v).coords == tuple(ref + [0] * (ring.d - len(ref))), ring
+
+    @pytest.mark.parametrize("p, modulus", MUL_FIELDS)
+    def test_powers_match_repeated_products(self, p, modulus, rng):
+        for ring in (FqField(p, modulus), ZqRing(p, modulus, 5)):
+            m = ring.mod
+            for _ in range(20):
+                u = _random_elem(ring, rng)
+                ref = [1]
+                for e in range(40):
+                    assert (u ** e).coords == tuple(ref + [0] * (ring.d - len(ref))), (ring, e)
+                    ref = polmod(polmul(ref, list(u.coords), m), ring.h, m)
 
     def test_non_monic_modulus_refused(self):
         with pytest.raises(ValueError, match="not monic"):
             FqField(7, [3, 2, 2])
         with pytest.raises(ValueError, match="not monic"):
             FqField(5, [1, 0, 0, 0, 5])     # leading coefficient 0 mod 5
+
+
+@pytest.mark.parametrize("p, modulus", MUL_FIELDS)
+def test_reduction_to_fq_is_a_homomorphism(p, modulus, rng):
+    """Z_q mod p^5 -> F_q: the reduction of each sum, difference,
+    product, power and inverse is that of the reductions, and every
+    F_q element is a ZqElem of a precision-1 ring."""
+    R = ZqRing(p, modulus, 5)
+    fq = R.residue_field
+    assert fq.N == 1 and fq.mod == p and fq.q == p**R.d
+
+    def red(x):
+        y = fq.elem(x.coords)
+        assert isinstance(y, ZqElem) and y.ring is fq
+        return y
+
+    for _ in range(100):
+        x, y = _random_elem(R, rng), _random_elem(R, rng)
+        e = rng.randrange(1, 3 * fq.q)
+        assert red(x + y) == red(x) + red(y)
+        assert red(x - y) == red(x) - red(y)
+        assert red(x * y) == red(x) * red(y)
+        assert red(x ** e) == red(x) ** e
+        if red(x):
+            assert red(x.inverse()) == red(x).inverse()
+            assert red(x) * red(x).inverse() == fq.one()
+            assert x * x.inverse() == R.one()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_quartic_irreducibility_matches_trial_division(p, rng):
+    """quartic_is_irreducible_mod_p on seeded squarefree quartics, against
+    trial division by every monic linear and quadratic polynomial."""
+    outcomes = set()
+    checked = 0
+    while checked < 150:
+        f = [rng.randrange(-50, 51) for _ in range(4)] + [rng.randrange(1, p)]
+        if UPoly(f).discriminant().numerator % p == 0:
+            continue            # the test is for squarefree quartics
+        expected = is_irreducible_quartic(f, p)
+        assert quartic_is_irreducible_mod_p(f, p) == expected, (f, p)
+        # Record the rootless reducible case: two irreducible quadratics.
+        rootless = all(polmod(f, [c, 1], p) for c in range(p))
+        outcomes.add((expected, rootless))
+        checked += 1
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_zq_non_monic_modulus_refused_under_optimize():

@@ -7,8 +7,8 @@ import pytest
 from x3y9z2.arith.localfield import FqField, factor_quartic_mod_p
 from x3y9z2.arith.poly import MPoly
 from x3y9z2.ec import (BadPrime, EcPoint, PlaneCubicWithFlex, WeierstrassCurve,
-                       curve_order_fq, flex_to_weierstrass, j_invariant,
-                       non_divisibility_sieve, reduce_at_prime, torsion_over_Q)
+                       curve_order_fq, flex_to_weierstrass, non_divisibility_sieve,
+                       torsion_over_Q)
 from x3y9z2.ec.reduction import all_points_fq, primes_above, reduce_curve, reduce_point
 from x3y9z2.ec.weierstrass import _classical_add
 
@@ -82,7 +82,7 @@ class TestFlexModel:
 
     def test_diagonal_cubic_j_zero(self):
         model = flex_to_weierstrass(self._diagonal())
-        assert j_invariant(model.curve) == 0
+        assert model.curve.a == 0      # j = 6912 a^3 / (4 a^3 + 27 b^2) = 0
 
     def test_roundtrip_points(self):
         model = flex_to_weierstrass(self._diagonal())
@@ -139,12 +139,11 @@ class TestReduction:
         shape = [len(f) - 1 for f, _ in factor_quartic_mod_p([1, -2, 0, -2, 1], 31)]
         assert shape == [2, 2]
 
-    def test_bad_primes_refused(self, mw_data):
+    def test_bad_primes_refused(self, mw_data, K):
         E = mw_data.curve(1)
-        with pytest.raises(BadPrime):
-            reduce_at_prime(E, None, 2, 0)   # 2 ramifies in Z[alpha]
-        with pytest.raises(BadPrime):
-            reduce_at_prime(E, None, 3, 0)
+        for p in (2, 3):                     # both divide disc(f) = -1728
+            with pytest.raises(BadPrime):
+                reduce_curve(E, primes_above(K, p)[0])
 
     def test_reduced_g1_order_frozen(self, mw_data, K):
         E = mw_data.curve(1)
