@@ -349,23 +349,18 @@ class _PowerBasisElem:
         return result
 
     def inverse(self):
-        """Multiplicative inverse via extended Euclid mod the defining poly."""
-        f = self.parent.monic_poly
-        a = self.as_upoly()
-        if a.is_zero():
+        """Multiplicative inverse by Cramer's rule on the integer matrix M
+        of multiplication by num: num * c = 1 has c_i = det(M_i) / det(M),
+        M_i being M with column i replaced by e_0, and 1/self = den * c."""
+        if not self:
             raise ZeroDivisionError("inverse of zero")
-        # Extended Euclid: u*a + v*f = g.
-        r0, r1 = f, a
-        s0, s1 = UPoly([]), UPoly([1])
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            self.parent._raise_zero_divisor(a, r0)
-        inv = s0 * (1 / r0.coeffs[0])
-        inv = inv % f
-        return type(self)(self.parent, [inv[i] for i in range(self.parent.degree)])
+        cols = self._matrix()
+        det = _int_det(cols)
+        if not det:
+            self.parent._raise_zero_divisor(self)
+        e0 = [1] + [0] * (len(cols) - 1)
+        num = [self.den * _int_det(cols[:i] + [e0] + cols[i + 1:]) for i in range(len(cols))]
+        return self._make(num, det) if det > 0 else self._make([-c for c in num], -det)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -389,14 +384,18 @@ class _PowerBasisElem:
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
 
+    def _matrix(self):
+        """The integer matrix of multiplication by num, as its columns
+        num * x^i."""
+        deg = self.parent.degree
+        table = self.parent._power_table
+        return [_int_product(self.num, [int(i == j) for j in range(deg)], table)
+                for i in range(deg)]
+
     def norm(self) -> Fraction:
         """Determinant of the multiplication-by-self map (for an etale
         algebra, the product of the component norms)."""
-        deg = self.parent.degree
-        table = self.parent._power_table
-        cols = [_int_product(self.num, [int(i == j) for j in range(deg)], table)
-                for i in range(deg)]
-        return Fraction(_int_det(cols), self.den**deg)
+        return Fraction(_int_det(self._matrix()), self.den**self.parent.degree)
 
     def __repr__(self):
         name = self.parent.gen_name
@@ -429,7 +428,7 @@ class NumberField:
         self._disc = minpoly.discriminant()
         self.gen_name = gen_name
 
-    def _raise_zero_divisor(self, a, g):  # pragma: no cover - fields have none
+    def _raise_zero_divisor(self, elem):  # pragma: no cover - fields have none
         raise ZeroDivisionError("unexpected zero divisor in a field")
 
     def __call__(self, coords) -> "NfElem":
@@ -595,12 +594,9 @@ class EtaleAlgebra:
     def component_images(self, elem: "AlgElem"):
         return [self.component_map(i, elem) for i in range(self.n_components)]
 
-    def _raise_zero_divisor(self, a: UPoly, g: UPoly):
-        vanishing = []
-        for i, h in enumerate(self.component_polys):
-            if (g % h).is_zero():
-                vanishing.append(i)
-        raise ZeroDivisorError(vanishing)
+    def _raise_zero_divisor(self, elem: "AlgElem"):
+        raise ZeroDivisorError(i for i in range(self.n_components)
+                               if not self.component_map(i, elem))
 
     def __repr__(self):
         shape = "+".join(str(h.degree) for h in self.component_polys)

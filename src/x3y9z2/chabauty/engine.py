@@ -19,13 +19,12 @@ emptied modulo p^2 or left honestly unclosed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from ..arith.numberfield import NfElem, NumberField
+from ..arith.numberfield import NumberField
 from ..arith.rationals import valuation
-from ..ec.reduction import (BadPrime, NfPrime, curve_order_fq, primes_above,
+from ..ec.reduction import (BadPrime, NfPrime, curve_order_fq, point_key, primes_above,
                             reduce_curve, reduce_point)
 from ..ec.weierstrass import EcPoint, WeierstrassCurve, _complete_add
 from ..param import STValue
@@ -80,7 +79,12 @@ class RationalFunctionOnE:
 
 
 class PrimeContext:
-    """Reduction and p-adic embedding data at one prime of K above p."""
+    """Reduction and p-adic embedding data at one prime of K above p.
+
+    Every projective K-vector reaches the prime through pr.primitive:
+    the generators as (x : y : 1) over Z_q and F_q, and psi's six
+    coefficients [num : den], whose scale is free, as psi_q over Z_q
+    and psi_bar = psi_q mod p over F_q."""
 
     def __init__(self, pr: NfPrime, curve: WeierstrassCurve,
                  psi: RationalFunctionOnE, gens, prec: int):
@@ -90,44 +94,14 @@ class PrimeContext:
         self.Ebar = reduce_curve(curve, pr)
         self.order = curve_order_at(curve, pr, self.Ebar)
         self.gens = gens
-        self.gens_bar = [reduce_point(self.Ebar, curve, g, pr) for g in gens]
-        self.psi_bar = self._reduce_psi(psi)
-        self.ring, self.alpha_root = pr.zq(prec)
-        self.curve_q = WeierstrassCurve(self.ring.zero(),
-                                        self._embed_integral(curve.b), check_smooth=False)
-        # Strip any common p-power from the six coefficients: [num : den]
-        # is scale-invariant and the analytic charts need unit denominators.
-        embedded = [self.pr.embed(c, self.ring.N) for c in psi.num + psi.den]
-        if any(v < 0 for u, v in embedded if u):
-            raise BadPrime("non-integral psi coefficient at the prime")
-        nonzero_shifts = [v for u, v in embedded if u]
-        if not nonzero_shifts:
-            raise BadPrime("psi embeds to 0/0 at the prime")
-        m = min(nonzero_shifts)
-        pf = self.ring.from_fraction
-        self.psi_q = tuple(u * pf(Fraction(self.p) ** (v - m)) if u else u
-                           for u, v in embedded)
-
-    def _embed_integral(self, x: NfElem):
-        u, v = self.pr.embed(x, self.ring.N)
-        if v < 0:
-            raise BadPrime("non-integral coefficient at the prime")
-        return u * self.ring.from_fraction(Fraction(self.p) ** v)
-
-    def _reduce_psi(self, psi: RationalFunctionOnE):
-        coeffs = list(psi.num) + list(psi.den)
-        embedded = [self.pr.embed(c, 8) for c in coeffs]
-        m = min(v for _, v in embedded)
-        out = []
-        for u, v in embedded:
-            k = v - m
-            if k >= 8:
-                out.append(self.fq.zero())
-            else:
-                out.append(self.fq.elem([c * self.p**k % self.p for c in u.coords]))
-        if not any(out):
-            raise BadPrime("psi reduces to 0/0 at the prime")
-        return tuple(out)
+        self.gens_bar = [reduce_point(self.Ebar, g, pr) for g in gens]
+        self.ring, _ = pr.zq(prec)
+        # reduce_curve refused a p in b's denominator, so v >= 0.
+        b, v = pr.embed(curve.b, prec)
+        self.curve_q = WeierstrassCurve(self.ring.zero(), b * self.ring.elem(self.p**v),
+                                        check_smooth=False)
+        self.psi_q = tuple(pr.primitive(psi.num + psi.den, prec))
+        self.psi_bar = tuple(self.fq.elem(c.coords) for c in self.psi_q)
 
     def residue_value(self, P: EcPoint):
         """('inf', None) | ('val', a in F_p) | 'incompatible' | 'undefined'."""
@@ -166,14 +140,7 @@ class PrimeContext:
     def embed_point(self, P: EcPoint) -> "ZqPoint":
         if P.is_zero():
             return self.zero_point()
-        x, y = P.affine()
-        ux, vx = self.pr.embed(x, self.ring.N)
-        uy, vy = self.pr.embed(y, self.ring.N)
-        m = max(0, -vx, -vy)
-        pf = self.ring.from_fraction
-        X = ux * pf(Fraction(self.p) ** (vx + m))
-        Y = uy * pf(Fraction(self.p) ** (vy + m))
-        Z = pf(Fraction(self.p) ** m)
+        X, Y, Z = self.pr.primitive((*P.affine(), self.pr.field.one()), self.ring.N)
         return ZqPoint(self, X, Y, Z, self.ring.N)
 
 
@@ -229,11 +196,7 @@ class ZqPoint:
 
 
 def _tuple_key(points):
-    out = []
-    for P in points:
-        aff = P.affine()
-        out.append("O" if aff is None else (aff[0].coords, aff[1].coords))
-    return tuple(out)
+    return tuple(point_key(P) for P in points)
 
 
 def _tuple_order(imgs, bound):
@@ -303,16 +266,6 @@ class SieveData:
                 raise AssertionError("lattice basis point not in the kernel")
             out.append(per_prime)
         return out
-
-    def class_of(self, nvec) -> tuple:
-        if self.rank == 0:
-            return ()
-        if self.rank == 1:
-            return (nvec[0] % self.o1,)
-        c2 = nvec[1] % self.k2
-        mu = (nvec[1] - c2) // self.k2
-        c1 = (nvec[0] + mu * self.a_rel) % self.o1
-        return (c1, c2)
 
     def iter_classes(self):
         if self.rank == 0:
@@ -407,8 +360,7 @@ class ChabautyRun:
         sd, survivors = residue_sieve(self.contexts, len(self.gens))
         known_by_key = {}
         for nvec, P, val in self.known:
-            key = _tuple_key([reduce_point(ctx.Ebar, self.curve, P, ctx.pr)
-                              for ctx in self.contexts])
+            key = _tuple_key([reduce_point(ctx.Ebar, P, ctx.pr) for ctx in self.contexts])
             known_by_key.setdefault(key, []).append((nvec, P, val))
         for key in known_by_key:
             if not any(info["images_key"] == key for info in survivors.values()):

@@ -15,10 +15,9 @@ from fractions import Fraction
 from itertools import product
 
 from ..arith.numberfield import NfElem
-from ..arith.poly import MPoly
 from ..arith.rationals import rational_cube_root
 from ..arith.roots import nf_nth_root
-from ..descent import build_descent_forms, genus1_quotients, st_map
+from ..descent import build_descent_forms, genus1_quotients, plane_cubic, st_map
 from ..ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass, mat_mul
 from ..ec.reduction import BadPrime, curve_order_fq, primes_above, reduce_curve
 from ..ec.weierstrass import EcPoint, WeierstrassCurve
@@ -89,9 +88,7 @@ def chabauty_setup_for_row(descent_data, mw_data, eq_id: int, row,
 
     # Plane cubic F(u, s, t) = c u^3 - g(s, t) with flex (0 : -theta : 1).
     one = K.one()
-    F = MPoly(3, {(3, 0, 0): c_K})
-    for (i, j), coeff in form_K.terms.items():
-        F = F + MPoly(3, {(0, i, j): -coeff})
+    F = plane_cubic(c_K, form_K)
     flex = (K.zero(), -theta_K, one)
     cubic = PlaneCubicWithFlex(F, flex)
     model = flex_to_weierstrass(cubic)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .arith.numberfield import AlgElem, EtaleAlgebra, NfElem, NumberField
+from .arith.numberfield import AlgElem, EtaleAlgebra, NumberField
 from .arith.poly import MPoly, binary_form_divide
 from .arith.rationals import is_rational_cube, strip_primes
 from .arith.roots import degree_one_character_data, nf_cubic_character
@@ -179,15 +179,6 @@ class CubicFormSystem:
     def curve_forms(self):
         return self.forms[2], self.forms[3]
 
-    def beta_at(self, y) -> AlgElem:
-        y = [Fraction(v) for v in y]
-        coords = [Fraction(0)] * 4
-        A = self.algebra
-        acc = A.zero()
-        for i in range(4):
-            acc = acc + A.gen() ** i * y[i]
-        return acc
-
     def is_on_curve(self, y) -> bool:
         args = tuple(Fraction(v) for v in y)
         return not self.forms[2](args) and not self.forms[3](args)
@@ -241,10 +232,13 @@ class Genus1Quotient:
     form: MPoly           # binary cubic over Q or over the field
     component: int
 
-    def contains(self, u, s, t) -> bool:
-        lhs = self.constant * u * u * u
-        rhs = self.form((s, t))
-        return not (lhs - rhs)
+
+def plane_cubic(c, form: MPoly) -> MPoly:
+    """c u^3 - form(s, t) in the variables (u, s, t): the plane cubic of
+    the quotient c u^3 = form(s, t)."""
+    terms = {(0, i, j): -coeff for (i, j), coeff in form.terms.items()}
+    terms[3, 0, 0] = c
+    return MPoly(3, terms)
 
 
 def genus1_quotients(eq_f: MPoly, C: Fraction, algebra: EtaleAlgebra, delta: AlgElem):

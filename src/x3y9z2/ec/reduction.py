@@ -3,11 +3,15 @@ rational primes, and the m-divisibility sieve on Mordell-Weil generators.
 
 Only the order Z[alpha] is used: primes dividing disc(minpoly) are
 refused, which is all the pipeline needs (11 and 31 pass the check).
+
+A K-vector reaches a prime one way: NfPrime.primitive scales it by one
+power of p into Z_q, with some entry a unit, and F_q is that image mod
+p.  Points (x : y : 1) and the coefficients of the Chabauty function
+psi both go through it, in reduce_point and chabauty.engine.PrimeContext.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from ..arith.localfield import FqField, ZqRing, _fqmul, factor_quartic_mod_p
@@ -51,20 +55,46 @@ class NfPrime:
         return self._fq.from_nf(x)
 
     def embed(self, x: NfElem, prec: int):
-        """(u, v): x = u * p^v with u an integral ZqElem (exact to p^prec)."""
-        ring, root = self.zq(prec)
-        d = x.den
-        acc = ring.zero()
-        for c in reversed(x.num):
-            acc = acc * root + ring.elem(c)
-        vd = valuation(d, self.p)
-        du = d // self.p**vd
-        acc = acc * ring.from_fraction(Fraction(1, du))
+        """(u, v): x = u * p^v with u a unit ZqElem exact to p^prec, or
+        (0, prec) when x is zero modulo p^prec."""
+        ring, _ = self.zq(prec)
+        vd = valuation(x.den, self.p)
+        acc = self._image(x.num, prec + vd)
         vn = acc.valuation()
-        if vn >= ring.N:
-            return ring.zero(), -vd  # zero at precision
-        unit, shift = acc.unit_part()
-        return unit, shift - vd
+        if vn - vd >= prec:
+            return ring.zero(), prec
+        if vn > vd:
+            # The unit of the numerator needs vn more digits, not vd.
+            acc = self._image(x.num, prec + vn)
+        unit = ring.elem(acc.unit_part()[0].coords)
+        return unit * ring.elem(pow(x.den // self.p**vd, -1, ring.mod)), vn - vd
+
+    def _image(self, coords, prec: int):
+        """sum coords[i] alpha^i in Z_q mod p^prec (integer coords)."""
+        ring, root = self.zq(prec)
+        acc = ring.zero()
+        for c in reversed(coords):
+            acc = acc * root + ring.elem(c)
+        return acc
+
+    def primitive(self, vec, prec: int):
+        """vec (K-elements) times the one power of p that makes every
+        entry integral at this prime and some entry a unit, as ZqElems
+        exact to p^prec (an entry that vanishes there is zero).
+        BadPrime when every entry of vec is zero modulo p^prec.  This is
+        the one map of a projective K-vector (a point, a function's
+        coefficients) to Z_q, and mod p to F_q."""
+        embedded = [self.embed(x, prec) for x in vec]
+        shifts = [v for u, v in embedded if u]
+        if not shifts:
+            raise BadPrime(f"vector vanishes at {self}")
+        m = min(shifts)
+        if m > 0:
+            # Dividing by p^m: every entry is needed to p^(prec + m).
+            embedded = [self.embed(x, prec + m) for x in vec]
+        ring, _ = self.zq(prec)
+        return [ring.elem((u * u.ring.elem(self.p ** (v - m))).coords) if u else ring.zero()
+                for u, v in embedded]
 
     def __repr__(self):
         return f"prime({self.p}, deg {self.degree}, {self.factor})"
@@ -84,59 +114,25 @@ def primes_above(field: NumberField, p: int, degree_cap: int = 4):
 
 
 def reduce_curve(curve: WeierstrassCurve, pr: NfPrime) -> WeierstrassCurve:
-    abar = pr.residue(curve.a) if isinstance(curve.a, NfElem) else pr.fq().from_fraction(curve.a)
-    bbar = pr.residue(curve.b) if isinstance(curve.b, NfElem) else pr.fq().from_fraction(curve.b)
-    Ebar = WeierstrassCurve(abar, bbar, check_smooth=False)
+    Ebar = WeierstrassCurve(pr.residue(curve.a), pr.residue(curve.b), check_smooth=False)
     if not Ebar.discriminant():
         raise BadPrime(f"bad reduction at {pr}")
     return Ebar
 
 
-def reduce_point(Ebar: WeierstrassCurve, curve: WeierstrassCurve, point, pr: NfPrime) -> EcPoint:
-    """Reduction is defined for every K-point: coordinates with negative
-    valuation reduce to O after projective rescaling."""
-    if isinstance(point, EcPoint):
-        if point.is_zero():
-            return Ebar.zero()
-        x, y = point.affine()
-    else:
-        x, y = point
-    dx = x.denominator_lcm() if isinstance(x, NfElem) else Fraction(x).denominator
-    dy = y.denominator_lcm() if isinstance(y, NfElem) else Fraction(y).denominator
-    if dx % pr.p and dy % pr.p:
-        fq = pr.fq()
-        xb = pr.residue(x) if isinstance(x, NfElem) else fq.from_fraction(x)
-        yb = pr.residue(y) if isinstance(y, NfElem) else fq.from_fraction(y)
-        P = EcPoint(Ebar, xb, yb, fq.one())
-        if not P.on_curve():
-            raise BadPrime("reduced point not on reduced curve")
-        return P
-    # Negative valuation: embed p-adically and rescale projectively.
-    prec = 12
-    field = pr.field
-    xe = x if isinstance(x, NfElem) else field(Fraction(x))
-    ye = y if isinstance(y, NfElem) else field(Fraction(y))
-    ux, vx = pr.embed(xe, prec)
-    uy, vy = pr.embed(ye, prec)
-    m = max(0, -vx, -vy)
-    ring, _ = pr.zq(prec)
+def reduce_point(Ebar: WeierstrassCurve, P: EcPoint, pr: NfPrime) -> EcPoint:
+    """Reduction is defined for every K-point: (x : y : 1) is made
+    primitive at the prime, so a coordinate of negative valuation
+    reduces to a point with Z = 0 (that is, to O).  primitive is exact,
+    so precision p^1 gives the residues."""
+    if P.is_zero():
+        return Ebar.zero()
     fq = pr.fq()
-    pm = pr.p**m
-
-    def scaled(u, v):
-        k = v + m
-        if k >= prec:
-            return fq.zero()
-        co = [c * pr.p**k % pr.p for c in u.coords]
-        return fq.elem(co)
-
-    Xb, Yb, Zb = scaled(ux, vx), scaled(uy, vy), fq.elem(pm % pr.p if m == 0 else 0)
-    if m == 0:
-        Zb = fq.one()
-    P = EcPoint(Ebar, Xb, Yb, Zb)
-    if not P.on_curve():
+    X, Y, Z = (fq.elem(c.coords) for c in pr.primitive((*P.affine(), pr.field.one()), 1))
+    Pbar = EcPoint(Ebar, X, Y, Z)
+    if not Pbar.on_curve():
         raise BadPrime("reduced point not on reduced curve")
-    return P
+    return Pbar
 
 
 def curve_order_fq(Ebar: WeierstrassCurve) -> int:
@@ -224,7 +220,7 @@ def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs)
     r = len(points)
     survivors = [e for e in product(range(m), repeat=r) if any(e)]
     used = []
-    field = curve.a.parent if isinstance(curve.a, NfElem) else curve.b.parent
+    field = curve.b.parent
     for (p, idx, *order) in prime_specs:
         if not survivors:
             break
@@ -234,7 +230,7 @@ def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs)
                 continue
             pr = prs[idx]
             Ebar = reduce_curve(curve, pr)
-            red = [reduce_point(Ebar, curve, P, pr) for P in points]
+            red = [reduce_point(Ebar, P, pr) for P in points]
         except BadPrime:
             continue
         in_mE = _multiple_test(Ebar, m, order[0] if order else curve_order_fq(Ebar))
@@ -258,11 +254,12 @@ def _multiple_test(Ebar: WeierstrassCurve, m: int, N: int):
     otherwise the multiples of m are enumerated."""
     if N % m == 0 and gcd(m, N // m) == 1:
         return lambda S: ((N // m) * S).is_zero()
-    mult_set = {_pt_key(m * Q) for Q in all_points_fq(Ebar)}
-    return lambda S: _pt_key(S) in mult_set
+    mult_set = {point_key(m * Q) for Q in all_points_fq(Ebar)}
+    return lambda S: point_key(S) in mult_set
 
 
-def _pt_key(P: EcPoint):
+def point_key(P: EcPoint):
+    """A hashable key for a point over F_q: "O" or its affine coordinates."""
     aff = P.affine()
     if aff is None:
         return "O"

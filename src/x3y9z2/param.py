@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith.poly import MPoly
-from .arith.rationals import icbrt, strip_primes, valuation
+from .arith.rationals import icbrt, valuation
 
 
 class STValue:
@@ -138,31 +138,9 @@ _EQUATIONS = {
 }
 
 
-def six_equations():
-    """(id, rhs polynomial, unit constant, primitive quartic) for the six
-    equations y^3 = f(s,t) the problem reduces to."""
-    out = []
-    for eq_id in range(1, 7):
-        unit, form = _EQUATIONS[eq_id]
-        out.append((eq_id, form * unit, unit, form))
-    return out
-
-
 def equation_rhs(eq_id: int) -> MPoly:
     unit, form = _EQUATIONS[eq_id]
     return form * unit
-
-
-def eq5_eq6_transfer(s, t, y):
-    """The bijection (s,t,y) -> (-t/2, s/4, y/4) between solutions of
-    equation 5 and equation 6; induced map on s/t is v -> -2/v."""
-    s, t, y = Fraction(s), Fraction(t), Fraction(y)
-    return (-t / 2, s / 4, y / 4)
-
-
-def eq5_eq6_transfer_inverse(s2, t2, y2):
-    s2, t2, y2 = Fraction(s2), Fraction(t2), Fraction(y2)
-    return (4 * t2, -2 * s2, 4 * y2)
 
 
 def transfer_st_value(v: STValue) -> STValue:
@@ -172,42 +150,6 @@ def transfer_st_value(v: STValue) -> STValue:
     if v.num == 0:
         return INF
     return STValue(Fraction(-2) / v.as_fraction())
-
-
-def is_S_primitive(values, S) -> bool:
-    """True iff no prime outside S divides all values (as Z_S ideals).
-
-    Values must be integral outside S (denominators only contain primes
-    of S); the zero tuple is not primitive.
-    """
-    S = set(S)
-    stripped = []
-    for v in values:
-        v = Fraction(v)
-        d = v.denominator
-        for p in S:
-            while d % p == 0:
-                d //= p
-        if d != 1:
-            raise ValueError(f"{v} is not integral outside {sorted(S)}")
-        if v != 0:
-            stripped.append(strip_primes(v.numerator, S))
-    if not stripped:
-        return False
-    g = 0
-    for n in stripped:
-        g = gcd(g, n)
-    return g == 1
-
-
-def weighted_rescale(s, t, y, lam):
-    """(s, t, y) -> (lam^3 s, lam^3 t, lam^4 y); preserves y^3 = f(s,t)
-    for quartic f and fixes s/t."""
-    lam = Fraction(lam)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
-    s, t, y = Fraction(s), Fraction(t), Fraction(y)
-    return (lam**3 * s, lam**3 * t, lam**4 * y)
 
 
 @dataclass(frozen=True, order=True)

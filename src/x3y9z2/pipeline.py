@@ -28,7 +28,7 @@ from .descent import build_descent_forms, cubic_norm_filter, enumerate_delta
 from .local import ProjectiveSystem, is_locally_soluble
 from .param import (STValue, SolutionTriple, lift_to_ninth, mordell_families,
                     transfer_st_value)
-from .verify import (Claim, quotient_torsion, verify_chabauty_claims,
+from .verify import (Claim, quotient_torsion, rank0_sides, verify_chabauty_claims,
                      verify_mw_table, verify_parametrizations,
                      verify_quartic_table, verify_quotient_claims,
                      verify_rank_table_constants, verify_value_sets)
@@ -93,11 +93,7 @@ def run_eq5_stage(max_depth=12):
     values = set()
     per_row_values = []
     for k, row in enumerate(rows, start=1):
-        sides = []
-        if row["rk1"] == 0:
-            sides.append(("E1", Fraction(row["c1"])))
-        if row["rk2"] == 0:
-            sides.append(("E2", Fraction(row["c2"])))
+        sides = rank0_sides(row)
         if not sides:
             raise PipelineError(f"rank-table row {k} has no rank-0 side")
         row_vals = None

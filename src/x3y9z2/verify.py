@@ -14,7 +14,7 @@ from math import gcd
 
 from .arith.poly import MPoly
 from .dataio import load_descent_data, load_mw_data, load_tables, nf, quartic_field
-from .descent import genus1_quotients
+from .descent import genus1_quotients, plane_cubic
 from .ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass
 from .ec.torsion import integralize_curve, torsion_over_Q
 from .ec.weierstrass import WeierstrassCurve
@@ -65,9 +65,7 @@ def _quotient_forms(dd):
 
 def _quotient_curve(form: MPoly, c: Fraction):
     """Plane cubic c u^3 = form(s, t) with its rational u=0 flex."""
-    F = MPoly(3, {(3, 0, 0): Fraction(c)})
-    for (i, j), coeff in form.terms.items():
-        F = F + MPoly(3, {(0, i, j): -coeff})
+    F = plane_cubic(Fraction(c), form)
     # A rational root of the binary cubic gives the flex on the u = 0 line;
     # form(s, 1) as a univariate in s:
     from .arith.poly import UPoly
@@ -183,7 +181,7 @@ def verify_quotient_claims():
                     note="printed representative is not on the curve/torsion",
                 ))
     # No-torsion scope: every other constant on a rank-0 side.
-    scoped = _rank0_constants()
+    scoped = {side for row in tables["rank_table"]["rows"] for side in rank0_sides(row)}
     claimed = {("E1", Fraction(1)), ("E1", Fraction(2)),
                ("E2", Fraction(3)), ("E2", Fraction(6))}
     for side, c in sorted(scoped, key=lambda x: (x[0], x[1])):
@@ -218,16 +216,10 @@ def _form_str(form: MPoly) -> str:
     return out
 
 
-def _rank0_constants():
-    """(side, c) pairs actually used at rank 0 in the rank table."""
-    tables = load_tables()
-    out = set()
-    for row in tables["rank_table"]["rows"]:
-        if row["rk1"] == 0:
-            out.add(("E1", Fraction(row["c1"])))
-        if row["rk2"] == 0:
-            out.add(("E2", Fraction(row["c2"])))
-    return out
+def rank0_sides(row):
+    """[(side, c)] for the quotients of a rank-table row that have rank 0."""
+    return [(side, Fraction(row[f"c{k}"])) for k, side in ((1, "E1"), (2, "E2"))
+            if row[f"rk{k}"] == 0]
 
 
 # -- rank table (Table 1): constants and class matching ---------------------

@@ -4,8 +4,6 @@ from importlib import resources
 
 import pytest
 
-from x3y9z2.arith.numberfield import NumberField
-from x3y9z2.arith.poly import UPoly
 from x3y9z2.dataio import load_descent_data, load_mw_data, load_tables, quartic_field
 
 

@@ -12,10 +12,10 @@ from nf_reference import (minimal_polynomial, norm_resultant, ref_mul, ref_norm,
                           ref_power_table)
 
 from x3y9z2.arith import (
-    AlgElem, EtaleAlgebra, NfElem, NumberField, ZeroDivisorError, factor_deg_le4,
+    EtaleAlgebra, NumberField, ZeroDivisorError, factor_deg_le4,
 )
 from x3y9z2.arith.localfield import FqField, ZqElem, ZqRing, quartic_is_irreducible_mod_p
-from x3y9z2.arith.poly import MPoly, UPoly
+from x3y9z2.arith.poly import UPoly
 from x3y9z2.arith.rationals import rational_reconstruct, valuation
 from x3y9z2.arith.roots import (_residue_nth_roots, degree_one_character_data,
                                 nf_cubic_character, nf_nth_root, small_primes)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from x3y9z2.arith.localfield import ZqRing
-from x3y9z2.chabauty.engine import ChabautyRun, RationalFunctionOnE, rational_st_values, residue_sieve
+from x3y9z2.chabauty.engine import ChabautyRun, rational_st_values, residue_sieve
 from x3y9z2.chabauty.series import PrecisionTooLow, formal_log
 from x3y9z2.chabauty.setup import chabauty_setup_for_row, find_primitive_solution
 from x3y9z2.ec.reduction import primes_above
@@ -89,14 +89,17 @@ class TestSieve:
         run = ChabautyRun(setup_eq1_row0.curve, setup_eq1_row0.psi,
                           setup_eq1_row0.gens, setup_eq1_row0.known_points, 11)
         _, all_p = residue_sieve(run.contexts, 2)
-        _, one_p = residue_sieve(run.contexts[:1], 2)
-        keys_all = set()
-        for cls, info in all_p.items():
-            keys_all.add(cls)
-        # recompute class labels in the coarser lattice for comparison
-        sd_one = residue_sieve(run.contexts[:1], 2)[0]
-        coarse = {sd_one.class_of(cls) for cls in keys_all}
-        assert coarse <= set(one_p.keys())
+        sd_one, one_p = residue_sieve(run.contexts[:1], 2)
+
+        def class_of(sd, nvec):
+            """The rank-2 class (c1, c2) of nvec in the lattice basis
+            (o1, 0), (-a, k2) of sd."""
+            c2 = nvec[1] % sd.k2
+            mu = (nvec[1] - c2) // sd.k2
+            return ((nvec[0] + mu * sd.a_rel) % sd.o1, c2)
+
+        # class labels recomputed in the coarser lattice for comparison
+        assert {class_of(sd_one, cls) for cls in all_p} <= set(one_p)
 
     def test_rank_zero_and_empty_values(self, setup_eq1_row0):
         outcome = rational_st_values(setup_eq1_row0.curve, setup_eq1_row0.psi,

@@ -1,5 +1,6 @@
 """Curve arithmetic, flex models, torsion, reduction and sieves."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -152,7 +153,7 @@ class TestReduction:
         pr = next(p for p in prs if p.degree == 1 and p.factor == [8, 1])  # alpha -> 3
         Ebar = reduce_curve(E, pr)
         assert curve_order_fq(Ebar) == 12
-        Pbar = reduce_point(Ebar, E, g1, pr)
+        Pbar = reduce_point(Ebar, g1, pr)
         order = next(d for d in range(1, 13) if (d * Pbar).is_zero())
         assert order == 12
 
@@ -161,8 +162,8 @@ class TestReduction:
         g1, g2 = mw_data.points(1)
         pr = primes_above(K, 11)[0]
         Ebar = reduce_curve(E, pr)
-        r1 = reduce_point(Ebar, E, g1, pr)
-        r2 = reduce_point(Ebar, E, g2, pr)
+        r1 = reduce_point(Ebar, g1, pr)
+        r2 = reduce_point(Ebar, g2, pr)
         combos = {}
         for a in range(-4, 5):
             for b in range(-4, 5):
@@ -170,9 +171,9 @@ class TestReduction:
         for _ in range(200):
             a1, b1 = rng.randint(-2, 2), rng.randint(-2, 2)
             a2, b2 = rng.randint(-2, 2), rng.randint(-2, 2)
-            lhs = reduce_point(Ebar, E, combos[(a1 + a2, b1 + b2)], pr)
-            rhs = reduce_point(Ebar, E, combos[(a1, b1)], pr) + \
-                reduce_point(Ebar, E, combos[(a2, b2)], pr)
+            lhs = reduce_point(Ebar, combos[(a1 + a2, b1 + b2)], pr)
+            rhs = reduce_point(Ebar, combos[(a1, b1)], pr) + \
+                reduce_point(Ebar, combos[(a2, b2)], pr)
             assert lhs == rhs
 
     def test_kernel_point_reduces_to_zero(self, mw_data, K):
@@ -181,7 +182,91 @@ class TestReduction:
         pr = next(p for p in primes_above(K, 11) if p.degree == 1)
         Ebar = reduce_curve(E, pr)
         V = 12 * g1
-        assert reduce_point(Ebar, E, V, pr).is_zero()
+        assert reduce_point(Ebar, V, pr).is_zero()
+
+
+# Every prime of K above 11 (residue degrees 1, 1, 2) and 31 (2, 2).
+PRIMES = [(11, 0), (11, 1), (11, 2), (31, 0), (31, 1)]
+
+
+class TestPrimitive:
+    """NfPrime.primitive, the one map of a K-vector to a prime, against
+    NfPrime.embed at a higher precision."""
+
+    @pytest.mark.parametrize("prec", [1, 12])
+    @pytest.mark.parametrize("p, idx", PRIMES)
+    def test_scales_by_one_power_of_p(self, K, p, idx, prec):
+        pr = primes_above(K, p)[idx]
+        high = prec + 30
+        # pi = h(alpha), h the factor of the minimal polynomial, lies in
+        # the prime; the denominators include p and p^2, so an entry
+        # pi^(prec+1) * x can have a numerator that vanishes mod p^prec
+        # and a valuation below prec.
+        pi = K(pr.factor + [0] * (4 - len(pr.factor)))
+        rng = random.Random(f"primitive/{p}/{idx}/{prec}")
+
+        def entry():
+            if rng.random() < 0.2:
+                return K.zero()
+            x = K([F(rng.randint(-30, 30), rng.choice([1, 2, 7, p, p * p, 6 * p]))
+                   for _ in range(4)])
+            return x * pi ** rng.choice([0, 1, 2, prec + 1]) * p ** rng.randint(0, 2)
+
+        checked = refused = 0
+        for _ in range(60):
+            k = rng.choice([0, 0, 2])   # a common p^2: every entry divisible by p
+            vec = [entry() * p**k for _ in range(rng.choice([3, 6]))]
+            embedded = [pr.embed(x, high) for x in vec]
+            ring = pr.zq(prec)[0]
+            # embed: a unit exact to p^prec, or zero when x is 0 mod p^prec.
+            assert [pr.embed(x, prec) for x in vec] == [
+                (ring.elem(u.coords), v) if v < prec else (ring.zero(), prec)
+                for u, v in embedded]
+            m = min(v for u, v in embedded)   # a zero entry has v = high
+            if m >= prec:
+                with pytest.raises(BadPrime):
+                    pr.primitive(vec, prec)
+                refused += 1
+                continue
+            out = pr.primitive(vec, prec)
+            assert len(out) == len(vec) and all(u.ring is ring for u in out)
+            assert min(u.valuation() for u in out) == 0
+            assert all(not u for u, x in zip(out, vec) if not x)
+            # out = p^-m vec exactly: the higher-precision embedding,
+            # scaled by the same power of p, agrees mod p^prec.
+            scale = pr.zq(high)[0].elem
+            assert out == [ring.elem((u * scale(p ** (v - m)) if u else u).coords)
+                           for u, v in embedded]
+            checked += 1
+        assert checked >= 30 and refused >= 1 and checked + refused == 60
+
+    @pytest.mark.parametrize("p, idx", PRIMES)
+    def test_zero_vector_refused(self, K, p, idx):
+        pr = primes_above(K, p)[idx]
+        with pytest.raises(BadPrime):
+            pr.primitive([K.zero(), K.zero(), K.zero()], 12)
+
+    @pytest.mark.parametrize("p, idx", PRIMES)
+    def test_reduce_point_is_the_residue_away_from_p(self, mw_data, K, p, idx):
+        """For a point whose coordinates have denominators prime to p,
+        the reduction is (x mod the prime : y mod the prime : 1)."""
+        E = mw_data.curve(1)
+        g1, g2 = mw_data.points(1)
+        pr = primes_above(K, p)[idx]
+        Ebar = reduce_curve(E, pr)
+        checked = 0
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                P = a * g1 + b * g2
+                if P.is_zero():
+                    continue
+                x, y = P.affine()
+                if x.den % p == 0 or y.den % p == 0:
+                    continue
+                oracle = EcPoint(Ebar, pr.residue(x), pr.residue(y), pr.fq().one())
+                assert reduce_point(Ebar, P, pr) == oracle
+                checked += 1
+        assert checked >= 20
 
 
 class TestSieve:
@@ -219,7 +304,7 @@ class TestSieve:
                 N = curve_order_fq(Ebar)
                 if N % 3 or (N // 3) % 3 == 0:
                     continue
-                triple = [reduce_point(Ebar, E, P, pr) for P in points]
+                triple = [reduce_point(Ebar, P, pr) for P in points]
                 mult = {3 * Q for Q in all_points_fq(Ebar)}
                 expected = [e for e in product(range(3), repeat=3) if any(e)
                             and sum((k * P for k, P in zip(e, triple)), Ebar.zero()) in mult]

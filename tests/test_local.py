@@ -10,8 +10,8 @@ import pytest
 
 from x3y9z2.arith.poly import MPoly
 from x3y9z2.descent import build_descent_forms, cubic_norm_filter, enumerate_delta
-from x3y9z2.local import (NodeBudgetExceeded, ProjectiveSystem, Undecided,
-                          enumerate_points_mod_p, is_locally_soluble)
+from x3y9z2.local import (NodeBudgetExceeded, ProjectiveSystem, enumerate_points_mod_p,
+                          is_locally_soluble)
 
 
 def brute_points_mod_p(system, p):

