@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
 
 from ..arith.numberfield import NumberField
 from ..arith.rationals import valuation
-from ..ec.reduction import (BadPrime, NfPrime, curve_order_fq, point_key, primes_above,
-                            reduce_curve, reduce_point)
+from ..ec.reduction import (BadPrime, NfPrime, curve_order_fq, primes_above, reduce_curve,
+                            reduce_point)
 from ..ec.weierstrass import EcPoint, WeierstrassCurve, _complete_add
 from ..param import STValue
 from .series import PrecisionTooLow
@@ -84,13 +83,12 @@ class PrimeContext:
     Every projective K-vector reaches the prime through pr.primitive:
     the generators as (x : y : 1) over Z_q and F_q, and psi's six
     coefficients [num : den], whose scale is free, as psi_q over Z_q
-    and psi_bar = psi_q mod p over F_q."""
+    and psi_bar = psi_q mod p, coordinate tuples over F_q."""
 
     def __init__(self, pr: NfPrime, curve: WeierstrassCurve,
                  psi: RationalFunctionOnE, gens, prec: int):
         self.pr = pr
         self.p = pr.p
-        self.fq = pr.fq()
         self.Ebar = reduce_curve(curve, pr)
         self.order = curve_order_at(curve, pr, self.Ebar)
         self.gens = gens
@@ -101,24 +99,20 @@ class PrimeContext:
         self.curve_q = WeierstrassCurve(self.ring.zero(), b * self.ring.elem(self.p**v),
                                         check_smooth=False)
         self.psi_q = tuple(pr.primitive(psi.num + psi.den, prec))
-        self.psi_bar = tuple(self.fq.elem(c.coords) for c in self.psi_q)
+        self.psi_bar = tuple(tuple(c % self.p for c in u.coords) for u in self.psi_q)
 
-    def residue_value(self, P: EcPoint):
-        """('inf', None) | ('val', a in F_p) | 'incompatible' | 'undefined'."""
-        n0, n1, n2, d0, d1, d2 = self.psi_bar
-        num = n0 * P.Z + n1 * P.X + n2 * P.Y
-        den = d0 * P.Z + d1 * P.X + d2 * P.Y
-        if not num and not den:
-            return "undefined"
-        if self.fq.d > 1:
-            if num**self.p * den != den**self.p * num:
-                return "incompatible"
-        if not den:
-            return ("inf", None)
-        ratio = den.inverse() * num
-        if any(ratio.coords[1:]):
+    def residue_value(self, P):
+        """('inf', None) | ('val', a in F_p) | 'incompatible' | 'undefined'
+        for psi_bar at P in E(F_q); a finite value is in F_p iff coords[1:] vanish."""
+        E = self.Ebar
+        num = E.linear_form(self.psi_bar[:3], P)
+        den = E.linear_form(self.psi_bar[3:], P)
+        if not any(den):
+            return ("inf", None) if any(num) else "undefined"
+        ratio = E.fmul(num, E.finv(den))
+        if any(ratio[1:]):
             return "incompatible"
-        return ("val", ratio.coords[0])
+        return ("val", ratio[0])
 
     def zero_point(self) -> "ZqPoint":
         ring = self.ring
@@ -195,63 +189,37 @@ class ZqPoint:
 # -- residue classes of the generator lattice -------------------------------
 
 
-def _tuple_key(points):
-    return tuple(point_key(P) for P in points)
-
-
-def _tuple_order(imgs, bound):
-    out = 1
-    for P in imgs:
-        acc = P
-        order = None
-        for d in range(1, bound + 1):
-            if acc.is_zero():
-                order = d
-                break
-            acc = acc + P
-        out = out * order // gcd(out, order)
-    return out
-
-
 class SieveData:
-    """Z^r modulo the kernel of simultaneous reduction at the primes."""
+    """Z^r modulo the kernel of simultaneous reduction at the primes; a
+    class's images (one point of E(F_q) per prime) are a tuple and a key."""
 
     def __init__(self, contexts, rank):
         self.contexts = contexts
         self.rank = rank
-        self.gens_imgs = [[ctx.gens_bar[i] for ctx in contexts] for i in range(rank)]
-        self.zeros = [ctx.Ebar.zero() for ctx in contexts]
-        bound = 1
-        for ctx in contexts:
-            bound = bound * ctx.order // gcd(bound, ctx.order)
-        if rank == 0:
-            self.o1, self.k2, self.a_rel = 1, 1, 0
-            self.basis = []
-        elif rank == 1:
-            self.o1 = _tuple_order(self.gens_imgs[0], bound)
-            self.k2, self.a_rel = 1, 0
-            self.basis = [(self.o1,)]
-        elif rank == 2:
-            self.o1 = _tuple_order(self.gens_imgs[0], bound)
-            seen = {}
-            T = self.zeros
-            for j in range(self.o1):
-                seen[_tuple_key(T)] = j
-                T = [A + B for A, B in zip(T, self.gens_imgs[0])]
-            T = [A + B for A, B in zip(self.zeros, self.gens_imgs[1])]
-            k2 = a = None
-            for k in range(1, bound + 1):
-                key = _tuple_key(T)
-                if key in seen:
-                    k2, a = k, seen[key]
-                    break
-                T = [A + B for A, B in zip(T, self.gens_imgs[1])]
-            if k2 is None:
-                raise AssertionError("no relation for the second generator")
-            self.k2, self.a_rel = k2, a
-            self.basis = [(self.o1, 0), (-a, k2)]
-        else:
+        self.curves = [ctx.Ebar for ctx in contexts]
+        self.gens_imgs = [tuple(ctx.gens_bar[i] for ctx in contexts) for i in range(rank)]
+        self.zeros = (None,) * len(contexts)
+        if rank > 2:
             raise RankConditionViolated("only rank <= 2 lattices are handled")
+        # o1: the order of g1's images; k2: the least k with k g2 = a g1.
+        self.o1, self.k2, self.a_rel, self.basis = 1, 1, 0, []
+        if rank:
+            seen, T = {}, self.zeros
+            while T not in seen:
+                seen[T] = len(seen)
+                T = self.step(T, 0)
+            self.o1 = len(seen)
+            self.basis = [(self.o1,)]
+        if rank == 2:
+            T, self.k2 = self.gens_imgs[1], 1
+            while T not in seen:
+                T, self.k2 = self.step(T, 1), self.k2 + 1
+            self.a_rel = seen[T]
+            self.basis = [(self.o1, 0), (-self.a_rel, self.k2)]
+
+    def step(self, T, i):
+        """The images T plus generator i, at every prime."""
+        return tuple(E.add(A, B) for E, A, B in zip(self.curves, T, self.gens_imgs[i]))
 
     def n_classes(self) -> int:
         return self.o1 * self.k2
@@ -268,22 +236,14 @@ class SieveData:
         return out
 
     def iter_classes(self):
-        if self.rank == 0:
-            yield (), list(self.zeros)
-            return
-        if self.rank == 1:
-            T = list(self.zeros)
-            for c1 in range(self.o1):
-                yield (c1,), T
-                T = [A + B for A, B in zip(T, self.gens_imgs[0])]
-            return
-        T2 = list(self.zeros)
+        """(class, images): the class is (c1, c2)[:rank], c1 < o1, c2 < k2."""
+        T2 = self.zeros
         for c2 in range(self.k2):
-            T = list(T2)
+            T = T2
             for c1 in range(self.o1):
-                yield (c1, c2), T
-                T = [A + B for A, B in zip(T, self.gens_imgs[0])]
-            T2 = [A + B for A, B in zip(T2, self.gens_imgs[1])]
+                yield (c1, c2)[:self.rank], T
+                T = self.step(T, 0) if self.rank else T
+            T2 = self.step(T2, 1) if self.rank == 2 else T2
 
 
 def residue_sieve(contexts, rank):
@@ -303,11 +263,11 @@ def residue_sieve(contexts, rank):
         if verdict == "killed":
             continue
         if "undefined" in vals:
-            survivors[cls] = {"images_key": _tuple_key(imgs), "residue_value": "undefined"}
+            survivors[cls] = {"images_key": imgs, "residue_value": "undefined"}
             continue
         if any(v != vals[0] for v in vals[1:]):
             continue
-        survivors[cls] = {"images_key": _tuple_key(imgs), "residue_value": vals[0]}
+        survivors[cls] = {"images_key": imgs, "residue_value": vals[0]}
     return sd, survivors
 
 
@@ -360,7 +320,7 @@ class ChabautyRun:
         sd, survivors = residue_sieve(self.contexts, len(self.gens))
         known_by_key = {}
         for nvec, P, val in self.known:
-            key = _tuple_key([reduce_point(ctx.Ebar, P, ctx.pr) for ctx in self.contexts])
+            key = tuple(reduce_point(ctx.Ebar, P, ctx.pr) for ctx in self.contexts)
             known_by_key.setdefault(key, []).append((nvec, P, val))
         for key in known_by_key:
             if not any(info["images_key"] == key for info in survivors.values()):
@@ -381,7 +341,7 @@ class ChabautyRun:
             "n_survivors": len(survivors),
             "lattice_basis": [list(b) for b in sd.basis],
             "local_orders": [ctx.order for ctx in self.contexts],
-            "residue_degrees": [ctx.fq.d for ctx in self.contexts],
+            "residue_degrees": [ctx.pr.degree for ctx in self.contexts],
         }
         return all_closed, {"summary": summary, "classes": certs}
 

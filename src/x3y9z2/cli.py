@@ -13,8 +13,9 @@ import sys
 
 from . import __version__
 from .arith.rationals import factorize
-from .dataio import load_descent_data, load_mw_data, load_tables, set_data_dir
+from .dataio import load_descent_data, load_mw_data, load_tables, quartic_field, set_data_dir
 from .descent import build_descent_forms, cubic_norm_filter, enumerate_delta
+from .ec.reduction import largest_residue_field
 from .local import ProjectiveSystem, Undecided, is_locally_soluble
 from .param import lift_to_ninth, mordell_families
 from .pipeline import brute_search, report_to_json, run_pipeline, signed_triples
@@ -195,15 +196,28 @@ def cmd_pipeline_run(args):
     return 0
 
 
+DEFAULT_PRIMES = (11, 31)
+
+
 def _primes(text):
-    """--primes: comma-separated primes, e.g. 11,31."""
+    """--primes: comma-separated primes, e.g. 11,31.  Each prime of K
+    above an entry must have a residue field no larger than the largest
+    that the default primes reach; the point counts and the bound on the
+    residue sieve's class count grow with that field."""
     try:
         primes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    K = quartic_field()
+    cap = max(largest_residue_field(K, p) for p in DEFAULT_PRIMES)
     for p in primes:
         if p < 2 or factorize(p) != {p: 1}:
             raise argparse.ArgumentTypeError(f"{p} is not a prime")
+        q = largest_residue_field(K, p)
+        if q > cap:
+            raise argparse.ArgumentTypeError(
+                f"a prime of K above {p} has a residue field of q = {q} elements, "
+                f"more than the {cap} that the default primes reach")
     return primes
 
 
@@ -267,13 +281,13 @@ def build_parser():
     cr = csub.add_parser("run")
     cr.add_argument("--eq", type=int, choices=(1, 2), required=True)
     cr.add_argument("--delta", type=int, required=True, help="row index in the class table")
-    cr.add_argument("--primes", type=_primes, default=(11, 31))
+    cr.add_argument("--primes", type=_primes, default=DEFAULT_PRIMES)
     cr.set_defaults(func=cmd_chabauty_run)
 
     pp = sub.add_parser("pipeline", help="the full reproduction")
     ppsub = pp.add_subparsers(dest="subcommand", required=True)
     pr = ppsub.add_parser("run")
-    pr.add_argument("--primes", type=_primes, default=(11, 31))
+    pr.add_argument("--primes", type=_primes, default=DEFAULT_PRIMES)
     pr.add_argument("--y-bound", type=int, default=3)
     pr.add_argument("--aux-bound", type=int, default=10_000)
     pr.set_defaults(func=cmd_pipeline_run)

@@ -8,13 +8,18 @@ A K-vector reaches a prime one way: NfPrime.primitive scales it by one
 power of p into Z_q, with some entry a unit, and F_q is that image mod
 p.  Points (x : y : 1) and the coefficients of the Chabauty function
 psi both go through it, in reduce_point and chabauty.engine.PrimeContext.
+
+A reduced curve is an FqCurve, whose group law runs on coordinate tuples:
+a point over F_q is None (O) or an affine pair (x, y), its own dict key.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
 from math import gcd
 
-from ..arith.localfield import FqField, ZqRing, _fqmul, factor_quartic_mod_p
+from ..arith.localfield import FqField, ZqRing, _fqmul, _fqpow, factor_quartic_mod_p
 from ..arith.numberfield import NfElem, NumberField
 from ..arith.rationals import valuation
 from .weierstrass import EcPoint, WeierstrassCurve
@@ -113,29 +118,107 @@ def primes_above(field: NumberField, p: int, degree_cap: int = 4):
     return [NfPrime(field, p, fac, i) for i, (fac, m) in enumerate(factors)]
 
 
-def reduce_curve(curve: WeierstrassCurve, pr: NfPrime) -> WeierstrassCurve:
-    Ebar = WeierstrassCurve(pr.residue(curve.a), pr.residue(curve.b), check_smooth=False)
-    if not Ebar.discriminant():
+def largest_residue_field(field: NumberField, p: int) -> int:
+    """q of the largest residue field above p: p^k for the least k with
+    x^(p^k) = x mod the defining quartic (k is the lcm of the residue
+    degrees, for a quartic the largest), with no factoring; p^4 if p ramifies."""
+    f = field.minpoly.integer_coeffs()
+    x = y = (0, 1, 0, 0)
+    for k in (1, 2, 3):
+        y = _fqpow(y, p, f, p)
+        if y == x:
+            return p**k
+    return p**4
+
+
+class FqCurve:
+    """y^2 = x^3 + a x + b over F_q = F_p[w]/(h), a and b coordinate
+    tuples; the product is _fqmul and the inverse is u^(q - 2)."""
+
+    def __init__(self, fq: FqField, a, b):
+        self.fq, self.p, self.a, self.b = fq, fq.p, tuple(a), tuple(b)
+
+    def fmul(self, u, v):
+        return _fqmul(u, v, self.fq.h, self.p)
+
+    def finv(self, u):
+        return _fqpow(u, self.fq.q - 2, self.fq.h, self.p)
+
+    def rhs(self, x):
+        """x^3 + a x + b."""
+        fmul = self.fmul
+        return tuple(sum(t) % self.p for t in zip(fmul(fmul(x, x), x), fmul(self.a, x), self.b))
+
+    def on_curve(self, P) -> bool:
+        return P is None or self.fmul(P[1], P[1]) == self.rhs(P[0])
+
+    def neg(self, P):
+        return None if P is None else (P[0], tuple(-c % self.p for c in P[1]))
+
+    def add(self, P, Q):
+        """P + Q by the chord-tangent rule."""
+        if P is None or Q is None:
+            return Q if P is None else P
+        (x1, y1), (x2, y2), p, fmul = P, Q, self.p, self.fmul
+        if x1 == x2:
+            if y1 != y2 or not any(y1):
+                return None
+            num = tuple((3 * s + c) % p for s, c in zip(fmul(x1, x1), self.a))
+            lam = fmul(num, self.finv(tuple(2 * c % p for c in y1)))
+        else:
+            lam = fmul(_fsub(y2, y1, p), self.finv(_fsub(x2, x1, p)))
+        x3 = tuple((s - t - u) % p for s, t, u in zip(fmul(lam, lam), x1, x2))
+        return x3, _fsub(fmul(lam, _fsub(x1, x3, p)), y1, p)
+
+    def mul(self, n: int, P):
+        """n P, doubling and adding from the top bit down."""
+        if n < 0:
+            n, P = -n, self.neg(P)
+        acc = None
+        for bit in bin(n)[2:]:
+            acc = self.add(acc, acc)
+            if bit == "1":
+                acc = self.add(acc, P)
+        return acc
+
+    def linear_form(self, c, P):
+        """c0 Z + c1 X + c2 Y at P, with O = (0 : 1 : 0)."""
+        if P is None:
+            return c[2]
+        fmul = self.fmul
+        return tuple(sum(t) % self.p for t in zip(c[0], fmul(c[1], P[0]), fmul(c[2], P[1])))
+
+
+def _fsub(u, v, p):
+    return tuple((s - t) % p for s, t in zip(u, v))
+
+
+def reduce_curve(curve: WeierstrassCurve, pr: NfPrime) -> FqCurve:
+    a, b = pr.residue(curve.a), pr.residue(curve.b)
+    if not -16 * (4 * a * a * a + 27 * b * b):
         raise BadPrime(f"bad reduction at {pr}")
-    return Ebar
+    return FqCurve(pr.fq(), a.coords, b.coords)
 
 
-def reduce_point(Ebar: WeierstrassCurve, P: EcPoint, pr: NfPrime) -> EcPoint:
+def reduce_point(Ebar: FqCurve, P: EcPoint, pr: NfPrime):
     """Reduction is defined for every K-point: (x : y : 1) is made
     primitive at the prime, so a coordinate of negative valuation
     reduces to a point with Z = 0 (that is, to O).  primitive is exact,
     so precision p^1 gives the residues."""
     if P.is_zero():
-        return Ebar.zero()
-    fq = pr.fq()
-    X, Y, Z = (fq.elem(c.coords) for c in pr.primitive((*P.affine(), pr.field.one()), 1))
-    Pbar = EcPoint(Ebar, X, Y, Z)
-    if not Pbar.on_curve():
-        raise BadPrime("reduced point not on reduced curve")
-    return Pbar
+        return None
+    X, Y, Z = (c.coords for c in pr.primitive((*P.affine(), pr.field.one()), 1))
+    if any(Z):
+        zinv = Ebar.finv(Z)
+        Pbar = (Ebar.fmul(X, zinv), Ebar.fmul(Y, zinv))
+        if Ebar.on_curve(Pbar):
+            return Pbar
+    elif not any(X):
+        return None
+    raise BadPrime("reduced point not on reduced curve")
 
 
-def curve_order_fq(Ebar: WeierstrassCurve) -> int:
+def curve_order_fq(Ebar: FqCurve) -> int:
     """#E(F_q) = 1 + sum over x in F_q of #{y : y^2 = x^3 + a x + b}.
 
     Counted on coordinate integers: a table of how many y square to each
@@ -145,10 +228,9 @@ def curve_order_fq(Ebar: WeierstrassCurve) -> int:
     q = 2 (mod 3), x -> x^3 is a bijection of F_q, so x^3 + b runs over
     F_q once and #E = q + 1 without a scan.
     """
-    fq = _fq_of(Ebar)
+    fq = Ebar.fq
     p, d, q, h = fq.p, fq.d, fq.q, fq.h
-    a = (fq.one() * Ebar.a).coords
-    b = (fq.one() * Ebar.b).coords
+    a, b = Ebar.a, Ebar.b
     if not any(a) and q % 3 == 2:
         return q + 1
     if d == 1:
@@ -177,7 +259,6 @@ def curve_order_fq(Ebar: WeierstrassCurve) -> int:
                 c1 = s0 * x1 + s1 * x0 - h1 * t + b1
                 total += sq[c0 % p * p + c1 % p]
         return total
-    from itertools import product
     sq = {}
     for y in product(range(p), repeat=d):
         key = _fqmul(y, y, h, p)
@@ -189,21 +270,12 @@ def curve_order_fq(Ebar: WeierstrassCurve) -> int:
     return total
 
 
-def all_points_fq(Ebar: WeierstrassCurve):
-    fq = _fq_of(Ebar)
-    pts = [Ebar.zero()]
+def all_points_fq(Ebar: FqCurve):
+    elements = list(product(range(Ebar.fq.p), repeat=Ebar.fq.d))
     roots = {}
-    for y in fq.elements():
-        roots.setdefault(y * y, []).append(y)
-    for x in fq.elements():
-        rhs = x * x * x + Ebar.a * x + Ebar.b
-        for y in roots.get(rhs, []):
-            pts.append(EcPoint(Ebar, x, y, fq.one()))
-    return pts
-
-
-def _fq_of(Ebar):
-    return Ebar.a.ring if hasattr(Ebar.a, "ring") else Ebar.b.ring
+    for y in elements:
+        roots.setdefault(Ebar.fmul(y, y), []).append(y)
+    return [None] + [(x, y) for x in elements for y in roots.get(Ebar.rhs(x), ())]
 
 
 def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs):
@@ -215,8 +287,6 @@ def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs)
     otherwise returns the list of surviving vectors (the Inconclusive
     outcome — never silently converted to a success).
     """
-    from itertools import product
-
     r = len(points)
     survivors = [e for e in product(range(m), repeat=r) if any(e)]
     used = []
@@ -234,33 +304,18 @@ def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs)
         except BadPrime:
             continue
         in_mE = _multiple_test(Ebar, m, order[0] if order else curve_order_fq(Ebar))
-        still = []
-        for e in survivors:
-            S = Ebar.zero()
-            for k, P in zip(e, red):
-                if k:
-                    S = S + k * P
-            if in_mE(S):
-                still.append(e)
+        still = [e for e in survivors if in_mE(reduce(Ebar.add, map(Ebar.mul, e, red)))]
         if len(still) < len(survivors):
             used.append((p, idx))
         survivors = still
     return (True, used) if not survivors else (survivors, used)
 
 
-def _multiple_test(Ebar: WeierstrassCurve, m: int, N: int):
+def _multiple_test(Ebar: FqCurve, m: int, N: int):
     """Membership test for m*E(F_q), N = #E(F_q).  When gcd(m, N/m) = 1
     the m-part of E(F_q) has order m, so S is in m*E(F_q) iff (N/m)*S = O;
     otherwise the multiples of m are enumerated."""
     if N % m == 0 and gcd(m, N // m) == 1:
-        return lambda S: ((N // m) * S).is_zero()
-    mult_set = {point_key(m * Q) for Q in all_points_fq(Ebar)}
-    return lambda S: point_key(S) in mult_set
-
-
-def point_key(P: EcPoint):
-    """A hashable key for a point over F_q: "O" or its affine coordinates."""
-    aff = P.affine()
-    if aff is None:
-        return "O"
-    return (aff[0].coords, aff[1].coords)
+        return lambda S: Ebar.mul(N // m, S) is None
+    mult_set = {Ebar.mul(m, Q) for Q in all_points_fq(Ebar)}
+    return lambda S: S in mult_set

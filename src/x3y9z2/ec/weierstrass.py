@@ -1,4 +1,5 @@
-"""Short Weierstrass curves y^2 = x^3 + a x + b over a generic exact ring.
+"""Short Weierstrass curves y^2 = x^3 + a x + b over a generic exact ring:
+Q, K or Z_q in the run (over F_q, ec.reduction.FqCurve has its own law).
 
 Points are projective (X:Y:Z).  Addition uses the complete projective
 formulas (Renes-Costello-Batina), which are division-free and therefore

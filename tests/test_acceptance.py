@@ -254,8 +254,8 @@ class TestCriterion7Properties:
         for _ in range(200):
             a1, b1, a2, b2 = (rng.randint(-2, 2) for _ in range(4))
             lhs = reduce_point(Ebar, combos[(a1 + a2, b1 + b2)], pr)
-            rhs = reduce_point(Ebar, combos[(a1, b1)], pr) + \
-                reduce_point(Ebar, combos[(a2, b2)], pr)
+            rhs = Ebar.add(reduce_point(Ebar, combos[(a1, b1)], pr),
+                           reduce_point(Ebar, combos[(a2, b2)], pr))
             assert lhs == rhs
         _line("criterion 7d: reduction homomorphism, 200 randomized cases", True)
 

@@ -1,14 +1,16 @@
 """The Chabauty machinery: formal log, sieve, and per-curve runs."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from x3y9z2.arith.localfield import ZqRing
-from x3y9z2.chabauty.engine import ChabautyRun, rational_st_values, residue_sieve
+from x3y9z2.chabauty.engine import (ChabautyRun, PrimeContext, rational_st_values,
+                                    residue_sieve)
 from x3y9z2.chabauty.series import PrecisionTooLow, formal_log
 from x3y9z2.chabauty.setup import chabauty_setup_for_row, find_primitive_solution
-from x3y9z2.ec.reduction import primes_above
+from x3y9z2.ec.reduction import all_points_fq, primes_above
 from x3y9z2.ec.weierstrass import WeierstrassCurve
 from x3y9z2.param import STValue
 
@@ -82,6 +84,56 @@ class TestSieve:
         sd, survivors = residue_sieve(run.contexts, len(setup_eq1_row0.gens))
         assert sd.n_classes() == 144
         assert len(survivors) == 3
+
+    @staticmethod
+    def _projective_residue_value(fq, coeffs, P):
+        """The projective rule that residue_value replaced, kept as its
+        oracle: [num : den] over F_q at (X : Y : Z) for the coefficient
+        coordinates coeffs, with the Frobenius test num^p den = den^p num
+        for a value in P^1(F_p)."""
+        n0, n1, n2, d0, d1, d2 = (fq.elem(c) for c in coeffs)
+        X, Y, Z = ((fq.zero(), fq.one(), fq.zero()) if P is None
+                   else (fq.elem(P[0]), fq.elem(P[1]), fq.one()))
+        num = n0 * Z + n1 * X + n2 * Y
+        den = d0 * Z + d1 * X + d2 * Y
+        if not num and not den:
+            return "undefined"
+        if num**fq.p * den != den**fq.p * num:
+            return "incompatible"
+        if not den:
+            return ("inf", None)
+        ratio = den.inverse() * num
+        if any(ratio.coords[1:]):
+            return "incompatible"
+        return ("val", ratio.coords[0])
+
+    @pytest.mark.parametrize("p", [11, 31])
+    def test_residue_value_matches_projective_rule(self, setup_eq1_row0, K, p):
+        """Every point of E(F_q) at every degree-2 prime above p, for psi
+        and for three more coefficient vectors: [x - x0 : x - x0], which
+        is undefined where x = x0, [1 : x - x0], which is oo there, and a
+        seeded random one."""
+        s = setup_eq1_row0
+        rng = random.Random(f"residue-value/{p}")
+        seen = set()
+        for pr in primes_above(K, p):
+            if pr.degree != 2:
+                continue
+            ctx = PrimeContext(pr, s.curve, s.psi, s.gens, 8)
+            pts = all_points_fq(ctx.Ebar)
+            assert len(pts) == ctx.order
+            one, zero, minus_x0 = (1, 0), (0, 0), tuple(-c % p for c in pts[1][0])
+            vectors = [tuple(c.coords for c in ctx.psi_q), (minus_x0, one, zero) * 2,
+                       (one, zero, zero, minus_x0, one, zero),
+                       tuple(tuple(rng.randrange(p) for _ in range(2)) for _ in range(6))]
+            for coeffs in vectors:
+                if coeffs is not vectors[0]:
+                    ctx.psi_bar = coeffs
+                for P in pts:
+                    got = ctx.residue_value(P)
+                    assert got == self._projective_residue_value(pr.fq(), coeffs, P), (pr, P)
+                    seen.add(got if isinstance(got, str) else got[0])
+        assert seen == {"incompatible", "val", "inf", "undefined"}
 
     def test_monotone_in_primes(self, setup_eq1_row0):
         """Survivors at all primes above 11 are a subset of the survivors

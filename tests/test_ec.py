@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -10,7 +11,8 @@ from x3y9z2.arith.poly import MPoly
 from x3y9z2.ec import (BadPrime, EcPoint, PlaneCubicWithFlex, WeierstrassCurve,
                        curve_order_fq, flex_to_weierstrass, non_divisibility_sieve,
                        torsion_over_Q)
-from x3y9z2.ec.reduction import all_points_fq, primes_above, reduce_curve, reduce_point
+from x3y9z2.ec.reduction import (FqCurve, all_points_fq, largest_residue_field, primes_above,
+                                 reduce_curve, reduce_point)
 from x3y9z2.ec.weierstrass import _classical_add
 
 
@@ -140,6 +142,15 @@ class TestReduction:
         shape = [len(f) - 1 for f, _ in factor_quartic_mod_p([1, -2, 0, -2, 1], 31)]
         assert shape == [2, 2]
 
+    def test_largest_residue_field_matches_factoring(self, K):
+        """largest_residue_field, which factors nothing, against the
+        residue degrees of the primes that primes_above factors out."""
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+            q = max(pr.fq().q for pr in primes_above(K, p))
+            assert largest_residue_field(K, p) == q, p
+        assert largest_residue_field(K, 1009) == 1009**2
+        assert largest_residue_field(K, 101) == 101**4
+
     def test_bad_primes_refused(self, mw_data, K):
         E = mw_data.curve(1)
         for p in (2, 3):                     # both divide disc(f) = -1728
@@ -154,7 +165,7 @@ class TestReduction:
         Ebar = reduce_curve(E, pr)
         assert curve_order_fq(Ebar) == 12
         Pbar = reduce_point(Ebar, g1, pr)
-        order = next(d for d in range(1, 13) if (d * Pbar).is_zero())
+        order = next(d for d in range(1, 13) if Ebar.mul(d, Pbar) is None)
         assert order == 12
 
     def test_homomorphism_200(self, mw_data, K, rng):
@@ -172,8 +183,8 @@ class TestReduction:
             a1, b1 = rng.randint(-2, 2), rng.randint(-2, 2)
             a2, b2 = rng.randint(-2, 2), rng.randint(-2, 2)
             lhs = reduce_point(Ebar, combos[(a1 + a2, b1 + b2)], pr)
-            rhs = reduce_point(Ebar, combos[(a1, b1)], pr) + \
-                reduce_point(Ebar, combos[(a2, b2)], pr)
+            rhs = Ebar.add(reduce_point(Ebar, combos[(a1, b1)], pr),
+                           reduce_point(Ebar, combos[(a2, b2)], pr))
             assert lhs == rhs
 
     def test_kernel_point_reduces_to_zero(self, mw_data, K):
@@ -182,7 +193,7 @@ class TestReduction:
         pr = next(p for p in primes_above(K, 11) if p.degree == 1)
         Ebar = reduce_curve(E, pr)
         V = 12 * g1
-        assert reduce_point(Ebar, V, pr).is_zero()
+        assert reduce_point(Ebar, V, pr) is None
 
 
 # Every prime of K above 11 (residue degrees 1, 1, 2) and 31 (2, 2).
@@ -263,10 +274,92 @@ class TestPrimitive:
                 x, y = P.affine()
                 if x.den % p == 0 or y.den % p == 0:
                     continue
-                oracle = EcPoint(Ebar, pr.residue(x), pr.residue(y), pr.fq().one())
+                oracle = (pr.residue(x).coords, pr.residue(y).coords)
                 assert reduce_point(Ebar, P, pr) == oracle
                 checked += 1
         assert checked >= 20
+
+
+# One prime of K of each residue degree the group law writes out or
+# falls back for: degree 1 and 2 above 11, degree 2 above 31, and the
+# degree-4 prime above 5.
+LAW_PRIMES = [(11, 0, 1), (11, 2, 2), (31, 0, 2), (31, 1, 2), (5, 0, 4)]
+
+
+class TestFqGroupLaw:
+    """FqCurve's chord-tangent law on coordinate tuples, with the generic
+    projective EcPoint law over the same F_q as the oracle."""
+
+    @staticmethod
+    def _curves(mw_data, K, p, idx, rng):
+        """Two reductions of trusted curves (a = 0), and a curve with
+        a != 0 through a point (x0, 0) of order 2."""
+        pr = primes_above(K, p)[idx]
+        fq = pr.fq()
+        curves = [reduce_curve(mw_data.curve(i), pr) for i in (1, 4)]
+        while True:
+            a = tuple(rng.randrange(p) for _ in range(fq.d))
+            x0 = tuple(rng.randrange(p) for _ in range(fq.d))
+            if not any(a):
+                continue
+            b = tuple(-c % p for c in FqCurve(fq, a, (0,) * fq.d).rhs(x0))
+            E = FqCurve(fq, a, b)
+            A, B = fq.elem(a), fq.elem(b)
+            if 4 * A * A * A + 27 * B * B:
+                return fq, curves + [E], (x0, (0,) * fq.d)
+
+    @staticmethod
+    def _oracle(fq, E):
+        W = WeierstrassCurve(fq.elem(E.a), fq.elem(E.b), check_smooth=False)
+
+        def lift(P):
+            return W.zero() if P is None else EcPoint(W, fq.elem(P[0]), fq.elem(P[1]), fq.one())
+        return lift
+
+    @pytest.mark.parametrize("p, idx, degree", LAW_PRIMES)
+    def test_matches_projective_law(self, mw_data, K, p, idx, degree):
+        rng = random.Random(f"fq-law/{p}/{idx}")
+        fq, curves, two_torsion = self._curves(mw_data, K, p, idx, rng)
+        assert fq.d == degree
+        for E in curves:
+            lift = self._oracle(fq, E)
+            pts = all_points_fq(E)
+            N = curve_order_fq(E)
+            assert len(pts) == N and pts[0] is None
+            sample = rng.sample(pts[1:], min(12, N - 1))
+            if E is curves[-1]:
+                sample.append(two_torsion)
+            for P in sample:
+                assert E.on_curve(P) and lift(P).on_curve()
+                assert E.add(None, P) == E.add(P, None) == P
+                assert E.add(P, E.neg(P)) is None
+                assert lift(E.add(P, P)) == lift(P) + lift(P)
+                for Q in rng.sample(sample, 4):
+                    R = E.add(P, Q)
+                    assert E.on_curve(R) and lift(R) == lift(P) + lift(Q)
+                for n in (0, 1, -1, N, N - 1, N + 1, rng.randrange(2, N)):
+                    assert lift(E.mul(n, P)) == n * lift(P)
+                assert E.mul(N, P) is None and E.mul(N + 1, P) == P
+                assert E.mul(N - 1, P) == E.neg(P) == E.mul(-1, P)
+            assert E.add(None, None) is None and E.mul(5, None) is None
+        E = curves[-1]
+        assert E.add(two_torsion, two_torsion) is None
+        assert E.neg(two_torsion) == two_torsion
+
+    @pytest.mark.parametrize("p, idx, degree", LAW_PRIMES)
+    def test_reduce_point_refuses_a_point_off_the_curve(self, mw_data, K, p, idx, degree):
+        E = mw_data.curve(1)
+        g1 = mw_data.points(1)[0]
+        pr = primes_above(K, p)[idx]
+        Ebar = reduce_curve(E, pr)
+        x, y = g1.affine()
+        assert Ebar.on_curve(reduce_point(Ebar, g1, pr))
+        off = EcPoint(E, x, y + 1, K.one())          # Z != 0 after reduction
+        with pytest.raises(BadPrime):
+            reduce_point(Ebar, off, pr)
+        at_infinity = EcPoint(E, K(F(1, p)), K.one(), K.one())   # (1 : 0 : 0) mod p
+        with pytest.raises(BadPrime):
+            reduce_point(Ebar, at_infinity, pr)
 
 
 class TestSieve:
@@ -305,9 +398,10 @@ class TestSieve:
                 if N % 3 or (N // 3) % 3 == 0:
                     continue
                 triple = [reduce_point(Ebar, P, pr) for P in points]
-                mult = {3 * Q for Q in all_points_fq(Ebar)}
+                mult = {Ebar.mul(3, Q) for Q in all_points_fq(Ebar)}
                 expected = [e for e in product(range(3), repeat=3) if any(e)
-                            and sum((k * P for k, P in zip(e, triple)), Ebar.zero()) in mult]
+                            and reduce(Ebar.add, (Ebar.mul(k, P) for k, P in zip(e, triple)))
+                            in mult]
                 for spec in ((q, pr.idx), (q, pr.idx, N)):
                     result, _ = non_divisibility_sieve(E, points, 3, [spec])
                     assert (result is True and not expected) or result == expected
@@ -340,10 +434,10 @@ class TestPointCount:
         fq = FqField(p, modulus)
         checked = 0
         while checked < 4:
-            a = fq.elem([rng.randrange(p) for _ in range(fq.d)])
-            b = fq.elem([rng.randrange(p) for _ in range(fq.d)])
-            if not a:
+            a = tuple(rng.randrange(p) for _ in range(fq.d))
+            b = tuple(rng.randrange(p) for _ in range(fq.d))
+            if not any(a):
                 continue
-            Ebar = WeierstrassCurve(a, b, check_smooth=False)
+            Ebar = FqCurve(fq, a, b)
             assert curve_order_fq(Ebar) == len(all_points_fq(Ebar)), (fq, a, b)
             checked += 1

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from x3y9z2.cli import build_parser
 from x3y9z2.dataio import data_hashes
 from x3y9z2.param import STValue
 from x3y9z2.pipeline import (brute_search, report_to_json, run_lift_stage,
@@ -156,6 +158,34 @@ class TestCli:
         assert out.returncode == 2
         assert "error: argument --" in out.stderr and "Traceback" not in out.stderr
         assert out.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ("chabauty", "run", "--eq", "1", "--delta", "0", "--primes", "1009"),
+        ("pipeline", "run", "--primes", "11,101"),
+        ("chabauty", "run", "--eq", "1", "--delta", "3", "--primes", "43"),
+    ])
+    def test_primes_with_a_large_residue_field_refused(self, args):
+        """1009 has two primes of degree 2 above it (q = 1009^2), 101 one
+        of degree 4, and 43 reaches 43^2, the next field above 31^2; each
+        is refused before any stage runs."""
+        start = time.monotonic()
+        out = subprocess.run([sys.executable, "-m", "x3y9z2.cli", *args],
+                             capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - start < 5
+        assert out.returncode == 2 and out.stdout == ""
+        p = int(args[-1].split(",")[-1])
+        q = {1009: 1009**2, 101: 101**4, 43: 43**2}[p]
+        assert f"above {p} has a residue field of q = {q} elements" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_default_and_small_residue_fields_accepted(self):
+        parser = build_parser()
+        chabauty = parser.parse_args(["chabauty", "run", "--eq", "1", "--delta", "0"])
+        assert chabauty.primes == (11, 31)
+        assert parser.parse_args(["pipeline", "run"]).primes == (11, 31)
+        # Largest residue fields 31^2, 5^4, 13^2 and 37; 2 ramifies.
+        assert parser.parse_args(["pipeline", "run", "--primes", "31,5,13,37,2"]).primes == (
+            31, 5, 13, 37, 2)
 
     @pytest.mark.parametrize("p", ["1", "4", "103"])
     def test_local_sweep_refuses_a_bad_prime(self, p):

@@ -1,6 +1,8 @@
 """Rules on the source tree itself."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import x3y9z2
@@ -106,3 +108,23 @@ def test_every_import_is_read():
                     if name not in read:
                         found.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_traced_names_resolve():
+    """Every (module, attribute) that the benchmark tracer wraps still
+    resolves.  A renamed one makes the tracer's install() raise, and so
+    every traced benchmark pass fail.  perfbench/tracer.py is imported
+    as it is, and not edited."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from tracer import TRACED
+    finally:
+        sys.path.pop(0)
+    missing = []
+    for name, module, attr, _ in TRACED:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{name}: {module}.{attr}")
+    assert len(TRACED) >= 26 and missing == []
