@@ -14,21 +14,30 @@ in the lattice coordinates whose terms beyond the linear one carry
 valuation >= 2, so a linear part that is nondegenerate pins at most one
 point, which must then be the known one; a class with no known point is
 emptied modulo p^2 or left honestly unclosed.
+
+Closing at p is sound only when the generators' index is prime to p and
+to the primes dividing the local group orders.  That is certified by the
+reduction sieve, which reads one table per curve: reductions_at(curve, q)
+gives each prime of K above q with E reduced there and #E(F_q), computed
+once per (curve, q) however often the search bound widens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 from ..arith.numberfield import NumberField
-from ..arith.rationals import valuation
-from ..ec.reduction import (BadPrime, NfPrime, curve_order_fq, primes_above, reduce_curve,
-                            reduce_point)
+from ..arith.rationals import factorize, valuation
+from ..arith.roots import small_primes
+from ..ec.reduction import (BadPrime, NfPrime, curve_order_fq, non_divisibility_sieve,
+                            primes_above, reduce_curve, reduce_point)
 from ..ec.weierstrass import EcPoint, WeierstrassCurve, _complete_add
 from ..param import STValue
 from .series import PrecisionTooLow
 
+DEFAULT_PRIMES = (11, 31)
 DEFAULT_PREC = 30
 
 
@@ -90,7 +99,7 @@ class PrimeContext:
         self.pr = pr
         self.p = pr.p
         self.Ebar = reduce_curve(curve, pr)
-        self.order = curve_order_at(curve, pr, self.Ebar)
+        self.order = curve_order_fq(self.Ebar)
         self.gens = gens
         self.gens_bar = [reduce_point(self.Ebar, g, pr) for g in gens]
         self.ring, _ = pr.zq(prec)
@@ -494,8 +503,7 @@ class ChabautyRun:
         def Hval(vals, s):
             return vals[s][0]
 
-        from itertools import product as iproduct
-        for n in iproduct(range(p * p), repeat=rank):
+        for n in product(range(p * p), repeat=rank):
             ok = True
             for s in range(n_eq):
                 # Newton form: H(n) = H0 + sum_i (H(e_i)-H0) C(n_i,1)
@@ -524,12 +532,11 @@ class ChabautyRun:
         rank = len(D[0]) if D else 0
         if any(k < 2 for k in knowns):
             raise PrecisionTooLow("not enough digits for the mod-p^2 sieve")
-        from itertools import product as iproduct
         # When every linear coefficient is divisible by p, the value mod p^2
         # only depends on n mod p.
         all_div = all(d % p == 0 for row in D for d in row)
         box = p if all_div else p * p
-        for n in iproduct(range(box), repeat=rank):
+        for n in product(range(box), repeat=rank):
             ok = True
             for s in range(len(A)):
                 tot = A[s]
@@ -544,73 +551,45 @@ class ChabautyRun:
 
 
 @lru_cache(maxsize=None)
-def _curve_memo(curve):
-    """Every per-curve fact, filled on demand: #E(F_q) per prime, the
-    primes scanned so far and their bound, and the trivial-torsion
-    certificate of setup._verify_trivial_torsion."""
-    return {"orders": {}, "scanned": [], "bound": 0, "trivial_torsion": None}
+def reductions_at(curve, q):
+    """((pr, Ebar, #E(F_q)), ...) at the primes pr of K above q with a
+    small residue field (degree <= 2 for q <= 60, degree 1 above), Ebar
+    being E reduced at pr; () when q or one of these primes is bad.
+    Each (curve, q) is reduced and counted once per process."""
+    try:
+        prs = primes_above(curve.b.parent, q, degree_cap=2 if q <= 60 else 1)
+        curves = [(pr, reduce_curve(curve, pr)) for pr in prs]
+    except BadPrime:
+        return ()
+    return tuple((pr, Ebar, curve_order_fq(Ebar)) for pr, Ebar in curves)
 
 
-def curve_order_at(curve, pr, Ebar):
-    """#E(F_q) at the prime pr of K (Ebar: E reduced there), counted once
-    per (curve, prime).  Primes are keyed by (p, idx): primes_above lists
-    them by degree, so a degree cap keeps every index."""
-    orders = _curve_memo(curve)["orders"]
-    key = (pr.p, pr.idx)
-    if key not in orders:
-        orders[key] = curve_order_fq(Ebar)
-    return orders[key]
-
-
-def _reduction_orders(curve, field, bound):
-    """[(q, idx, #E(F_q))] over primes of good reduction with a small
-    residue field (degree 1 everywhere; degree 2 for q <= 60).  A larger
-    bound only scans the primes beyond the largest bound seen so far."""
-    memo = _curve_memo(curve)
-    if bound > memo["bound"]:
-        from ..arith.roots import small_primes
-        for q in small_primes(bound):
-            if q < 5 or q <= memo["bound"]:
-                continue
-            cap = 2 if q <= 60 else 1
-            try:
-                for pr in primes_above(field, q, degree_cap=cap):
-                    curve_order_at(curve, pr, reduce_curve(curve, pr))
-                    memo["scanned"].append((q, pr.idx))
-            except BadPrime:
-                continue
-        memo["bound"] = bound
-    return [(q, idx, memo["orders"][q, idx]) for q, idx in memo["scanned"] if q <= bound]
-
-
-def certify_index_coprimality(curve, gens, ells, field):
+def certify_index_coprimality(curve, gens, ells):
     """Certify [E(K) : <gens> + tors] coprime to each prime in ells via the
     reduction sieve; returns ({ell: primes used}, uncertified list).
 
-    Only primes where ell divides #E(F_q) carry information, so the scan
-    is restricted to those, widening the search bound on demand.
+    Only primes where ell divides #E(F_q) carry information, so the sieve
+    reads just those rows of the curve's reduction table, widening the
+    search bound on demand.
     """
-    from ..ec.reduction import non_divisibility_sieve
     certified = {}
     failed = []
     for ell in sorted(set(ells)):
-        done = False
         for bound in (600, 2000, 5000):
-            orders = _reduction_orders(curve, field, bound)
-            specs = [(q, idx, n) for (q, idx, n) in orders if n % ell == 0]
-            if not specs:
+            rows = [row for q in small_primes(bound) if q >= 5
+                    for row in reductions_at(curve, q) if row[2] % ell == 0]
+            if not rows:
                 continue
-            result, used = non_divisibility_sieve(curve, gens, ell, specs)
+            result, used = non_divisibility_sieve(curve, gens, ell, rows)
             if result is True:
                 certified[ell] = used
-                done = True
                 break
-        if not done:
+        else:
             failed.append(ell)
     return certified, failed
 
 
-def rational_st_values(curve, psi, gens, known_points, primes=(11, 31),
+def rational_st_values(curve, psi, gens, known_points, primes=DEFAULT_PRIMES,
                        prec=DEFAULT_PREC):
     """ChabautyOutcome over the given primes (each tried until Complete).
 
@@ -633,8 +612,7 @@ def rational_st_values(curve, psi, gens, known_points, primes=(11, 31),
                     for ell in _prime_factors(ctx.order):
                         if ell not in (2, 3):
                             ells.add(ell)
-                certified, failed = certify_index_coprimality(
-                    curve, gens, ells, psi.field)
+                certified, failed = certify_index_coprimality(curve, gens, ells)
                 if failed:
                     last_reason = f"p={p}: index coprimality uncertified for {failed}"
                     break
@@ -666,7 +644,6 @@ def rational_st_values(curve, psi, gens, known_points, primes=(11, 31),
 
 
 def _prime_factors(n: int):
-    from ..arith.rationals import factorize
     return set(factorize(n)) if n > 1 else set()
 
 

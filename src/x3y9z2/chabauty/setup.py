@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import gcd, lcm
 
 from ..arith.numberfield import NfElem
 from ..arith.rationals import rational_cube_root
@@ -22,7 +24,7 @@ from ..ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass, mat_mul
 from ..ec.reduction import BadPrime, curve_order_fq, primes_above, reduce_curve
 from ..ec.weierstrass import EcPoint, WeierstrassCurve
 from ..param import STValue, equation_rhs
-from .engine import CurveProblem, RationalFunctionOnE, _curve_memo
+from .engine import CurveProblem, RationalFunctionOnE
 
 
 def find_primitive_solution(eq_id: int, st: STValue, bound: int = 6):
@@ -115,7 +117,6 @@ def chabauty_setup_for_row(descent_data, mw_data, eq_id: int, row,
     den = (back[2][2], back[2][0], back[2][1])   # t-row
     # A common rational rescale leaves s/t unchanged and keeps every
     # p-adic embedding of the coefficients integral.
-    from math import lcm
     D = 1
     for coeff in num + den:
         D = lcm(D, coeff.denominator_lcm())
@@ -158,7 +159,7 @@ def chabauty_setup_for_row(descent_data, mw_data, eq_id: int, row,
         raise CurveProblem(f"psi(p0) = {val0} does not match the table value {st_printed}")
 
     gens = mw_data.points(table_i)
-    _verify_trivial_torsion(E_i, K, checks)
+    checks["trivial_torsion"] = trivial_torsion_certificate(E_i, K)
 
     known = _known_points(E_i, psi, gens, P0, box)
     return ChabautySetup(eq_id=eq_id, delta_alpha=delta_alpha, table_i=table_i,
@@ -190,17 +191,11 @@ def _known_points(E, psi, gens, P0, box):
     return found
 
 
-def _verify_trivial_torsion(E: WeierstrassCurve, K, checks):
+@lru_cache(maxsize=None)
+def trivial_torsion_certificate(E: WeierstrassCurve, K):
     """E(K)_tors = 0 for y^2 = x^3 + c: no 2-torsion (-c not a cube in K),
     no 3-torsion (c not a square; -4c cube with -3c square fails), and a
     reduction bound kills every other prime.  Certified once per curve."""
-    memo = _curve_memo(E)
-    if memo["trivial_torsion"] is None:
-        memo["trivial_torsion"] = _trivial_torsion_certificate(E, K)
-    checks["trivial_torsion"] = memo["trivial_torsion"]
-
-
-def _trivial_torsion_certificate(E: WeierstrassCurve, K):
     c = E.b
     if nf_nth_root(-c, 3) is not None:
         raise CurveProblem("curve has K-rational 2-torsion")
@@ -209,7 +204,6 @@ def _trivial_torsion_certificate(E: WeierstrassCurve, K):
     x3 = nf_nth_root(-4 * c, 3)
     if x3 is not None and nf_nth_root(-3 * c, 2) is not None:
         raise CurveProblem("curve has K-rational 3-torsion (x^3 = -4c)")
-    from math import gcd
     bound = 0
     used = []
     for q in (11, 23, 37, 59, 61, 71, 73):

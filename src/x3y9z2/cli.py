@@ -13,6 +13,8 @@ import sys
 
 from . import __version__
 from .arith.rationals import factorize
+from .chabauty.engine import DEFAULT_PREC, DEFAULT_PRIMES, rational_st_values
+from .chabauty.setup import chabauty_setup_for_row
 from .dataio import load_descent_data, load_mw_data, load_tables, quartic_field, set_data_dir
 from .descent import build_descent_forms, cubic_norm_filter, enumerate_delta
 from .ec.reduction import largest_residue_field
@@ -149,8 +151,6 @@ def cmd_ec_verify_tables(args):
 
 
 def cmd_chabauty_run(args):
-    from .chabauty.engine import rational_st_values
-    from .chabauty.setup import chabauty_setup_for_row
     dd = load_descent_data()
     mw = load_mw_data()
     tables = load_tables()
@@ -196,9 +196,6 @@ def cmd_pipeline_run(args):
     return 0
 
 
-DEFAULT_PRIMES = (11, 31)
-
-
 def _primes(text):
     """--primes: comma-separated primes, e.g. 11,31.  Each prime of K
     above an entry must have a residue field no larger than the largest
@@ -236,7 +233,7 @@ def build_parser():
                                  description="Exact re-execution of the x^3 + y^9 = z^2 computation")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     ap.add_argument("--data-dir", help="override directory for the trusted data files")
-    ap.add_argument("--precision", type=_positive_int, default=30,
+    ap.add_argument("--precision", type=_positive_int, default=DEFAULT_PREC,
                     help="p-adic working precision for the Chabauty stage")
     ap.add_argument("--json-out", help="write JSON output to this file")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -22,6 +22,7 @@ from math import gcd
 from ..arith.localfield import FqField, ZqRing, _fqmul, _fqpow, factor_quartic_mod_p
 from ..arith.numberfield import NfElem, NumberField
 from ..arith.rationals import valuation
+from .torsion import count_points_fp
 from .weierstrass import EcPoint, WeierstrassCurve
 
 
@@ -222,9 +223,9 @@ def curve_order_fq(Ebar: FqCurve) -> int:
     """#E(F_q) = 1 + sum over x in F_q of #{y : y^2 = x^3 + a x + b}.
 
     Counted on coordinate integers: a table of how many y square to each
-    value, then one cubic per x, with the product of F_p[w]/(h) written
-    out for d = 1 and d = 2 (the residue fields the pipeline reaches) and
-    the field's integer product for larger d.  When a = 0 and
+    value, then one cubic per x: count_points_fp for d = 1, the product
+    of F_p[w]/(h) written out for d = 2 (the residue fields the pipeline
+    reaches) and the field's integer product for larger d.  When a = 0 and
     q = 2 (mod 3), x -> x^3 is a bijection of F_q, so x^3 + b runs over
     F_q once and #E = q + 1 without a scan.
     """
@@ -234,11 +235,7 @@ def curve_order_fq(Ebar: FqCurve) -> int:
     if not any(a) and q % 3 == 2:
         return q + 1
     if d == 1:
-        (a0,), (b0,) = a, b
-        sq = [0] * p
-        for y in range(p):
-            sq[y * y % p] += 1
-        return 1 + sum(sq[((x * x + a0) * x + b0) % p] for x in range(p))
+        return count_points_fp(a[0], b[0], p)
     if d == 2:
         # w^2 = -h1 w - h0; the element c0 + c1 w has index c0 * p + c1.
         h0, h1 = h[0], h[1]
@@ -278,35 +275,27 @@ def all_points_fq(Ebar: FqCurve):
     return [None] + [(x, y) for x in elements for y in roots.get(Ebar.rhs(x), ())]
 
 
-def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, prime_specs):
+def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, reductions):
     """Certify that <points> + torsion has index prime to m in E(K).
 
-    prime_specs: iterable of (p, prime_idx), or (p, prime_idx, #E(F_q))
-    when the order is already known.  True when every nonzero e in
-    (Z/m)^r has, at some supplied prime, sum(e_i P_i) outside m*E(F_q);
-    otherwise returns the list of surviving vectors (the Inconclusive
-    outcome — never silently converted to a success).
+    reductions: iterable of (pr, Ebar, #E(F_q)), a prime pr of K of good
+    reduction, E reduced there and its point count.  True when every
+    nonzero e in (Z/m)^r has, at some supplied prime, sum(e_i P_i)
+    outside m*E(F_q); otherwise returns the list of surviving vectors
+    (the Inconclusive outcome — never silently converted to a success).
+    The primes that removed a vector are listed as (p, idx).
     """
     r = len(points)
     survivors = [e for e in product(range(m), repeat=r) if any(e)]
     used = []
-    field = curve.b.parent
-    for (p, idx, *order) in prime_specs:
+    for pr, Ebar, N in reductions:
         if not survivors:
             break
-        try:
-            prs = primes_above(field, p)
-            if idx >= len(prs):
-                continue
-            pr = prs[idx]
-            Ebar = reduce_curve(curve, pr)
-            red = [reduce_point(Ebar, P, pr) for P in points]
-        except BadPrime:
-            continue
-        in_mE = _multiple_test(Ebar, m, order[0] if order else curve_order_fq(Ebar))
+        red = [reduce_point(Ebar, P, pr) for P in points]
+        in_mE = _multiple_test(Ebar, m, N)
         still = [e for e in survivors if in_mE(reduce(Ebar.add, map(Ebar.mul, e, red)))]
         if len(still) < len(survivors):
-            used.append((p, idx))
+            used.append((pr.p, pr.idx))
         survivors = still
     return (True, used) if not survivors else (survivors, used)
 

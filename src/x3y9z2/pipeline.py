@@ -21,7 +21,7 @@ from math import gcd, isqrt
 
 from .arith.rationals import rational_cube_root
 from .arith.roots import nf_nth_root
-from .chabauty.engine import rational_st_values
+from .chabauty.engine import DEFAULT_PREC, DEFAULT_PRIMES, rational_st_values
 from .chabauty.setup import chabauty_setup_for_row
 from .dataio import data_hashes, load_descent_data, load_mw_data, load_tables, nf
 from .descent import build_descent_forms, cubic_norm_filter, enumerate_delta
@@ -74,7 +74,7 @@ def signed_triples(solutions):
 # -- stage: equation 5 -------------------------------------------------------
 
 
-def run_eq5_stage(max_depth=12):
+def run_eq5_stage():
     dd = load_descent_data()
     tables = load_tables()
     spec = dd.specs[5]
@@ -82,7 +82,7 @@ def run_eq5_stage(max_depth=12):
     if problems:
         raise PipelineError(f"trusted data failed verification: {problems}")
 
-    counts, survivors = _local_survivors(spec, 5, max_depth)
+    counts, survivors = _local_survivors(spec, 5)
     rows = tables["rank_table"]["rows"]
     _match_table_rows("eq5", spec.algebra, survivors, [
         (f"rank-table row {k}", spec.algebra([Fraction(c) for c in row["delta"]]))
@@ -106,7 +106,7 @@ def run_eq5_stage(max_depth=12):
     return {**counts, "per_row_values": per_row_values, "values": values}
 
 
-def _local_survivors(spec, eq_id, max_depth):
+def _local_survivors(spec, eq_id):
     """Enumerate the descent classes of `spec`, keep those that pass the
     cubic-norm condition and, of these, those soluble over Q_3.  Returns
     the three counts (under their report keys) and the survivors."""
@@ -116,7 +116,7 @@ def _local_survivors(spec, eq_id, max_depth):
     for expo, delta in kept:
         sysd = build_descent_forms(spec.algebra, delta, eq_id=eq_id, expo=expo)
         system = ProjectiveSystem.from_mpolys(list(sysd.curve_forms()))
-        if is_locally_soluble(system, 3, max_depth=max_depth).soluble:
+        if is_locally_soluble(system, 3).soluble:
             survivors.append((expo, delta))
     counts = {"n_candidates": len(cands), "n_cubic_norm": len(kept),
               "n_soluble": len(survivors)}
@@ -161,11 +161,11 @@ def _same_class_etale(algebra, d1, d2) -> bool:
 # -- stage: equations 1 and 2 -------------------------------------------------
 
 
-def run_quartic_stage(eq_id: int, max_depth=12, primes=(11, 31), prec=30):
+def run_quartic_stage(eq_id: int, primes=DEFAULT_PRIMES, prec=DEFAULT_PREC):
     dd = load_descent_data()
     tables = load_tables()
     spec = dd.specs[eq_id]
-    counts, survivors = _local_survivors(spec, eq_id, max_depth)
+    counts, survivors = _local_survivors(spec, eq_id)
     rows = tables["quartic_field_table"][f"eq{eq_id}"]["rows"]
     iso = dd.iso[eq_id]
     _match_table_rows(f"eq {eq_id}", spec.algebra, survivors, [
@@ -270,7 +270,7 @@ def verify_theorem1(final_set):
 # -- the full pipeline ---------------------------------------------------------
 
 
-def run_pipeline(primes=(11, 31), y_bound=3, aux_bound=10_000, prec=30):
+def run_pipeline(primes=DEFAULT_PRIMES, y_bound=3, aux_bound=10_000, prec=DEFAULT_PREC):
     """Execute all stages; returns the report dictionary."""
     import time
     timings = {}

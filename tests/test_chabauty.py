@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from x3y9z2.arith.localfield import ZqRing
+from x3y9z2.arith.roots import small_primes
 from x3y9z2.chabauty.engine import (ChabautyRun, PrimeContext, rational_st_values,
                                     residue_sieve)
 from x3y9z2.chabauty.series import PrecisionTooLow, formal_log
@@ -161,32 +162,58 @@ class TestSieve:
 
 
 def test_reduction_orders_count_each_prime_once(mw_data, K, monkeypatch):
-    """Widening the bound of _reduction_orders scans only the new primes,
-    and a smaller bound is answered from the same counts.  The trivial-
-    torsion certificate is made once per curve, in the same memo."""
+    """reductions_at reduces and counts each (curve, q) once: a wider scan
+    repeats the narrower one's rows from the same counts.  The trivial-
+    torsion certificate is made once per curve, and handed out again."""
     from x3y9z2.chabauty import engine, setup
     E = mw_data.curve(1)
-    engine._curve_memo.cache_clear()
-    fresh = engine._reduction_orders(E, K, 200)
-    engine._curve_memo.cache_clear()
+
+    def table(bound):
+        return [row for q in small_primes(bound) if q >= 5
+                for row in engine.reductions_at(E, q)]
+
+    engine.reductions_at.cache_clear()
     counted = []
     count = engine.curve_order_fq
     monkeypatch.setattr(engine, "curve_order_fq",
                         lambda Ebar: counted.append(Ebar) or count(Ebar))
-    small = engine._reduction_orders(E, K, 100)
-    assert engine._reduction_orders(E, K, 200) == fresh
-    assert engine._reduction_orders(E, K, 100) == small == [o for o in fresh if o[0] <= 100]
-    assert len(counted) == len(fresh)
+    small, wide = table(100), table(200)
+    assert wide[:len(small)] == small and small[-1][0].p < 100 < wide[-1][0].p
+    assert table(100) == small and len(counted) == len(wide)
 
-    engine._curve_memo.cache_clear()
+    setup.trivial_torsion_certificate.cache_clear()
     monkeypatch.setattr(setup, "curve_order_fq",
                         lambda Ebar: counted.append(Ebar) or count(Ebar))
-    first, second = {}, {}
-    setup._verify_trivial_torsion(E, K, first)
+    first = setup.trivial_torsion_certificate(E, K)
     n_counted = len(counted)
-    setup._verify_trivial_torsion(E, K, second)
-    assert n_counted > len(fresh) and len(counted) == n_counted
-    assert second["trivial_torsion"] is first["trivial_torsion"]
+    second = setup.trivial_torsion_certificate(E, K)
+    assert n_counted > len(wide) and len(counted) == n_counted
+    assert second is first
+
+
+def test_index_certificate_factors_each_prime_once(mw_data, monkeypatch):
+    """certify_index_coprimality calls primes_above once per scanned q,
+    also when an ell (17 here: no prime below 600 has 17 | #E(F_q)) widens
+    the bound: the sieve reads the reduction table and factors nothing.
+    The curve is E1 twisted by u = 2, which no other test reduces."""
+    from x3y9z2.chabauty import engine
+    from x3y9z2.ec import reduction
+    E1 = mw_data.curve(1)
+    E = WeierstrassCurve(E1.a, E1.b * 64)
+    gens = [E.point(4 * x, 8 * y) for x, y in (g.affine() for g in mw_data.points(1))]
+    calls = []
+    factor = reduction.primes_above
+
+    def counted(field, q, *args, **kwargs):
+        calls.append(q)
+        return factor(field, q, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "primes_above", counted)
+    monkeypatch.setattr(engine, "primes_above", counted)
+    certified, failed = engine.certify_index_coprimality(E, gens, {5, 17})
+    assert failed == [] and sorted(certified) == [5, 17]
+    assert max(p for p, _ in certified[17]) > 600
+    assert calls == [q for q in small_primes(2000) if q >= 5]
 
 
 class TestSetup:

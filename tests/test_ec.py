@@ -362,21 +362,31 @@ class TestFqGroupLaw:
             reduce_point(Ebar, at_infinity, pr)
 
 
+def _reductions(E, K, qs):
+    """(pr, Ebar, #E(F_q)) at every prime of K above each q in qs."""
+    rows = []
+    for q in qs:
+        for pr in primes_above(K, q):
+            Ebar = reduce_curve(E, pr)
+            rows.append((pr, Ebar, curve_order_fq(Ebar)))
+    return rows
+
+
 class TestSieve:
     def test_table2_generators_not_3_divisible(self, mw_data, K):
         E = mw_data.curve(1)
         pts = mw_data.points(1)
-        specs = [(q, i) for q in (5, 7, 11, 13, 23, 37, 59, 61) for i in range(4)]
-        result, used = non_divisibility_sieve(E, pts, 3, specs)
+        rows = _reductions(E, K, (5, 7, 11, 13, 23, 37, 59, 61))
+        result, used = non_divisibility_sieve(E, pts, 3, rows)
         assert result is True
         assert used  # the certifying prime set is recorded
 
-    def test_constructed_counterexample(self, mw_data):
+    def test_constructed_counterexample(self, mw_data, K):
         E = mw_data.curve(1)
         g1 = mw_data.points(1)[0]
         thrice = [3 * g1]
-        specs = [(q, i) for q in (5, 7, 11, 13, 23, 37) for i in range(4)]
-        result, used = non_divisibility_sieve(E, thrice, 3, specs)
+        rows = _reductions(E, K, (5, 7, 11, 13, 23, 37))
+        result, used = non_divisibility_sieve(E, thrice, 3, rows)
         assert result is not True  # 3*g1 is 3-divisible everywhere
 
     def test_one_multiple_path_matches_enumeration(self, mw_data, K):
@@ -402,9 +412,8 @@ class TestSieve:
                 expected = [e for e in product(range(3), repeat=3) if any(e)
                             and reduce(Ebar.add, (Ebar.mul(k, P) for k, P in zip(e, triple)))
                             in mult]
-                for spec in ((q, pr.idx), (q, pr.idx, N)):
-                    result, _ = non_divisibility_sieve(E, points, 3, [spec])
-                    assert (result is True and not expected) or result == expected
+                result, _ = non_divisibility_sieve(E, points, 3, [(pr, Ebar, N)])
+                assert (result is True and not expected) or result == expected
                 checked += 1
         assert checked >= 3
 
