@@ -425,8 +425,10 @@ class NumberField:
         self.minpoly = minpoly
         self.monic_poly = minpoly
         self.degree = minpoly.degree
-        self._disc = minpoly.discriminant()
         self.gen_name = gen_name
+        # disc(f) = (-1)^(n(n-1)/2) N(f'(alpha)) for monic f of degree n.
+        fprime = NfElem(self, [minpoly.derivative()[i] for i in range(self.degree)])
+        self._disc = (-1) ** (self.degree * (self.degree - 1) // 2) * fprime.norm()
 
     def _raise_zero_divisor(self, elem):  # pragma: no cover - fields have none
         raise ZeroDivisionError("unexpected zero divisor in a field")

@@ -1,16 +1,16 @@
 """Polynomials: univariate over Q (UPoly) and multivariate over a
 generic coefficient ring (MPoly).
 
-UPoly is the workhorse for minimal polynomials, factorization and
-resultant-based norms.  MPoly is deliberately ring-generic: the same
-code manipulates cubic forms over Q, over a number field, or with
-p-adic coefficients, as long as the coefficients support +, -, * and
-truth-testing (zero is falsy).
+UPoly is the workhorse for minimal polynomials and factorization.
+MPoly is deliberately ring-generic: the same code manipulates cubic
+forms over Q, over a number field, or with p-adic coefficients, as long
+as the coefficients support +, -, * and truth-testing (zero is falsy).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _frac(c) -> Fraction:
@@ -164,12 +164,10 @@ class UPoly:
         return UPoly(cs)
 
     def denominator_lcm(self) -> int:
-        from math import lcm
         return lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
 
     def integer_coeffs(self):
         """Coefficients scaled to content-1 integers (primitive part)."""
-        from math import gcd, lcm
         if not self.coeffs:
             return []
         den = lcm(*(c.denominator for c in self.coeffs))
@@ -178,46 +176,6 @@ class UPoly:
         for c in ints:
             g = gcd(g, c)
         return [c // g for c in ints]
-
-    def resultant(self, other: "UPoly") -> Fraction:
-        """res(self, other) via the Sylvester matrix (exact)."""
-        m, n = self.degree, other.degree
-        if m < 0 or n < 0:
-            return Fraction(0)
-        if m == 0:
-            return self.coeffs[0] ** n
-        if n == 0:
-            return other.coeffs[0] ** m
-        size = m + n
-        rows = []
-        a = list(reversed(self.coeffs))
-        b = list(reversed(other.coeffs))
-        for i in range(n):
-            rows.append([Fraction(0)] * i + a + [Fraction(0)] * (n - 1 - i))
-        for i in range(m):
-            rows.append([Fraction(0)] * i + b + [Fraction(0)] * (m - 1 - i))
-        # Fraction-exact Gaussian elimination.
-        det = Fraction(1)
-        for col in range(size):
-            piv = next((r for r in range(col, size) if rows[r][col]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = 1 / rows[col][col]
-            for r in range(col + 1, size):
-                if rows[r][col]:
-                    f = rows[r][col] * inv
-                    rows[r] = [rc - f * cc for rc, cc in zip(rows[r], rows[col])]
-        return det
-
-    def discriminant(self) -> Fraction:
-        n = self.degree
-        res = self.resultant(self.derivative())
-        sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        return sign * res / self.leading
 
     def __repr__(self):
         if not self.coeffs:

@@ -9,11 +9,12 @@ at all primes above p survive only if a single P^1(F_p)-value is
 compatible with psi's reduction at every completion (coordinates above
 the constant one must vanish for residue degree > 1, and the rational
 values must agree across primes).  Surviving classes are then closed
-p-adically: inside a class the rationality equations are power series
-in the lattice coordinates whose terms beyond the linear one carry
-valuation >= 2, so a linear part that is nondegenerate pins at most one
-point, which must then be the known one; a class with no known point is
-emptied modulo p^2 or left honestly unclosed.
+p-adically.  Inside a class R0 + sum n_i B_i (B_i the lattice basis) the
+rationality equations have the Newton form H(n) = sum_e Delta^e H(0)
+C(n, e), whose differences of order j carry valuation >= j.  A
+nondegenerate linear part pins at most one point, which must then be the
+known one; a class with no known point is emptied when the form has no
+zero modulo p^2, or else modulo p^3, or is left honestly unclosed.
 
 Closing at p is sound only when the generators' index is prime to p and
 to the primes dividing the local group orders.  That is certified by the
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb, prod
+from operator import mul
 
 from ..arith.numberfield import NumberField
 from ..arith.rationals import factorize, valuation
@@ -402,22 +405,17 @@ class ChabautyRun:
             return False, cert
 
         basis_pts = sd.kernel_points
-        # R0: a global integer representative of the class.
+        # The class values at R0 + sum e_i B_i, R0 a global integer
+        # representative of the class.
         R0_pts = [ctx.combination(cls) for ctx in self.contexts]
-        H0 = self._equations(self._chart_values(R0_pts, invert))
-        shifted_pts = []
-        Hs = []
-        for per_prime in basis_pts:
-            shifted = [R.add(B) for R, B in zip(R0_pts, per_prime)]
-            shifted_pts.append(shifted)
-            Hs.append(self._equations(self._chart_values(shifted, invert)))
-
-        n_eq = len(H0)
-        A = [H0[s][0] for s in range(n_eq)]
-        knowns = [min(H0[s][1], *(h[s][1] for h in Hs)) if Hs else H0[s][1]
-                  for s in range(n_eq)]
-        D = [[(h[s][0] - H0[s][0]) for h in Hs] for s in range(n_eq)]  # n_eq x rank
-        kmin = min(knowns) if knowns else self.prec
+        origin = (0,) * rank
+        grid = {origin: (R0_pts, self._equations(self._chart_values(R0_pts, invert)))}
+        self._extend_grid(grid, basis_pts, 1, invert)
+        A = [h for h, _ in grid[origin][1]]
+        n_eq = len(A)
+        firsts = [_forward_difference(grid, e) for e in grid if sum(e) == 1]
+        D = [[d for d, _ in row] for row in zip(*firsts)]  # n_eq x rank
+        kmin = min((known for _, eqs in grid.values() for _, known in eqs), default=self.prec)
         if kmin < 6:
             raise PrecisionTooLow("precision eroded below certification level")
 
@@ -457,17 +455,13 @@ class ChabautyRun:
             cert["bound"] = 1
             return True, cert
         if len(pts_here) == 0:
-            # Try to empty the class modulo p^2, then modulo p^3 with the
-            # quadratic (second-difference) terms.
-            if self._empty_mod_p2(A, D, knowns):
-                cert["mechanism"] = "closed-empty-mod-p2"
-                cert["bound"] = 0
-                return True, cert
-            if self._empty_mod_p3(sd, R0_pts, basis_pts, shifted_pts,
-                                  H0, Hs, invert, knowns):
-                cert["mechanism"] = "closed-empty-mod-p3"
-                cert["bound"] = 0
-                return True, cert
+            for k in (2, 3):
+                self._extend_grid(grid, basis_pts, k - 1, invert)
+                terms = [(e, _forward_difference(grid, e)) for e in grid if sum(e) < k]
+                if _empty_mod(p, k, terms):
+                    cert["mechanism"] = f"closed-empty-mod-p{k}"
+                    cert["bound"] = 0
+                    return True, cert
             if bound == 1:
                 cert["mechanism"] = "unclosed-phantom-possible"
                 cert["bound"] = 1
@@ -475,79 +469,54 @@ class ChabautyRun:
         cert["mechanism"] = "unclosed-degenerate-linear"
         return False, cert
 
-    def _empty_mod_p3(self, sd, R0_pts, basis_pts, shifted_pts, H0, Hs,
-                      invert, knowns):
-        """No zero modulo p^3: in the Newton (binomial) form the class
-        functions are H(n) = H(0) + sum_i D1_i(n_i) + cross terms, where
-        the forward differences of order k carry valuation >= k; the
-        terms of order 3 and higher vanish mod p^3, so solvability is a
-        finite check over n mod p^2."""
-        p = self.p
-        rank = sd.rank
-        mod3 = p**3
-        # Second differences along each axis, and mixed ones for rank 2.
-        H2 = {}
-        h2_known = min(knowns) if knowns else self.prec
-        for i, per_prime in enumerate(basis_pts):
-            twice = [S.add(B) for S, B in zip(shifted_pts[i], per_prime)]
-            H2[(i, i)] = self._equations(self._chart_values(twice, invert))
-            for j in range(i + 1, rank):
-                mixed = [S.add(B) for S, B in zip(shifted_pts[i], basis_pts[j])]
-                H2[(i, j)] = self._equations(self._chart_values(mixed, invert))
-        for vals in H2.values():
-            h2_known = min(h2_known, *(k for _, k in vals))
-        if any(k < 3 for k in knowns) or h2_known < 3:
-            raise PrecisionTooLow("not enough digits for the mod-p^3 sieve")
-        n_eq = len(H0)
+    def _extend_grid(self, grid, basis_pts, order, invert):
+        """Extend grid {e: (ZqPoints per prime, equations)} to every offset
+        |e| <= order.  Offset e is reached from e - e_i by adding B_i, i the
+        last nonzero entry of e, so every point is one fixed sum and its
+        tracked precision does not depend on the order of the calls."""
+        for size in range(1, order + 1):
+            for axes in combinations_with_replacement(range(len(basis_pts)), size):
+                e = tuple(map(axes.count, range(len(basis_pts))))
+                if e not in grid:
+                    i = axes[-1]
+                    prev = grid[e[:i] + (e[i] - 1,) + e[i + 1:]][0]
+                    pts = [P.add(B) for P, B in zip(prev, basis_pts[i])]
+                    grid[e] = (pts, self._equations(self._chart_values(pts, invert)))
 
-        def Hval(vals, s):
-            return vals[s][0]
 
-        for n in product(range(p * p), repeat=rank):
-            ok = True
-            for s in range(n_eq):
-                # Newton form: H(n) = H0 + sum_i (H(e_i)-H0) C(n_i,1)
-                #   + sum_i (H(2e_i)-2H(e_i)+H0) C(n_i,2)
-                #   + sum_{i<j} (H(e_i+e_j)-H(e_i)-H(e_j)+H0) n_i n_j  (mod p^3)
-                tot = Hval(H0, s)
-                for i in range(rank):
-                    d1 = Hval(Hs[i], s) - Hval(H0, s)
-                    tot += d1 * n[i]
-                    d2 = Hval(H2[(i, i)], s) - 2 * Hval(Hs[i], s) + Hval(H0, s)
-                    tot += d2 * (n[i] * (n[i] - 1) // 2)
-                    for j in range(i + 1, rank):
-                        dm = (Hval(H2[(i, j)], s) - Hval(Hs[i], s)
-                              - Hval(Hs[j], s) + Hval(H0, s))
-                        tot += dm * n[i] * n[j]
-                if tot % mod3:
-                    ok = False
-                    break
-            if ok:
-                return False
-        return True
+def _forward_difference(grid, e):
+    """Delta^e H(0) = sum_{b <= e} (-1)^|e - b| prod_i C(e_i, b_i) H(b) for
+    each equation, as (value, known precision) pairs like the grid's."""
+    offsets = list(product(*(range(ei + 1) for ei in e)))
+    coeffs = [(-1) ** (sum(e) - sum(b)) * prod(map(comb, e, b)) for b in offsets]
+    return [(sum(c * h for c, (h, _) in zip(coeffs, col)), min(known for _, known in col))
+            for col in zip(*(grid[b][1] for b in offsets))]
 
-    def _empty_mod_p2(self, A, D, knowns):
-        """True if A + D n = 0 (mod p^2) has no solution n in Z_p^r."""
-        p = self.p
-        rank = len(D[0]) if D else 0
-        if any(k < 2 for k in knowns):
-            raise PrecisionTooLow("not enough digits for the mod-p^2 sieve")
-        # When every linear coefficient is divisible by p, the value mod p^2
-        # only depends on n mod p.
-        all_div = all(d % p == 0 for row in D for d in row)
-        box = p if all_div else p * p
-        for n in product(range(box), repeat=rank):
-            ok = True
-            for s in range(len(A)):
-                tot = A[s]
-                for i in range(rank):
-                    tot += D[s][i] * n[i]
-                if tot % (p * p):
-                    ok = False
-                    break
-            if ok:
-                return False
-        return True
+
+def _empty_mod(p, k, terms):
+    """True if the class equations have no common zero modulo p^k.
+
+    terms: (e, Delta^e H(0)) for every offset |e| < k.  In Newton form
+    H(n) = sum_e Delta^e H(0) C(n, e), with C(n, e) = prod_i C(n_i, e_i),
+    and a difference of order j carries valuation >= j, so the terms of
+    order k and above vanish mod p^k and H(n) mod p^k depends on n mod
+    p^(k-1) only, or on n mod p^k when a first difference is a unit."""
+    if any(known < k for _, diff in terms for _, known in diff):
+        raise PrecisionTooLow(f"not enough digits for the mod-p^{k} sieve")
+    unit = any(d % p for e, diff in terms if sum(e) == 1 for d, _ in diff)
+    mod = p**k
+    box = mod if unit else mod // p
+    binoms = [[comb(m, j) for j in range(k)] for m in range(box)]
+    for head in product(range(box), repeat=len(terms[0][0]) - 1):
+        # Each equation at n = (*head, m) as coefficients of C(m, j).
+        polys = [[0] * k for _ in terms[0][1]]
+        for e, diff in terms:
+            w = prod(map(comb, head, e))
+            for poly, (d, _) in zip(polys, diff):
+                poly[e[-1]] += w * d
+        if any(all(sum(map(mul, poly, bm)) % mod == 0 for poly in polys) for bm in binoms):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -580,7 +549,7 @@ def certify_index_coprimality(curve, gens, ells):
                     for row in reductions_at(curve, q) if row[2] % ell == 0]
             if not rows:
                 continue
-            result, used = non_divisibility_sieve(curve, gens, ell, rows)
+            result, used = non_divisibility_sieve(gens, ell, rows)
             if result is True:
                 certified[ell] = used
                 break

@@ -21,10 +21,9 @@ from ..arith.rationals import rational_cube_root
 from ..arith.roots import nf_nth_root
 from ..descent import build_descent_forms, genus1_quotients, plane_cubic, st_map
 from ..ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass, mat_mul
-from ..ec.reduction import BadPrime, curve_order_fq, primes_above, reduce_curve
 from ..ec.weierstrass import EcPoint, WeierstrassCurve
 from ..param import STValue, equation_rhs
-from .engine import CurveProblem, RationalFunctionOnE
+from .engine import CurveProblem, RationalFunctionOnE, reductions_at
 
 
 def find_primitive_solution(eq_id: int, st: STValue, bound: int = 6):
@@ -159,7 +158,7 @@ def chabauty_setup_for_row(descent_data, mw_data, eq_id: int, row,
         raise CurveProblem(f"psi(p0) = {val0} does not match the table value {st_printed}")
 
     gens = mw_data.points(table_i)
-    checks["trivial_torsion"] = trivial_torsion_certificate(E_i, K)
+    checks["trivial_torsion"] = trivial_torsion_certificate(E_i)
 
     known = _known_points(E_i, psi, gens, P0, box)
     return ChabautySetup(eq_id=eq_id, delta_alpha=delta_alpha, table_i=table_i,
@@ -192,10 +191,11 @@ def _known_points(E, psi, gens, P0, box):
 
 
 @lru_cache(maxsize=None)
-def trivial_torsion_certificate(E: WeierstrassCurve, K):
+def trivial_torsion_certificate(E: WeierstrassCurve):
     """E(K)_tors = 0 for y^2 = x^3 + c: no 2-torsion (-c not a cube in K),
-    no 3-torsion (c not a square; -4c cube with -3c square fails), and a
-    reduction bound kills every other prime.  Certified once per curve."""
+    no 3-torsion (c not a square; -4c cube with -3c square fails), and the
+    gcd of #E(F_q) over the degree-1 rows of the curve's reduction table
+    kills every other prime.  Certified once per curve."""
     c = E.b
     if nf_nth_root(-c, 3) is not None:
         raise CurveProblem("curve has K-rational 2-torsion")
@@ -207,17 +207,9 @@ def trivial_torsion_certificate(E: WeierstrassCurve, K):
     bound = 0
     used = []
     for q in (11, 23, 37, 59, 61, 71, 73):
-        try:
-            prs = primes_above(K, q)
-        except BadPrime:
-            continue
-        for pr in prs:
+        for pr, _, order in reductions_at(E, q):
             if pr.degree == 1:
-                try:
-                    Ebar = reduce_curve(E, pr)
-                except BadPrime:
-                    continue
-                bound = gcd(bound, curve_order_fq(Ebar))
+                bound = gcd(bound, order)
                 used.append((q, pr.idx))
         if bound in (1, 2, 3, 4, 6, 9, 12):
             break

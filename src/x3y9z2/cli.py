@@ -21,6 +21,7 @@ from .ec.reduction import largest_residue_field
 from .local import ProjectiveSystem, Undecided, is_locally_soluble
 from .param import lift_to_ninth, mordell_families
 from .pipeline import brute_search, report_to_json, run_pipeline, signed_triples
+from .verify import verify_mw_table, verify_quotient_claims, verify_rank_table_constants
 
 # Misprints adjudicated by computation; any other CORRECTED (or FAIL) is
 # an error condition for the exit code.
@@ -135,8 +136,6 @@ def cmd_local_sweep(args):
 
 
 def cmd_ec_verify_tables(args):
-    from .verify import (verify_mw_table, verify_quotient_claims,
-                         verify_rank_table_constants)
     claims = verify_rank_table_constants() + verify_mw_table() + verify_quotient_claims()
     bad = 0
     for c in claims:

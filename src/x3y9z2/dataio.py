@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 
 from .arith.numberfield import EtaleAlgebra, FieldIso, NfElem, NumberField
 from .arith.poly import UPoly
@@ -34,7 +35,6 @@ def set_data_dir(path):
 
 def _data_text(name: str) -> str:
     if _DATA_DIR_OVERRIDE:
-        from pathlib import Path
         return Path(_DATA_DIR_OVERRIDE).joinpath(name).read_text()
     return resources.files("x3y9z2.data").joinpath(name).read_text()
 

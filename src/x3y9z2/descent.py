@@ -16,7 +16,7 @@ from itertools import product
 from .arith.numberfield import AlgElem, EtaleAlgebra, NumberField
 from .arith.poly import MPoly, binary_form_divide
 from .arith.rationals import is_rational_cube, strip_primes
-from .arith.roots import degree_one_character_data, nf_cubic_character
+from .arith.roots import degree_one_character_data, nf_cubic_character, small_primes
 from .param import STValue
 
 
@@ -89,7 +89,6 @@ def _character_rank(gens, algebra: EtaleAlgebra, max_chars=24):
 
 
 def _split_rational_char_primes(bound=300):
-    from .arith.roots import small_primes
     return [q for q in small_primes(bound) if q > 3 and q % 3 == 1]
 
 

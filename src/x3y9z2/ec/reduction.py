@@ -275,7 +275,7 @@ def all_points_fq(Ebar: FqCurve):
     return [None] + [(x, y) for x in elements for y in roots.get(Ebar.rhs(x), ())]
 
 
-def non_divisibility_sieve(curve: WeierstrassCurve, points, m: int, reductions):
+def non_divisibility_sieve(points, m: int, reductions):
     """Certify that <points> + torsion has index prime to m in E(K).
 
     reductions: iterable of (pr, Ebar, #E(F_q)), a prime pr of K of good

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith.poly import MPoly
-from .arith.rationals import icbrt, valuation
+from .arith.rationals import factorize, icbrt, valuation
 
 
 class STValue:
@@ -177,7 +177,6 @@ class SolutionTriple:
 
 def _remove_weighted_content(x: int, v: int, z: int):
     """Largest (lam^2 x, lam^2 v, lam^3 z)-reduction with integer results."""
-    from .arith.rationals import factorize
     g = gcd(gcd(abs(x), abs(v)), abs(z))
     if g <= 1:
         return x, v, z

@@ -16,6 +16,7 @@ Stages (each consumes the previous stage's verified artifacts):
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -272,7 +273,6 @@ def verify_theorem1(final_set):
 
 def run_pipeline(primes=DEFAULT_PRIMES, y_bound=3, aux_bound=10_000, prec=DEFAULT_PREC):
     """Execute all stages; returns the report dictionary."""
-    import time
     timings = {}
     t0 = time.monotonic()
     claims = []

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .arith.poly import MPoly
+from .arith.numberfield import _rational_roots
+from .arith.poly import MPoly, UPoly
+from .arith.rationals import factorize
 from .dataio import load_descent_data, load_mw_data, load_tables, nf, quartic_field
 from .descent import genus1_quotients, plane_cubic
 from .ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass
@@ -68,12 +70,10 @@ def _quotient_curve(form: MPoly, c: Fraction):
     F = plane_cubic(Fraction(c), form)
     # A rational root of the binary cubic gives the flex on the u = 0 line;
     # form(s, 1) as a univariate in s:
-    from .arith.poly import UPoly
     coeffs = {}
     for (i, j), coeff in form.terms.items():
         coeffs[i] = coeffs.get(i, Fraction(0)) + coeff
     upoly = UPoly([coeffs.get(i, Fraction(0)) for i in range(4)])
-    from .arith.numberfield import _rational_roots
     roots = _rational_roots(upoly)
     if roots:
         flex = (Fraction(0), roots[0], Fraction(1))
@@ -112,7 +112,6 @@ def _quotient_torsion(form: MPoly, c: Fraction):
 
 def _canonical_proj(s, t, u):
     """Primitive integer (s : t : u) with positive leading entry."""
-    from math import lcm
     s, t, u = Fraction(s), Fraction(t), Fraction(u)
     den = lcm(s.denominator, t.denominator, u.denominator)
     a, b, c = int(s * den), int(t * den), int(u * den)
@@ -227,7 +226,6 @@ def rank0_sides(row):
 
 def cube_free_part(q: Fraction) -> Fraction:
     """Canonical positive representative of q modulo rational cubes."""
-    from .arith.rationals import factorize
     q = Fraction(q)
     if q == 0:
         return q

@@ -7,7 +7,9 @@ two checks one route against another:
 - `ref_mul` / `ref_norm`: the schoolbook product reduced by a Fraction
   power table, and the determinant of the multiplication map;
 - `minimal_polynomial`: the first linear relation among 1, e, e^2, ...;
-- `norm_resultant`: Res(f, e(x)) for the monic defining polynomial f.
+- `norm_resultant`: Res(f, e(x)) for the monic defining polynomial f;
+- `resultant` / `discriminant`: the Sylvester determinant by Fraction
+  elimination, and disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f).
 """
 
 from fractions import Fraction
@@ -123,4 +125,40 @@ def norm_resultant(elem) -> Fraction:
     a = UPoly(elem.coords)
     if a.is_zero():
         return Fraction(0)
-    return elem.parent.monic_poly.resultant(a)
+    return resultant(elem.parent.monic_poly, a)
+
+
+def resultant(f, g) -> Fraction:
+    """Res(f, g) of two UPolys: the Sylvester determinant (exact)."""
+    m, n = f.degree, g.degree
+    if m < 0 or n < 0:
+        return Fraction(0)
+    if m == 0:
+        return f.coeffs[0] ** n
+    if n == 0:
+        return g.coeffs[0] ** m
+    size = m + n
+    a = list(reversed(f.coeffs))
+    b = list(reversed(g.coeffs))
+    rows = [[Fraction(0)] * i + a + [Fraction(0)] * (n - 1 - i) for i in range(n)]
+    rows += [[Fraction(0)] * i + b + [Fraction(0)] * (m - 1 - i) for i in range(m)]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            if rows[r][col]:
+                q = rows[r][col] / rows[col][col]
+                rows[r] = [rc - q * cc for rc, cc in zip(rows[r], rows[col])]
+    return det
+
+
+def discriminant(f) -> Fraction:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
+    n = f.degree
+    return (-1) ** (n * (n - 1) // 2) * resultant(f, f.derivative()) / f.leading

@@ -1,14 +1,15 @@
 """The Chabauty machinery: formal log, sieve, and per-curve runs."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from x3y9z2.arith.localfield import ZqRing
 from x3y9z2.arith.roots import small_primes
-from x3y9z2.chabauty.engine import (ChabautyRun, PrimeContext, rational_st_values,
-                                    residue_sieve)
+from x3y9z2.chabauty.engine import (ChabautyRun, PrimeContext, _empty_mod,
+                                    rational_st_values, residue_sieve)
 from x3y9z2.chabauty.series import PrecisionTooLow, formal_log
 from x3y9z2.chabauty.setup import chabauty_setup_for_row, find_primitive_solution
 from x3y9z2.ec.reduction import all_points_fq, primes_above
@@ -161,10 +162,49 @@ class TestSieve:
         assert outcome.values == []
 
 
-def test_reduction_orders_count_each_prime_once(mw_data, K, monkeypatch):
+class TestClosing:
+    def test_mechanisms_at_13(self, setup_eq1_row0):
+        """At p = 13, eq 1 delta 0 closes six classes only modulo p^3, by
+        the Newton form with its second differences."""
+        s = setup_eq1_row0
+        closed, cert = ChabautyRun(s.curve, s.psi, s.gens, s.known_points, 13).run()
+        assert not closed
+        assert Counter(c["mechanism"] for c in cert["classes"]) == {
+            "closed-empty-mod-p2": 6, "closed-empty-mod-p3": 6,
+            "unclosed-phantom-possible": 2, "closed-unique-linear": 1}
+
+    def test_empty_mod_on_hand_made_differences(self):
+        """The Newton form sum_e Delta^e C(n, e) at p = 5: an empty case and
+        one with a zero for k = 2 and k = 3.  Each k = 3 verdict flips when
+        the second differences (C(n, 2) and the mixed n1 n2) are dropped."""
+        def terms(pairs, known=10):
+            return [(e, [(d, known) for d in diff]) for e, diff in pairs]
+
+        assert _empty_mod(5, 2, terms([((0,), [5]), ((1,), [25])]))
+        assert not _empty_mod(5, 2, terms([((0,), [5]), ((1,), [5])]))
+        # A unit first difference: the zero 1 + 24 lies beyond n < 5.
+        assert not _empty_mod(5, 2, terms([((0,), [1]), ((1,), [1])]))
+        # 25 (2 + n + 2 C(n, 2)) = 25 (n^2 + 2): -2 is not a square mod 5.
+        assert _empty_mod(5, 3, terms([((0,), [50]), ((1,), [25]), ((2,), [50])]))
+        # 25 (4 + C(n, 2)) vanishes mod 125 at n = 2.
+        assert not _empty_mod(5, 3, terms([((0,), [100]), ((1,), [0]), ((2,), [25])]))
+        # 25 (4 + n1 n2) vanishes mod 125 at n = (1, 1).
+        second = [((2, 0), [0]), ((1, 1), [25]), ((0, 2), [0])]
+        assert not _empty_mod(5, 3, terms([((0, 0), [100]), ((1, 0), [0]), ((0, 1), [0])]
+                                          + second))
+        # 25 (n1 - 1) and 25 (1 + n2 - n1 n2): n1 = 1 leaves 25 in the second.
+        second = [((2, 0), [0, 0]), ((1, 1), [0, -25]), ((0, 2), [0, 0])]
+        assert _empty_mod(5, 3, terms([((0, 0), [-25, 25]), ((1, 0), [25, 0]),
+                                       ((0, 1), [0, 25])] + second))
+        with pytest.raises(PrecisionTooLow, match=r"mod-p\^3 sieve"):
+            _empty_mod(5, 3, terms([((0,), [50]), ((1,), [25]), ((2,), [50])], known=2))
+
+
+def test_reduction_orders_count_each_prime_once(mw_data, monkeypatch):
     """reductions_at reduces and counts each (curve, q) once: a wider scan
     repeats the narrower one's rows from the same counts.  The trivial-
-    torsion certificate is made once per curve, and handed out again."""
+    torsion certificate reads the same table, so it counts no point for
+    a q the table holds; it is made once per curve, and handed out again."""
     from x3y9z2.chabauty import engine, setup
     E = mw_data.curve(1)
 
@@ -182,12 +222,9 @@ def test_reduction_orders_count_each_prime_once(mw_data, K, monkeypatch):
     assert table(100) == small and len(counted) == len(wide)
 
     setup.trivial_torsion_certificate.cache_clear()
-    monkeypatch.setattr(setup, "curve_order_fq",
-                        lambda Ebar: counted.append(Ebar) or count(Ebar))
-    first = setup.trivial_torsion_certificate(E, K)
-    n_counted = len(counted)
-    second = setup.trivial_torsion_certificate(E, K)
-    assert n_counted > len(wide) and len(counted) == n_counted
+    first = setup.trivial_torsion_certificate(E)
+    second = setup.trivial_torsion_certificate(E)
+    assert first["primes"] and len(counted) == len(wide)
     assert second is first
 
 

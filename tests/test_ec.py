@@ -377,7 +377,7 @@ class TestSieve:
         E = mw_data.curve(1)
         pts = mw_data.points(1)
         rows = _reductions(E, K, (5, 7, 11, 13, 23, 37, 59, 61))
-        result, used = non_divisibility_sieve(E, pts, 3, rows)
+        result, used = non_divisibility_sieve(pts, 3, rows)
         assert result is True
         assert used  # the certifying prime set is recorded
 
@@ -386,7 +386,7 @@ class TestSieve:
         g1 = mw_data.points(1)[0]
         thrice = [3 * g1]
         rows = _reductions(E, K, (5, 7, 11, 13, 23, 37))
-        result, used = non_divisibility_sieve(E, thrice, 3, rows)
+        result, used = non_divisibility_sieve(thrice, 3, rows)
         assert result is not True  # 3*g1 is 3-divisible everywhere
 
     def test_one_multiple_path_matches_enumeration(self, mw_data, K):
@@ -412,7 +412,7 @@ class TestSieve:
                 expected = [e for e in product(range(3), repeat=3) if any(e)
                             and reduce(Ebar.add, (Ebar.mul(k, P) for k, P in zip(e, triple)))
                             in mult]
-                result, _ = non_divisibility_sieve(E, points, 3, [(pr, Ebar, N)])
+                result, _ = non_divisibility_sieve(points, 3, [(pr, Ebar, N)])
                 assert (result is True and not expected) or result == expected
                 checked += 1
         assert checked >= 3

@@ -45,6 +45,17 @@ def test_memos_live_on_their_objects():
     assert found == []
 
 
+def test_imports_are_at_module_level():
+    """No function body in src/ imports: every dependency of a module is
+    read from its import block, and a missing or circular one fails at
+    import time rather than on the first call of one code path."""
+    found = [f"{rel}:{node.lineno}" for rel, tree in _trees()
+             for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
 # Definitions no src/ code reaches yet, each tracked on ROADMAP: the
 # formal logarithm (only tests call it until the Chabauty certificates
 # are re-checked).
