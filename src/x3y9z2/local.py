@@ -8,12 +8,23 @@ still alive at the depth limit surface as an Undecided error, never as
 a boolean.
 
 Refinement is exhaustive: a live branch v mod p^k has all p^3 children
-v + p^k e, e ranging over F_p^3 on the free coordinates of its patch, and
-each child is judged by the valuation-gap test at its own node.  The
-linear shortcut, keeping only the F_p-solutions e of
-F(v)/p^k + J(v) e = 0 (mod p), is not used: at p = 3 the Jacobian of the
-descent forms is almost always divisible by 3, and then that system
-admits every child.
+c = v + p^k e, e ranging over {0..p-1}^3 on the free coordinates of its
+patch, and each child is judged by the valuation-gap test at depth
+k + 1.  That test reads only F(c) and J(c) mod p^(k+1), and the parent
+predicts both from its own Taylor expansion.  With J and H the Jacobian
+row and the Hessian of a form F of degree d <= 3 on the free
+coordinates at v,
+
+    F(c) = F(v) + p^k J.e + p^(2k) (1/2) e^T H e + p^(3k) F(e)
+    J(c) = J(v) + p^k H e          (mod p^(k+1), as 2k >= k + 1)
+
+where F(e) puts e on the free coordinates and 0 on the patch coordinate,
+the half is exact because H's diagonal is even, and the terms above
+degree d vanish.  The first identity is exact, and the gap test only
+reads gcd(J(c), p^(k+1)), so the parent's verdict on a child is the
+child's own.  Only the children that pass go down a level; a rejected
+child still counts as a visited node, in child order, against the node
+budget.
 
 A node computes the monomials of its vector once and evaluates each form
 and partial as a dot product with a dense coefficient list.  Form 0 is
@@ -25,11 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .arith.poly import MPoly
 from .arith.rationals import valuation
 
 
@@ -72,10 +82,21 @@ def _dense(form, degree):
     return coeffs
 
 
+def _partial(form, var):
+    """The partial derivative of {expo: coeff} along y_var."""
+    return {e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
+            for e, c in form.items() if e[var]}
+
+
+# Index pairs a <= b in the order of the degree-2 monomials of _monomials.
+_PAIRS = [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3), (3, 3)]
+
+
 @dataclass
 class ProjectiveSystem:
     """Homogeneous integer forms in y0..y3 with content 1, of degree 1 to 3.
-    Each form and its four partials are also kept as dense coefficient lists."""
+    Each form, its four partials and its ten second partials are also kept
+    as dense coefficient lists."""
 
     forms: list          # list of {expo: int}
 
@@ -85,8 +106,12 @@ class ProjectiveSystem:
             raise ValueError("forms must be nonzero, homogeneous and of degree 1 to 3")
         self._degrees = [min(d) for d in degs]
         self._coeffs = [_dense(f, d) for f, d in zip(self.forms, self._degrees)]
-        self._partials = [[_dense(MPoly(4, f).partial(v).terms, d - 1) for v in range(4)]
-                          for f, d in zip(self.forms, self._degrees)]
+        self._partials, self._hessians = [], []
+        for f, d in zip(self.forms, self._degrees):
+            firsts = [_partial(f, v) for v in range(4)]
+            self._partials.append([_dense(g, d - 1) for g in firsts])
+            self._hessians.append({(a, b): _dense(_partial(firsts[a], b), max(d - 2, 0))
+                                   for a, b in _PAIRS})
 
     @classmethod
     def from_mpolys(cls, mpolys):
@@ -147,6 +172,22 @@ def enumerate_points_mod_p(system: ProjectiveSystem, p: int):
     return out
 
 
+def _taylor(f, j, h, z, e, pk):
+    """F(c) exactly and F's Jacobian row J(c) mod p^(k+1) (k >= 1) on the free
+    coordinates at the child c = v + p^k e of a node v mod p^k, read from the
+    node: f = F(v), j and h are F's Jacobian row and Hessian
+    (h00, h01, h11, h02, h12, h22) on the free coordinates at v, and
+    z = F(e), or 0 when F has degree below 3."""
+    e0, e1, e2 = e
+    h00, h01, h11, h02, h12, h22 = h
+    he0 = h00 * e0 + h01 * e1 + h02 * e2
+    he1 = h01 * e0 + h11 * e1 + h12 * e2
+    he2 = h02 * e0 + h12 * e1 + h22 * e2
+    fc = f + pk * (j[0] * e0 + j[1] * e1 + j[2] * e2
+                   + pk * ((e0 * he0 + e1 * he1 + e2 * he2) // 2 + pk * z))
+    return fc, (j[0] + pk * he0, j[1] + pk * he1, j[2] + pk * he2)
+
+
 def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
                        node_budget: int = 1_000_000) -> LocalVerdict:
     """Decide solubility over Q_p by certified branch refinement.
@@ -158,6 +199,14 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
     2x2-minor Hensel criterion.  This prunes hard even when the whole
     Jacobian is divisible by p (the cube-structure of the descent forms
     makes that the typical case at p = 3).
+
+    A live node judges each of its p^3 children by that gap test itself,
+    from its Taylor expansion (module docstring): F(child) is exact and
+    J(child) is exact mod p^(k+1), which is all the test reads, so a child
+    is rejected there exactly when it would die at its own node.  Only the
+    children that pass are visited in turn.  A rejected child still counts
+    as a visited node, in child order, and the node budget runs out at the
+    same child as with no parent-side test.
 
     soluble=True carries a re-checkable witness; soluble=False is only
     returned once every branch died; anything else raises Undecided.
@@ -171,17 +220,32 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     start_points = enumerate_points_mod_p(system, p)
     (c0, c1), (d0, d1) = system._coeffs, system._degrees
-    # per patch: its free coordinates, and both forms' partials along them
+    h0deg, h1deg = max(d0 - 2, 0), max(d1 - 2, 0)
+    # per patch: its free coordinates, both forms' partials along them, and
+    # both forms' second partials along the pairs of them (_PAIRS order)
     frees = [[j for j in range(4) if j != patch] for patch in range(4)]
     rows = [[[P[j] for j in free] for P in system._partials] for free in frees]
+    hessians = [[[H[free[a], free[b]] for a, b in _PAIRS[:6]] for H in system._hessians]
+                for free in frees]
+    # per patch, filled at its first expansion: F_i(e) for e in {0..p-1}^3
+    # on the free coordinates, in child order (zeros below degree 3)
+    cubes = [None] * 4
     budget = [node_budget]
     undecided = []
     BIG = 10**9
 
-    def descend(vec, k, patch):
+    def cube_table(patch):
+        spots = [e[:patch] + (0,) + e[patch:] for e in product(range(p), repeat=3)]
+        return [[system.evaluate(i, spot) for spot in spots] if d == 3 else repeat(0)
+                for i, d in enumerate((d0, d1))]
+
+    def visit(k):
         if budget[0] <= 0:
             raise NodeBudgetExceeded(k, "node budget exhausted")
         budget[0] -= 1
+
+    def descend(vec, k, patch):
+        visit(k)
         pk = p**k
         free, (rows0, rows1) = frees[patch], rows[patch]
         mons = _monomials(vec)
@@ -215,13 +279,26 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
         if k >= max_depth:
             undecided.append((vec, k))
             return None
-        for e in product(range(0, p * pk, pk), repeat=3):
-            child = list(vec)
-            for pos, inc in zip(free, e):
-                child[pos] += inc
-            w = descend(child, k + 1, patch)
-            if w is not None:
-                return w
+        if cubes[patch] is None:
+            cubes[patch] = cube_table(patch)
+        hess0, hess1 = hessians[patch]
+        h0 = [sum(map(mul, r, mons[h0deg])) for r in hess0]
+        h1 = [sum(map(mul, r, mons[h1deg])) for r in hess1]
+        pk1 = pk * p
+        for e, z0, z1 in zip(product(range(p), repeat=3), *cubes[patch]):
+            # the child's gap test, form 0 first, from this node's expansion
+            fc, jc = _taylor(f0, j0, h0, z0, e, pk)
+            if not fc % (pk1 * gcd(*jc, pk1)):
+                fc, jc = _taylor(f1, j1, h1, z1, e, pk)
+                if not fc % (pk1 * gcd(*jc, pk1)):
+                    child = list(vec)
+                    for pos, inc in zip(free, e):
+                        child[pos] += pk * inc
+                    w = descend(child, k + 1, patch)
+                    if w is not None:
+                        return w
+                    continue
+            visit(k + 1)
         return None
 
     for vec in start_points:

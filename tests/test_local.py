@@ -10,8 +10,10 @@ import pytest
 
 from x3y9z2.arith.poly import MPoly
 from x3y9z2.descent import build_descent_forms, cubic_norm_filter, enumerate_delta
-from x3y9z2.local import (NodeBudgetExceeded, ProjectiveSystem, enumerate_points_mod_p,
-                          is_locally_soluble)
+from x3y9z2.local import (NodeBudgetExceeded, ProjectiveSystem, Undecided, _taylor,
+                          enumerate_points_mod_p, is_locally_soluble)
+
+from local_reference import exhaustive_search
 
 
 def brute_points_mod_p(system, p):
@@ -117,17 +119,23 @@ def test_dense_evaluation_matches_mpoly(descent_data):
 
 
 @pytest.fixture(scope="module")
-def pipeline_verdicts(descent_data):
-    """(eq, exponents, verdict) for every class the pipeline sends to the
-    Q_3 filter: 243 for equation 5, 9 each for equations 1 and 2."""
-    out = []
+def class_systems(descent_data):
+    """{eq: [(exponents, system)]} for every class the pipeline sends to the
+    local filter: 243 for equation 5, 9 each for equations 1 and 2."""
+    out = {}
     for eq in (5, 1, 2):
         spec = descent_data.specs[eq]
-        for expo, delta in cubic_norm_filter(enumerate_delta(spec), spec.leading_coeff):
-            sysd = build_descent_forms(spec.algebra, delta, eq_id=eq, expo=expo)
-            system = ProjectiveSystem.from_mpolys(list(sysd.curve_forms()))
-            out.append((eq, list(expo), is_locally_soluble(system, 3, max_depth=12)))
+        out[eq] = [(list(expo), ProjectiveSystem.from_mpolys(
+                        list(build_descent_forms(spec.algebra, delta).curve_forms())))
+                   for expo, delta in cubic_norm_filter(enumerate_delta(spec), spec.leading_coeff)]
     return out
+
+
+@pytest.fixture(scope="module")
+def pipeline_verdicts(class_systems):
+    """(eq, exponents, verdict) for every class of the Q_3 filter."""
+    return [(eq, expo, is_locally_soluble(system, 3, max_depth=12))
+            for eq in (5, 1, 2) for expo, system in class_systems[eq]]
 
 
 def test_node_totals(pipeline_verdicts):
@@ -155,3 +163,87 @@ def test_bad_prime_or_depth_refused(descent_data, p, max_depth):
     system = ProjectiveSystem.from_mpolys(list(sysd.curve_forms()))
     with pytest.raises(ValueError):
         is_locally_soluble(system, p, max_depth=max_depth)
+
+
+def _outcome(search, system, p, **kw):
+    """(soluble, witness, nodes, depth_searched), or the Undecided raised."""
+    try:
+        v = search(system, p, **kw)
+    except Undecided as exc:
+        return type(exc).__name__, exc.depth, str(exc)
+    return v.soluble, v.witness, v.nodes, v.depth_searched
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("eq", [1, 2])
+def test_search_matches_exhaustive_reference(class_systems, eq, p):
+    """Children judged at their parent give the verdicts, witnesses and
+    node counts of the search that visits every child, on every class of
+    equations 1 and 2."""
+    for _, system in class_systems[eq]:
+        assert _outcome(is_locally_soluble, system, p) == _outcome(exhaustive_search, system, p)
+
+
+@pytest.mark.parametrize("p, max_depth", [(2, 12), (3, 12), (2, 5)])
+def test_search_matches_exhaustive_reference_on_eq5_sample(class_systems, p, max_depth):
+    """The same on a seeded sample of equation 5 classes; at depth 5 some of
+    them are still undecided at p = 2, and both searches must say so with
+    the same count of live branches."""
+    systems = class_systems[5]
+    outcomes = []
+    for i in random.Random(13).sample(range(len(systems)), 6):
+        outcome = _outcome(is_locally_soluble, systems[i][1], p, max_depth=max_depth)
+        assert outcome == _outcome(exhaustive_search, systems[i][1], p, max_depth=max_depth)
+        outcomes.append(outcome)
+    assert max_depth == 12 or "Undecided" in [o[0] for o in outcomes]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_taylor_expansion_at_a_child(degree):
+    """_taylor's F(c) equals evaluate(c) exactly, and its J(c) is
+    jacobian_entry(c) mod p^(k+1), at c = v + p^k e for random integer
+    forms with every monomial present, with J and H at v taken from MPoly
+    partials."""
+    rng = random.Random(degree)
+    for _ in range(60):
+        form = {e: rng.choice([-1, 1]) * rng.randint(1, 50)
+                for e in product(range(degree + 1), repeat=4) if sum(e) == degree}
+        system = ProjectiveSystem(forms=[form])
+        poly = MPoly(4, {e: F(c) for e, c in form.items()})
+        for _ in range(5):
+            p, k, patch = rng.choice([2, 3, 5, 7]), rng.randint(1, 4), rng.randrange(4)
+            free = [j for j in range(4) if j != patch]
+            v = [rng.randint(-10**4, 10**4) for _ in range(4)]
+            e = tuple(rng.randrange(p) for _ in range(3))
+            pk = p**k
+            c, spot = list(v), [0] * 4
+            for pos, x in zip(free, e):
+                c[pos] += pk * x
+                spot[pos] = x
+            j = [system.jacobian_entry(0, a, v) for a in free]
+            h = [poly.partial(free[a]).partial(free[b])(v)
+                 for a, b in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))]
+            z = system.evaluate(0, spot) if degree == 3 else 0
+            fc, jc = _taylor(system.evaluate(0, v), j, h, z, e, pk)
+            assert fc == system.evaluate(0, c)
+            for a, x in zip(free, jc):
+                assert (x - system.jacobian_entry(0, a, c)) % (pk * p) == 0
+
+
+def test_budget_boundary_at_a_child_judged_by_its_parent(class_systems):
+    """An insoluble equation 5 class whose last visited node is a child its
+    parent rejected: with one node less the budget runs out at depth >= 2,
+    and a node that is not a start point and not rejected by its parent is
+    a witness, a leaf at the depth limit or expanded further, so it is never
+    the last node of an insoluble verdict.  A budget of exactly `nodes` gives
+    the same verdict, and the exhaustive reference runs out at the same
+    node."""
+    for _, system in class_systems[5]:
+        verdict = is_locally_soluble(system, 3)
+        short = _outcome(is_locally_soluble, system, 3, node_budget=verdict.nodes - 1)
+        if not verdict.soluble and short[0] == "NodeBudgetExceeded" and short[1] >= 2:
+            break
+    else:
+        pytest.fail("no insoluble class ends on a child rejected at its parent")
+    assert is_locally_soluble(system, 3, node_budget=verdict.nodes) == verdict
+    assert short == _outcome(exhaustive_search, system, 3, node_budget=verdict.nodes - 1)
