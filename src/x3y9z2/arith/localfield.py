@@ -4,9 +4,9 @@ finite fields F_q = Z_q/p as the same ring at N = 1.
 Elements are coefficient tuples in the power basis of a monic modulus
 h of degree d (d = 1 recovers Z_p and F_p, which keeps the calling code
 uniform across split, inert and mixed primes).  One ring type, ZqRing,
-and one element type, ZqElem, serve both: FqField is ZqRing at
-precision 1 plus the field-only operations (enumeration, the cube root
-of unity and the cubic character).  Everything is exact modulo p^N.
+and one element type, ZqElem, serve both: FqField is Z_q at N = 1 plus
+its size q and the enumeration of its elements.  Everything is exact
+modulo p^N.
 """
 
 from __future__ import annotations
@@ -150,16 +150,23 @@ def _has_quadratic_factor(work, p):
     return _fqpow(x, p * p, work, p) == x
 
 
-def quartic_is_irreducible_mod_p(coeffs, p) -> bool:
-    """Irreducibility test for a squarefree quartic without splitting."""
-    cs = [c % p for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if len(cs) - 1 != 4:
-        return False
-    if poly_roots_mod_p(cs, p):
-        return False
-    return not _has_quadratic_factor(_make_monic(cs, p), p)
+def residue_degrees(coeffs, p):
+    """Sorted degrees of the irreducible factors mod p of a polynomial of
+    degree <= 4, in O(log p) products and without splitting it: deg gcd(f,
+    x^p - x) roots, then _has_quadratic_factor on a rootless quartic.
+    Exact when p does not divide disc(f); a repeated root counts once."""
+    f = _make_monic([c % p for c in coeffs], p)
+    n = len(f) - 1
+    if n < 2:
+        return (1,) * n
+    xp = _fqpow((0, 1) + (0,) * (n - 2), p, f, p)
+    a, b = f, _poldivmod([xp[0], xp[1] - 1, *xp[2:]], f, p)[1]   # x^p - x mod f
+    while b:
+        a, b = b, _poldivmod(a, b, p)[1]
+    rest = n - (len(a) - 1)
+    if rest == 4:
+        return (2, 2) if _has_quadratic_factor(f, p) else (4,)
+    return (1,) * (n - rest) + ((rest,) if rest else ())
 
 
 def _poldivmod(a, b, p):
@@ -262,28 +269,6 @@ class FqField(ZqRing):
     def elements(self):
         for coords in product(range(self.p), repeat=self.d):
             yield ZqElem(self, coords)
-
-    @cached_property
-    def omega(self) -> "ZqElem":
-        """A fixed primitive cube root of unity: x^((q-1)/3) for the first
-        element x in enumeration order where that is not 1 (q = 1 mod 3)."""
-        e = (self.q - 1) // 3
-        for x in self.elements():
-            if x:
-                t = x ** e
-                if t != self.one():
-                    return t
-        raise ValueError("no primitive cube root of unity found")
-
-    def cube_character(self, x: "ZqElem") -> int:
-        """Exponent e in {0,1,2} with x^((q-1)/3) = omega^e; requires
-        q = 1 mod 3 and x != 0."""
-        if self.q % 3 != 1:
-            raise ValueError("residue field has no cubic character")
-        t = x ** ((self.q - 1) // 3)
-        if t == self.one():
-            return 0
-        return 1 if t == self.omega else 2
 
     def __repr__(self):
         return f"F_{self.p}^{self.d}"

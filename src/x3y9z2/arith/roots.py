@@ -1,14 +1,14 @@
 """n-th roots inside number fields, and cubic-residue characters.
 
 Roots are found p-adically: pick an auxiliary prime q at which the
-defining polynomial stays irreducible, Hensel-lift each residue root of
-X^n - xi in the unramified ring Z_q (where the power-basis coordinates
-of a global element are literally its rational coordinates mod q^N),
-reconstruct the coordinates with Wang rational reconstruction, and
-verify beta^n = xi exactly.  A positive answer is therefore proven; a
-None may in principle be a precision artifact, so negative results that
-matter are certified separately through cubic characters at split
-primes q = 1 (mod 3).
+defining polynomial stays irreducible and xi is a unit, Hensel-lift each
+residue root of X^n - xi in the unramified ring Z_q (where the
+power-basis coordinates of a global element are literally its rational
+coordinates mod q^N), reconstruct the coordinates with Wang rational
+reconstruction, and verify beta^n = xi exactly.  A positive answer is
+therefore proven; a None may in principle be a precision artifact, so
+negative results that matter are certified separately through cubic
+characters at split primes q = 1 (mod 3), each one integer power mod q.
 
 Residue roots come from Adleman-Manders-Miller (one ell-th root per
 prime ell | n, then the ell-th roots of unity), never from scanning F_q.
@@ -24,8 +24,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 
-from .localfield import (FqField, ZqRing, factor_quartic_mod_p,
-                         poly_roots_mod_p, quartic_is_irreducible_mod_p)
+from .localfield import ZqRing, poly_roots_mod_p, residue_degrees
 from .numberfield import NfElem, NumberField
 from .rationals import rational_cube_root, rational_reconstruct, rational_sqrt
 
@@ -68,25 +67,23 @@ def _rational_nth_root(x: Fraction, n: int):
     raise ValueError(f"unsupported root order {n}")
 
 
-def _inert_prime_rings(field: NumberField, avoid, prec: int, enum_bound=250_000):
-    """Yield ZqRing contexts at primes where the defining poly is
-    irreducible (so K tensor Q_q is one unramified field)."""
+def _inert_prime_rings(xi: NfElem, prec: int, enum_bound=250_000):
+    """Yield ZqRing contexts at the primes 5 <= q < 400 where xi is a unit
+    (q divides neither xi.den nor N(xi)) and residue_degrees says the
+    defining poly is irreducible (K tensor Q_q is one unramified field)."""
+    field = xi.parent
     f_ints = field.minpoly.integer_coeffs()
     disc = field.discriminant()
+    nrm = xi.norm()
+    nonunit = xi.den * nrm.numerator * nrm.denominator
     for q in small_primes(400):
-        if q in avoid or q < 5:
+        if q < 5 or nonunit % q == 0:
             continue
         if disc.numerator % q == 0 or disc.denominator % q == 0:
             continue
         if q**field.degree > enum_bound:
             return
-        if field.degree == 4:
-            irreducible = quartic_is_irreducible_mod_p(f_ints, q)
-        else:
-            factors = factor_quartic_mod_p(f_ints, q)
-            irreducible = (len(factors) == 1 and factors[0][1] == 1
-                           and len(factors[0][0]) - 1 == field.degree)
-        if irreducible:
+        if residue_degrees(f_ints, q) == (field.degree,):
             yield ZqRing(q, [c % q**prec for c in f_ints], prec)
 
 
@@ -107,19 +104,9 @@ def nf_nth_root(xi, n: int, field: NumberField | None = None):
         if r is not None:
             return field(r)
         # A rational can still have an irrational n-th root in K.
-    # Only the primes where xi fails to be a unit (or n itself) are unusable.
-    avoid = {n}
-    for pr, _ in _small_factor(xi.den):
-        avoid.add(pr)
-    nrm = xi.norm()
-    for pr, _ in _small_factor(nrm.numerator):
-        avoid.add(pr)
-    for pr, _ in _small_factor(nrm.denominator):
-        avoid.add(pr)
-
     for prec in (24, 60):
         tried = 0
-        for ring in _inert_prime_rings(field, avoid, prec):
+        for ring in _inert_prime_rings(xi, prec):
             beta = _root_in_ring(xi, n, ring)
             if beta is not None:
                 return beta
@@ -127,26 +114,6 @@ def nf_nth_root(xi, n: int, field: NumberField | None = None):
             if tried >= 3:
                 break
     return None
-
-
-def _small_factor(m: int, bound=10_000):
-    """Partial factorization (small primes only) -- enough for 'avoid' sets."""
-    out = []
-    m = abs(m)
-    if m in (0, 1):
-        return out
-    for p in small_primes(bound):
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 def _residue_nth_roots(target, n: int):
@@ -200,7 +167,7 @@ def _root_in_ring(xi: NfElem, n: int, ring: ZqRing):
     fq = ring.residue_field
     target_res = fq.from_nf(xi)
     if not target_res:
-        return None  # avoided primes should prevent this
+        return None  # not reached: xi is a unit at every q yielded
     res_roots = _residue_nth_roots(target_res, n)
     xi_q = ring.from_nf(xi)
     for r0 in res_roots:
@@ -253,21 +220,22 @@ def nf_cubic_character(xi, q: int, root: int):
     (q, alpha -> root); None if xi is not a q-unit there.
 
     xi: NfElem or Fraction.  A nonzero exponent proves xi is not a cube
-    in the field (the character kills cubes).
+    in the field (the character kills cubes).  x^((q-1)/3) = omega^e mod q,
+    omega the first y^((q-1)/3) != 1 for y = 2, 3, ...; q = 1 mod 3.
     """
-    fq = FqField(q)
+    if q % 3 != 1:
+        raise ValueError("residue field has no cubic character")
     if isinstance(xi, (int, Fraction)):
-        x = Fraction(xi)
-        if x.numerator % q == 0 or x.denominator % q == 0:
-            return None
-        img = fq.from_fraction(x)
+        num, den = Fraction(xi).as_integer_ratio()
     else:
-        if xi.den % q == 0:
-            return None
-        acc = 0
+        num, den = 0, xi.den
         for c in reversed(xi.num):
-            acc = (acc * root + c) % q
-        if not acc:
-            return None
-        img = fq.elem(acc * pow(xi.den, -1, q))
-    return fq.cube_character(img)
+            num = (num * root + c) % q
+    if num % q == 0 or den % q == 0:
+        return None
+    e = (q - 1) // 3
+    t = pow(num * pow(den, -1, q), e, q)
+    if t == 1:
+        return 0
+    omega = next(w for w in (pow(y, e, q) for y in range(2, q)) if w != 1)
+    return 1 if t == omega else 2

@@ -16,12 +16,11 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from ..arith.numberfield import NfElem
 from ..arith.rationals import rational_cube_root
 from ..arith.roots import nf_nth_root
 from ..descent import build_descent_forms, genus1_quotients, plane_cubic, st_map
 from ..ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass, mat_mul
-from ..ec.weierstrass import EcPoint, WeierstrassCurve
+from ..ec.weierstrass import WeierstrassCurve
 from ..param import STValue, equation_rhs
 from .engine import CurveProblem, RationalFunctionOnE, reductions_at
 
@@ -47,16 +46,10 @@ def find_primitive_solution(eq_id: int, st: STValue, bound: int = 6):
 
 @dataclass
 class ChabautySetup:
-    eq_id: int
-    delta_alpha: NfElem           # class representative in K
-    table_i: int
-    st_printed: STValue
     curve: WeierstrassCurve       # E_i over K
     psi: RationalFunctionOnE      # s/t as a function on E_i
     gens: list                    # trusted points on E_i
     known_points: list            # (nvec or None, EcPoint, STValue)
-    p0_point: EcPoint             # image of the constructed curve point
-    lambda_twist: NfElem
     checks: dict                  # verification verdicts for reporting
 
 
@@ -157,14 +150,14 @@ def chabauty_setup_for_row(descent_data, mw_data, eq_id: int, row,
     if not checks["psi_p0_matches_table"]:
         raise CurveProblem(f"psi(p0) = {val0} does not match the table value {st_printed}")
 
-    gens = mw_data.points(table_i)
+    try:
+        gens = mw_data.points(table_i)
+    except ValueError as exc:       # a trusted generator off its curve
+        raise CurveProblem(f"trusted point of E{table_i}: {exc}") from None
     checks["trivial_torsion"] = trivial_torsion_certificate(E_i)
 
     known = _known_points(E_i, psi, gens, P0, box)
-    return ChabautySetup(eq_id=eq_id, delta_alpha=delta_alpha, table_i=table_i,
-                         st_printed=st_printed, curve=E_i, psi=psi, gens=gens,
-                         known_points=known, p0_point=P0, lambda_twist=lam,
-                         checks=checks)
+    return ChabautySetup(curve=E_i, psi=psi, gens=gens, known_points=known, checks=checks)
 
 
 def _known_points(E, psi, gens, P0, box):

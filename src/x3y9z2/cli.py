@@ -12,16 +12,18 @@ import json
 import sys
 
 from . import __version__
+from .arith.localfield import residue_degrees
 from .arith.rationals import factorize
-from .chabauty.engine import DEFAULT_PREC, DEFAULT_PRIMES, rational_st_values
+from .chabauty.engine import (DEFAULT_PREC, DEFAULT_PRIMES, CurveProblem, RankConditionViolated,
+                              rational_st_values)
 from .chabauty.setup import chabauty_setup_for_row
 from .dataio import load_descent_data, load_mw_data, load_tables, quartic_field, set_data_dir
 from .descent import build_descent_forms, cubic_norm_filter, enumerate_delta
-from .ec.reduction import largest_residue_field
 from .local import ProjectiveSystem, Undecided, is_locally_soluble
-from .param import lift_to_ninth, mordell_families
-from .pipeline import brute_search, report_to_json, run_pipeline, signed_triples
-from .verify import verify_mw_table, verify_quotient_claims, verify_rank_table_constants
+from .param import lift_to_ninth
+from .pipeline import PipelineError, brute_search, report_to_json, run_pipeline, signed_triples
+from .verify import (verify_mw_table, verify_parametrizations, verify_quotient_claims,
+                     verify_rank_table_constants)
 
 # Misprints adjudicated by computation; any other CORRECTED (or FAIL) is
 # an error condition for the exit code.
@@ -36,8 +38,24 @@ EXPECTED_CORRECTED_PREFIXES = (
 )
 
 
-def expected_corrected(claim_id: str) -> bool:
-    return any(claim_id.startswith(p) for p in EXPECTED_CORRECTED_PREFIXES)
+def unexpected_verdict(verdict: str, claim_id: str) -> bool:
+    """FAIL, or CORRECTED other than a recorded misprint."""
+    return verdict == "FAIL" or (verdict == "CORRECTED" and not any(
+        claim_id.startswith(p) for p in EXPECTED_CORRECTED_PREFIXES))
+
+
+def _print_claims(claims):
+    """One line per claim, then the count of unexpected verdicts; exit
+    code 0 only when there are none."""
+    bad = 0
+    for c in claims:
+        line = f"{c.verdict:9s} {c.claim_id}"
+        if c.verdict == "CORRECTED":
+            line += f"  [printed {c.printed} -> computed {c.computed}]"
+        print(line)
+        bad += unexpected_verdict(c.verdict, c.claim_id)
+    print(f"{len(claims)} claims; unexpected problems: {bad}")
+    return 0 if bad == 0 else 1
 
 
 def _emit(payload, args):
@@ -56,13 +74,7 @@ def cmd_search(args):
 
 
 def cmd_param_verify(args):
-    ok = True
-    for par in mordell_families():
-        ident = par.x_poly**3 + par.v_poly**3 - par.z_poly**2
-        good = not ident.terms
-        ok &= good
-        print(f"{par.label}: {'PASS' if good else 'FAIL'}")
-    return 0 if ok else 1
+    return _print_claims(verify_parametrizations())
 
 
 def cmd_param_lift(args):
@@ -136,17 +148,8 @@ def cmd_local_sweep(args):
 
 
 def cmd_ec_verify_tables(args):
-    claims = verify_rank_table_constants() + verify_mw_table() + verify_quotient_claims()
-    bad = 0
-    for c in claims:
-        line = f"{c.verdict:9s} {c.claim_id}"
-        if c.verdict == "CORRECTED":
-            line += f"  [printed {c.printed} -> computed {c.computed}]"
-        print(line)
-        if c.verdict == "FAIL" or (c.verdict == "CORRECTED" and not expected_corrected(c.claim_id)):
-            bad += 1
-    print(f"{len(claims)} claims; unexpected problems: {bad}")
-    return 0 if bad == 0 else 1
+    return _print_claims(verify_rank_table_constants() + verify_mw_table()
+                         + verify_quotient_claims())
 
 
 def cmd_chabauty_run(args):
@@ -172,12 +175,7 @@ def cmd_chabauty_run(args):
 def cmd_pipeline_run(args):
     report = run_pipeline(primes=args.primes, y_bound=args.y_bound,
                           aux_bound=args.aux_bound, prec=args.precision)
-    bad = []
-    for c in report["claims"]:
-        if c["verdict"] == "FAIL":
-            bad.append(c)
-        elif c["verdict"] == "CORRECTED" and not expected_corrected(c["id"]):
-            bad.append(c)
+    bad = [c for c in report["claims"] if unexpected_verdict(c["verdict"], c["id"])]
     if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(report_to_json(report))
@@ -199,17 +197,19 @@ def _primes(text):
     """--primes: comma-separated primes, e.g. 11,31.  Each prime of K
     above an entry must have a residue field no larger than the largest
     that the default primes reach; the point counts and the bound on the
-    residue sieve's class count grow with that field."""
+    residue sieve's class count grow with that field.  The largest field
+    above p has q = p^k elements, k the largest of residue_degrees(f, p)
+    (p^3 at the ramified 2 and 3, where f mod p is (x + 1)^4)."""
     try:
         primes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
-    K = quartic_field()
-    cap = max(largest_residue_field(K, p) for p in DEFAULT_PRIMES)
+    f = quartic_field().minpoly.integer_coeffs()
+    cap = max(p ** max(residue_degrees(f, p)) for p in DEFAULT_PRIMES)
     for p in primes:
         if p < 2 or factorize(p) != {p: 1}:
             raise argparse.ArgumentTypeError(f"{p} is not a prime")
-        q = largest_residue_field(K, p)
+        q = p ** max(residue_degrees(f, p))
         if q > cap:
             raise argparse.ArgumentTypeError(
                 f"a prime of K above {p} has a residue field of q = {q} elements, "
@@ -295,7 +295,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.data_dir:
         set_data_dir(args.data_dir)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (PipelineError, CurveProblem, RankConditionViolated) as exc:
+        print(f"x3y9z2: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

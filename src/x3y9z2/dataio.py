@@ -65,7 +65,6 @@ class DescentData:
     """Parsed selmer_generators.json: per-equation algebras and specs."""
 
     def __init__(self, raw):
-        self.raw = raw
         K = quartic_field()
         self.K = K
         kd = raw["K"]
@@ -76,13 +75,10 @@ class DescentData:
         e5 = raw["eq5"]
         alg5 = EtaleAlgebra(_upoly(e5["defining"]), "theta")
         gens5 = [alg5([Fraction(c) for c in g]).scale_to_integral() for g in e5["generators"]]
-        self.spec5 = SelmerSetSpec(algebra=alg5, S=tuple(e5["S"]), generators=gens5,
-                                   leading_coeff=Fraction(e5["C"]), label="eq5")
-
-        self.specs = {5: self.spec5}
+        self.specs = {5: SelmerSetSpec(algebra=alg5, S=tuple(e5["S"]), generators=gens5,
+                                       leading_coeff=Fraction(e5["C"]))}
         self.theta = {}
         self.iso = {}
-        self.C = {5: Fraction(e5["C"])}
         for eq in (1, 2):
             ed = raw[f"eq{eq}"]
             alg = EtaleAlgebra(_upoly(ed["defining"]), "theta")
@@ -96,10 +92,9 @@ class DescentData:
                 coords = iso.inverse_apply(g).coords
                 gens.append(alg(list(coords)).scale_to_integral())
             self.specs[eq] = SelmerSetSpec(algebra=alg, S=tuple(ed["S"]), generators=gens,
-                                           leading_coeff=Fraction(ed["C"]), label=f"eq{eq}")
+                                           leading_coeff=Fraction(ed["C"]))
             self.theta[eq] = theta_in_alpha
             self.iso[eq] = iso
-            self.C[eq] = Fraction(ed["C"])
         # verify.quotient_torsion's results by (label, c): they depend on
         # the eq-5 algebra and constant, so they live as long as this data.
         self.quotient_torsion = {}
@@ -121,7 +116,6 @@ class MwData:
     with their trusted independent points."""
 
     def __init__(self, raw):
-        self.raw = raw
         K = quartic_field()
         self.K = K
         self.curves = {}

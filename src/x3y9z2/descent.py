@@ -34,7 +34,6 @@ class SelmerSetSpec:
     S: tuple
     generators: list          # AlgElem, integral representatives
     leading_coeff: Fraction
-    label: str = ""
 
     def verify(self):
         """Checkable part of the trusted input: every generator is an
@@ -229,7 +228,6 @@ class Genus1Quotient:
     label: str
     constant: object      # Fraction (rational component) or NfElem (field case)
     form: MPoly           # binary cubic over Q or over the field
-    component: int
 
 
 def plane_cubic(c, form: MPoly) -> MPoly:
@@ -257,8 +255,7 @@ def genus1_quotients(eq_f: MPoly, C: Fraction, algebra: EtaleAlgebra, delta: Alg
             c = n / m_delta
             lin = MPoly(2, {(1, 0): Fraction(1), (0, 1): -Fraction(r)})
             form = binary_form_divide(eq_f * (Fraction(1) / C), lin)
-            out.append(Genus1Quotient(label=f"E{idx},delta", constant=c,
-                                      form=form, component=ci))
+            out.append(Genus1Quotient(label=f"E{idx},delta", constant=c, form=form))
     else:
         fld: NumberField = algebra.components[0][1]
         theta = fld.gen()
@@ -268,5 +265,5 @@ def genus1_quotients(eq_f: MPoly, C: Fraction, algebra: EtaleAlgebra, delta: Alg
         lin = MPoly(2, {(1, 0): one, (0, 1): -theta})
         f_k = eq_f.map_coeffs(lambda q: (q / C) * one)
         form = binary_form_divide(f_k, lin)
-        out.append(Genus1Quotient(label="E_delta", constant=c, form=form, component=0))
+        out.append(Genus1Quotient(label="E_delta", constant=c, form=form))
     return out

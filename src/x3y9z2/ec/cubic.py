@@ -85,13 +85,11 @@ class FlexModel:
 
     to_curve:   3x3 matrix sending cubic coords (u,s,t) to (X,Y,Z).
     from_curve: its inverse.
-    scale:      F(from_curve * (X,Y,Z)) = scale * (Y^2 Z - X^3 - aXZ^2 - bZ^3).
     """
 
     curve: WeierstrassCurve
     to_curve: list
     from_curve: list
-    scale: object
 
     def push_point(self, pt) -> EcPoint:
         X, Y, Z = mat_vec(self.to_curve, list(pt))
@@ -219,4 +217,4 @@ def flex_to_weierstrass(cubic: PlaneCubicWithFlex) -> FlexModel:
     if check.terms:
         raise AssertionError("flex transform verification failed")
 
-    return FlexModel(curve=curve, to_curve=to_curve, from_curve=from_curve, scale=scale)
+    return FlexModel(curve=curve, to_curve=to_curve, from_curve=from_curve)

@@ -119,19 +119,6 @@ def primes_above(field: NumberField, p: int, degree_cap: int = 4):
     return [NfPrime(field, p, fac, i) for i, (fac, m) in enumerate(factors)]
 
 
-def largest_residue_field(field: NumberField, p: int) -> int:
-    """q of the largest residue field above p: p^k for the least k with
-    x^(p^k) = x mod the defining quartic (k is the lcm of the residue
-    degrees, for a quartic the largest), with no factoring; p^4 if p ramifies."""
-    f = field.minpoly.integer_coeffs()
-    x = y = (0, 1, 0, 0)
-    for k in (1, 2, 3):
-        y = _fqpow(y, p, f, p)
-        if y == x:
-            return p**k
-    return p**4
-
-
 class FqCurve:
     """y^2 = x^3 + a x + b over F_q = F_p[w]/(h), a and b coordinate
     tuples; the product is _fqmul and the inverse is u^(q - 2)."""

@@ -14,11 +14,13 @@ from nf_reference import (discriminant, minimal_polynomial, norm_resultant, ref_
 from x3y9z2.arith import (
     EtaleAlgebra, NumberField, ZeroDivisorError, factor_deg_le4,
 )
-from x3y9z2.arith.localfield import FqField, ZqElem, ZqRing, quartic_is_irreducible_mod_p
+from x3y9z2.arith.localfield import (FqField, ZqElem, ZqRing, factor_quartic_mod_p,
+                                     residue_degrees)
 from x3y9z2.arith.poly import UPoly
-from x3y9z2.arith.rationals import rational_reconstruct, valuation
-from x3y9z2.arith.roots import (_residue_nth_roots, degree_one_character_data,
-                                nf_cubic_character, nf_nth_root, small_primes)
+from x3y9z2.arith.rationals import factorize, rational_reconstruct, valuation
+from x3y9z2.arith.roots import (_inert_prime_rings, _residue_nth_roots,
+                                degree_one_character_data, nf_cubic_character, nf_nth_root,
+                                small_primes)
 
 F5 = UPoly([0, 8, 0, 0, 1])          # x^4 + 8x (the split quartic)
 FK = UPoly([1, -2, 0, -2, 1])        # x^4 - 2x^3 - 2x + 1 (irreducible)
@@ -323,7 +325,7 @@ class TestResidueRoots:
     def test_matches_enumeration(self, p, modulus, rng):
         fq = FqField(p, modulus)
         if fq.d == 4:
-            assert quartic_is_irreducible_mod_p(modulus, p)
+            assert residue_degrees(modulus, p) == (4,)
         units = [y for y in fq.elements() if y]
         for n in (2, 3, 6):
             by_power = {}
@@ -341,7 +343,7 @@ class TestResidueRoots:
 
     def test_spot_check_f17_4(self, rng):
         fq = FqField(17, [1, 3, 0, 0, 1])
-        assert quartic_is_irreducible_mod_p(fq.h, 17)
+        assert residue_degrees(fq.h, 17) == (4,)
         q = fq.q
         units = [fq.elem([rng.randrange(17) for _ in range(4)]) for _ in range(12)]
         for n in (2, 3, 6):
@@ -436,7 +438,7 @@ def test_reduction_to_fq_is_a_homomorphism(p, modulus, rng):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_quartic_irreducibility_matches_trial_division(p, rng):
-    """quartic_is_irreducible_mod_p on seeded squarefree quartics, against
+    """residue_degrees(f, p) == (4,) on seeded squarefree quartics, against
     trial division by every monic linear and quadratic polynomial."""
     outcomes = set()
     checked = 0
@@ -445,12 +447,87 @@ def test_quartic_irreducibility_matches_trial_division(p, rng):
         if discriminant(UPoly(f)).numerator % p == 0:
             continue            # the test is for squarefree quartics
         expected = is_irreducible_quartic(f, p)
-        assert quartic_is_irreducible_mod_p(f, p) == expected, (f, p)
+        assert (residue_degrees(f, p) == (4,)) == expected, (f, p)
         # Record the rootless reducible case: two irreducible quadratics.
         rootless = all(polmod(f, [c, 1], p) for c in range(p))
         outcomes.add((expected, rootless))
         checked += 1
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def _factoring_rule_primes(xi):
+    """The primes at which nf_nth_root may lift, by the rule it used before
+    residue_degrees: factor_quartic_mod_p finds one factor of full
+    degree, and q avoids the prime factors of xi's denominator and of
+    both parts of its norm (and the root order n, never a candidate)."""
+    field = xi.parent
+    f = field.minpoly.integer_coeffs()
+    disc = field.discriminant()
+    nrm = xi.norm()
+    avoid = set().union(*(factorize(m) for m in (xi.den, nrm.numerator, nrm.denominator)))
+    out = []
+    for q in range(5, 400):
+        if (factorize(q) != {q: 1} or q in avoid
+                or disc.numerator % q == 0 or disc.denominator % q == 0):
+            continue
+        if q**field.degree > 250_000:
+            break
+        factors = factor_quartic_mod_p(f, q)
+        if len(factors) == 1 and factors[0][1] == 1 and len(factors[0][0]) == field.degree + 1:
+            out.append(q)
+    return out
+
+
+# (field, coordinates, scale, the first primes): 5 and 17 are the inert
+# primes of K below 250000^(1/4); in Q(sqrt -3), the eq-5 algebra's
+# field component, the inert primes are those = 2 mod 3.
+@pytest.mark.parametrize("where, coords, scale, head", [
+    ("K", [2, 1, 0, 0], F(1), [5, 17]),
+    ("K", [2, 1, 0, 0], F(1, 5), [17]),        # 5 in the denominator
+    ("K", [2, 1, 0, 0], F(17), [5]),           # 17^4 in the norm
+    ("K", [2, 1, 0, 0], F(17, 5), []),
+    ("sqrt-3", [1, 1], F(1), [5, 11, 17, 23]),
+    ("sqrt-3", [1, 1], F(11, 23), [5, 17, 29, 41]),
+])
+def test_inert_prime_rings_match_the_factoring_rule(where, coords, scale, head, K,
+                                                    descent_data):
+    """_inert_prime_rings yields the same primes, in the same order, as the
+    factoring rule: which root nf_nth_root returns depends on them."""
+    field = K if where == "K" else descent_data.specs[5].algebra.components[2][1]
+    xi = field([F(c) * scale for c in coords])
+    qs = [ring.p for ring in _inert_prime_rings(xi, 24)]
+    assert qs == _factoring_rule_primes(xi)
+    assert qs[:4] == head
+
+
+def test_cubic_character_exhaustive(K):
+    """For every q = 1 mod 3 below 200 and every x mod q: the character
+    is 0 exactly on the nonzero cubes, adds under products, is 1 at the
+    first y >= 2 with y^((q-1)/3) != 1, and is None on non-units.  At a
+    root r of K's polynomial mod q it is the character of xi(r)."""
+    f = K.minpoly.integer_coeffs()
+    # A denominator divisible by 37, and an image 0 at (37, 7).
+    elements = [K([F(1, 2), 3, -1, F(2, 37)]), K([-7, 1, 0, 0])]
+    for q in range(7, 200, 6):
+        if factorize(q) != {q: 1}:
+            continue
+        chi = [nf_cubic_character(F(x), q, None) for x in range(q)]
+        cubes = {x**3 % q for x in range(1, q)}
+        assert chi[0] is None and nf_cubic_character(F(2, q), q, None) is None
+        assert [x for x in range(1, q) if chi[x] == 0] == sorted(cubes)
+        for x in range(1, q):
+            for y in range(x, q):
+                assert chi[x * y % q] == (chi[x] + chi[y]) % 3, (q, x, y)
+        first = next(y for y in range(2, q) if pow(y, (q - 1) // 3, q) != 1)
+        assert chi[first] == 1
+        for r in (x for x in range(q) if sum(c * x**i for i, c in enumerate(f)) % q == 0):
+            for xi in elements:
+                num = sum(c * r**i for i, c in enumerate(xi.num))
+                expected = (None if xi.den % q == 0 or num % q == 0
+                            else chi[num * pow(xi.den, -1, q) % q])
+                assert nf_cubic_character(xi, q, r) == expected, (q, r, xi)
+    with pytest.raises(ValueError):
+        nf_cubic_character(F(2), 11, None)
 
 
 def test_zq_non_monic_modulus_refused_under_optimize():

@@ -6,13 +6,12 @@ from functools import reduce
 
 import pytest
 
-from x3y9z2.arith.localfield import FqField, factor_quartic_mod_p
+from x3y9z2.arith.localfield import FqField, factor_quartic_mod_p, residue_degrees
 from x3y9z2.arith.poly import MPoly
 from x3y9z2.ec import (BadPrime, EcPoint, PlaneCubicWithFlex, WeierstrassCurve,
                        curve_order_fq, flex_to_weierstrass, non_divisibility_sieve,
                        torsion_over_Q)
-from x3y9z2.ec.reduction import (FqCurve, all_points_fq, largest_residue_field, primes_above,
-                                 reduce_curve, reduce_point)
+from x3y9z2.ec.reduction import FqCurve, all_points_fq, primes_above, reduce_curve, reduce_point
 from x3y9z2.ec.weierstrass import _classical_add
 
 
@@ -142,14 +141,15 @@ class TestReduction:
         shape = [len(f) - 1 for f, _ in factor_quartic_mod_p([1, -2, 0, -2, 1], 31)]
         assert shape == [2, 2]
 
-    def test_largest_residue_field_matches_factoring(self, K):
-        """largest_residue_field, which factors nothing, against the
-        residue degrees of the primes that primes_above factors out."""
+    def test_residue_degrees_match_factoring(self, K):
+        """residue_degrees, which factors nothing, against the residue
+        degrees of the primes that primes_above factors out."""
+        f = K.minpoly.integer_coeffs()
         for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
-            q = max(pr.fq().q for pr in primes_above(K, p))
-            assert largest_residue_field(K, p) == q, p
-        assert largest_residue_field(K, 1009) == 1009**2
-        assert largest_residue_field(K, 101) == 101**4
+            degrees = tuple(sorted(pr.degree for pr in primes_above(K, p)))
+            assert residue_degrees(f, p) == degrees, p
+        assert residue_degrees(f, 1009) == (2, 2)
+        assert residue_degrees(f, 101) == (4,)
 
     def test_bad_primes_refused(self, mw_data, K):
         E = mw_data.curve(1)

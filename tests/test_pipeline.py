@@ -217,15 +217,25 @@ def _edit_json(path, change):
 
 def test_data_dir_override_catches_tampering(data_copy):
     """A corrupted trusted-data file must surface as a FAIL, not pass
-    silently (the auditability contract of --data-dir)."""
+    silently (the auditability contract of --data-dir); the stages that
+    use the point stop with one line on stderr, not a traceback."""
     def push_g1_off_the_curve(mw):
         mw["curves"][0]["points"][0]["x"][0] = "3"
     _edit_json(data_copy / "mw_generators.json", push_g1_off_the_curve)
-    out = subprocess.run([sys.executable, "-m", "x3y9z2.cli",
-                          "--data-dir", str(data_copy), "ec", "verify-tables"],
-                         capture_output=True, text=True, timeout=300)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "x3y9z2.cli",
+                               "--data-dir", str(data_copy), *args],
+                              capture_output=True, text=True, timeout=300)
+    out = run("ec", "verify-tables")
     assert out.returncode != 0
     assert "FAIL" in out.stdout
+    for args in (("chabauty", "run", "--eq", "2", "--delta", "1"), ("pipeline", "run")):
+        out = run(*args)
+        assert out.returncode == 1, args
+        assert "Traceback" not in out.stderr
+        assert "CurveProblem: trusted point of E1:" in out.stderr
+        assert len(out.stderr.splitlines()) == 1
 
 
 def test_rank_condition_violated(mw_data):

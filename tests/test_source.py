@@ -98,6 +98,36 @@ def test_every_definition_is_reached():
     assert unreached == UNREACHED
 
 
+# Dataclass fields no src/ code reads: perfbench/worker.py passes both
+# to build_descent_forms, and the benchmark keeps its calls fixed across
+# commits.
+WRITE_ONLY_FIELDS = {"descent.CubicFormSystem.eq_id", "descent.CubicFormSystem.expo"}
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a dataclass in src/ is read by src/ code: as an
+    attribute, or as a string constant (Claim.as_dict reads its fields
+    with getattr).  A field that is only written is state to delete."""
+    fields, read = [], set()
+    for rel, tree in _trees():
+        mod = ".".join(rel.with_suffix("").parts)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                fields += [(f"{mod}.{cls.name}.{s.target.id}", s.target.id) for s in cls.body
+                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert {qual for qual, name in fields if name not in read} == WRITE_ONLY_FIELDS
+
+
 def test_every_import_is_read():
     """Every name a module of src/x3y9z2 or tests/ imports is read in
     that module: as a Name or as the base of an attribute, type
