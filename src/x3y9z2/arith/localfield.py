@@ -53,6 +53,28 @@ def _fqpow(u, e, h, m):
     return out
 
 
+def _fqinv(u, h, p):
+    """u^-1 in F_p[w]/(h), h monic and irreducible mod p of degree len(u),
+    u and h given mod a power of p: pow mod p for d = 1, else the extended
+    Euclidean algorithm on (h, u) over F_p, keeping t with t u = b mod h
+    (Cohen, GTM 138, 3.2).  ZeroDivisionError when u = 0 mod p."""
+    if len(u) == 1 and u[0] % p:
+        return (pow(u[0], -1, p),)
+    d = len(u)
+    b = [c % p for c in u]
+    while b and not b[-1]:
+        b.pop()
+    a, s, t = h, (0,) * d, (1,) + (0,) * (d - 1)
+    while len(b) > 1:
+        q, r = _poldivmod(a, b, p)
+        qt = _fqmul(tuple(q) + (0,) * (d - len(q)), t, h, p)
+        a, b, s, t = b, r, t, tuple((x - y) % p for x, y in zip(s, qt))
+    if not b:
+        raise ZeroDivisionError(f"{list(u)} is not invertible mod {p}, {list(h)}")
+    c = pow(b[0], -1, p)
+    return tuple(x * c % p for x in t)
+
+
 def _make_monic(v, p):
     v = list(v)
     while v and v[-1] == 0:
@@ -96,47 +118,25 @@ def factor_quartic_mod_p(coeffs, p, degree_cap=4):
         key = tuple(f)
         factors[key] = factors.get(key, 0) + 1
 
-    # Strip roots.
-    changed = True
-    while changed and len(work) > 1:
-        changed = False
-        for r in poly_roots_mod_p(work, p):
-            lin = [(-r) % p, 1]
+    # Strip each root as often as it divides.
+    for r in poly_roots_mod_p(work, p):
+        lin = [(-r) % p, 1]
+        q, rem = _poldivmod(work, lin, p)
+        while not rem:
+            record(lin)
+            work = q
             q, rem = _poldivmod(work, lin, p)
+    # What is left has no root.  A quartic that passes the distinct-degree
+    # test is two quadratics; the first monic one dividing it is a factor.
+    if len(work) == 5 and degree_cap >= 2 and _has_quadratic_factor(work, p):
+        for quad in ([c, b, 1] for b in range(p) for c in range(p)):
+            q, rem = _poldivmod(work, quad, p)
             if not rem:
-                record(lin)
+                record(quad)
                 work = q
-                changed = True
                 break
-    deg = len(work) - 1
-    if deg <= 0 or degree_cap < 2 and deg >= 2:
-        return sorted(((list(k), m) for k, m in factors.items()
-                       if len(k) - 1 <= degree_cap),
-                      key=lambda fm: (len(fm[0]), fm[0]))
-    if deg == 1:
+    if len(work) > 1:
         record(work)
-    elif deg == 2:
-        record(work)
-    elif deg == 3:
-        record(work)  # no roots means irreducible for a cubic
-    else:
-        if _has_quadratic_factor(work, p):
-            found = None
-            for b in range(p):
-                for c in range(p):
-                    quad = [c, b, 1]
-                    q, rem = _poldivmod(work, quad, p)
-                    if not rem and not poly_roots_mod_p(quad, p):
-                        found = (quad, q)
-                        break
-                if found:
-                    break
-            if found is None:
-                raise AssertionError("distinct-degree test promised a quadratic factor")
-            record(found[0])
-            record(found[1])
-        else:
-            record(work)
     return sorted(((list(k), m) for k, m in factors.items()
                    if len(k) - 1 <= degree_cap),
                   key=lambda fm: (len(fm[0]), fm[0]))
@@ -359,10 +359,10 @@ class ZqElem:
         if self.valuation() != 0:
             raise ZeroDivisionError("inverse of a non-unit in Zq")
         r = self.ring
+        x = ZqElem(r, _fqinv(self.coords, r.h, r.p))
         if r.N == 1:
-            return self ** (r.p**r.d - 2)      # Fermat in F_q
-        # Invert in the residue field, then Newton-lift: x -> x(2 - a x).
-        x = r.elem(r.residue_field.elem(self.coords).inverse().coords)
+            return x
+        # Newton-lift the residue inverse: x -> x(2 - a x).
         for _ in range(r.N.bit_length() + 2):
             e = x * (r.elem(2) - self * x)
             if e == x:

@@ -7,8 +7,8 @@ power-basis coordinates of a global element are literally its rational
 coordinates mod q^N), reconstruct the coordinates with Wang rational
 reconstruction, and verify beta^n = xi exactly.  A positive answer is
 therefore proven; a None may in principle be a precision artifact, so
-negative results that matter are certified separately through cubic
-characters at split primes q = 1 (mod 3), each one integer power mod q.
+negative results that matter are certified separately through n-th
+power-residue symbols at degree-1 primes, each one integer power mod q.
 
 Residue roots come from Adleman-Manders-Miller (one ell-th root per
 prime ell | n, then the ell-th roots of unity), never from scanning F_q.
@@ -196,35 +196,32 @@ def _root_in_ring(xi: NfElem, n: int, ring: ZqRing):
     return None
 
 
-# -- cubic characters ----------------------------------------------------
+# -- power-residue characters -------------------------------------------
 
 
-def degree_one_character_data(field: NumberField, bound=400, avoid=()):
-    """(q, root) pairs: split primes q = 1 mod 3 with a root of the
-    defining polynomial mod q — each gives a cubic character on q-units."""
+def degree_one_character_data(field: NumberField, bound, n):
+    """The degree-1 primes (q, alpha -> root) of the field, lazily in order
+    of q, with 5 <= q <= bound prime to the discriminant and q = 1 mod n:
+    each carries an n-th power-residue symbol on q-units."""
     f_ints = field.minpoly.integer_coeffs()
     disc = field.discriminant()
-    out = []
     for q in small_primes(bound):
-        if q < 5 or q % 3 != 1 or q in avoid:
-            continue
-        if disc.numerator % q == 0:
+        if q < 5 or (q - 1) % n or disc.numerator % q == 0:
             continue
         for r in poly_roots_mod_p(f_ints, q):
-            out.append((q, r))
-    return out
+            yield q, r
 
 
-def nf_cubic_character(xi, q: int, root: int):
-    """Character exponent in {0,1,2} of xi at the degree-1 prime
+def power_residue_symbol(xi, q: int, root: int, n: int):
+    """x^((q-1)/n) mod q for x the image of xi at the degree-1 prime
     (q, alpha -> root); None if xi is not a q-unit there.
 
-    xi: NfElem or Fraction.  A nonzero exponent proves xi is not a cube
-    in the field (the character kills cubes).  x^((q-1)/3) = omega^e mod q,
-    omega the first y^((q-1)/3) != 1 for y = 2, 3, ...; q = 1 mod 3.
+    xi: NfElem or Fraction (root is then unused); n must divide q - 1.
+    The n-th powers of the field map to 1, so any other value proves xi
+    is not an n-th power.
     """
-    if q % 3 != 1:
-        raise ValueError("residue field has no cubic character")
+    if (q - 1) % n:
+        raise ValueError(f"F_{q} has no {n}-th power residue symbol")
     if isinstance(xi, (int, Fraction)):
         num, den = Fraction(xi).as_integer_ratio()
     else:
@@ -233,9 +230,19 @@ def nf_cubic_character(xi, q: int, root: int):
             num = (num * root + c) % q
     if num % q == 0 or den % q == 0:
         return None
-    e = (q - 1) // 3
-    t = pow(num * pow(den, -1, q), e, q)
+    return pow(num * pow(den, -1, q), (q - 1) // n, q)
+
+
+def nf_cubic_character(xi, q: int, root: int):
+    """Character exponent e in {0,1,2} of xi at the degree-1 prime
+    (q, alpha -> root), None if xi is not a q-unit there: the cubic
+    power_residue_symbol is omega^e, omega the first y^((q-1)/3) != 1 for
+    y = 2, 3, ...  A nonzero exponent proves xi is not a cube."""
+    t = power_residue_symbol(xi, q, root, 3)
+    if t is None:
+        return None
     if t == 1:
         return 0
+    e = (q - 1) // 3
     omega = next(w for w in (pow(y, e, q) for y in range(2, q)) if w != 1)
     return 1 if t == omega else 2

@@ -34,7 +34,7 @@ from operator import mul
 from ..arith.numberfield import NumberField
 from ..arith.rationals import factorize, valuation
 from ..arith.roots import small_primes
-from ..ec.reduction import (BadPrime, NfPrime, curve_order_fq, non_divisibility_sieve,
+from ..ec.reduction import (BadPrime, curve_order_fq, non_divisibility_sieve,
                             primes_above, reduce_curve, reduce_point)
 from ..ec.weierstrass import EcPoint, WeierstrassCurve, _complete_add
 from ..param import STValue
@@ -92,17 +92,17 @@ class RationalFunctionOnE:
 class PrimeContext:
     """Reduction and p-adic embedding data at one prime of K above p.
 
+    row is (pr, Ebar, #E(F_q)), a row of the curve's reduction table.
     Every projective K-vector reaches the prime through pr.primitive:
     the generators as (x : y : 1) over Z_q and F_q, and psi's six
     coefficients [num : den], whose scale is free, as psi_q over Z_q
     and psi_bar = psi_q mod p, coordinate tuples over F_q."""
 
-    def __init__(self, pr: NfPrime, curve: WeierstrassCurve,
+    def __init__(self, row, curve: WeierstrassCurve,
                  psi: RationalFunctionOnE, gens, prec: int):
+        pr, self.Ebar, self.order = row
         self.pr = pr
         self.p = pr.p
-        self.Ebar = reduce_curve(curve, pr)
-        self.order = curve_order_fq(self.Ebar)
         self.gens = gens
         self.gens_bar = [reduce_point(self.Ebar, g, pr) for g in gens]
         self.ring, _ = pr.zq(prec)
@@ -323,9 +323,12 @@ class ChabautyRun:
         self.known = known_points    # list of (nvec or None, EcPoint, STValue)
         self.p = p
         self.prec = prec
-        field = psi.field
-        self.contexts = [PrimeContext(pr, curve, psi, gens, prec)
-                         for pr in primes_above(field, p)]
+        rows = reductions_at(curve, p)
+        if sum(pr.degree for pr, _, _ in rows) != psi.field.degree:
+            # The table misses a prime above p: its residue field is above
+            # the cap, or it is bad, and then BadPrime reaches the caller.
+            rows = _reduction_rows(curve, p, 4)
+        self.contexts = [PrimeContext(row, curve, psi, gens, prec) for row in rows]
 
     def run(self):
         """Per-class certificates; returns (all_closed, certificates)."""
@@ -526,10 +529,16 @@ def reductions_at(curve, q):
     being E reduced at pr; () when q or one of these primes is bad.
     Each (curve, q) is reduced and counted once per process."""
     try:
-        prs = primes_above(curve.b.parent, q, degree_cap=2 if q <= 60 else 1)
-        curves = [(pr, reduce_curve(curve, pr)) for pr in prs]
+        return _reduction_rows(curve, q, 2 if q <= 60 else 1)
     except BadPrime:
         return ()
+
+
+def _reduction_rows(curve, q, degree_cap):
+    """(pr, Ebar, #E(F_q)) at the primes above q of degree <= degree_cap;
+    all are reduced, and so checked for BadPrime, before any is counted."""
+    curves = [(pr, reduce_curve(curve, pr))
+              for pr in primes_above(curve.b.parent, q, degree_cap=degree_cap)]
     return tuple((pr, Ebar, curve_order_fq(Ebar)) for pr, Ebar in curves)
 
 

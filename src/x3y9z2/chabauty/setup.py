@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import gcd, lcm
+from operator import add
 
 from ..arith.rationals import rational_cube_root
-from ..arith.roots import nf_nth_root
+from ..arith.roots import degree_one_character_data, nf_nth_root, power_residue_symbol
 from ..descent import build_descent_forms, genus1_quotients, plane_cubic, st_map
 from ..ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass, mat_mul
 from ..ec.weierstrass import WeierstrassCurve
@@ -161,15 +162,19 @@ def chabauty_setup_for_row(descent_data, mw_data, eq_id: int, row,
 
 
 def _known_points(E, psi, gens, P0, box):
-    """Direct search over the generator box plus the constructed point."""
+    """Direct search over the generator box plus the constructed point; the
+    multiples -box..box of each generator are made once, by addition."""
     found = []
     seen = []
-    r = len(gens)
-    for nvec in product(range(-box, box + 1), repeat=r):
-        P = E.zero()
-        for n, g in zip(nvec, gens):
-            if n:
-                P = P + n * g
+    multiples = []
+    for g in gens:
+        row = [E.zero()]
+        for _ in range(box):
+            row.append(row[-1] + g)
+        multiples.append({n: row[n] if n >= 0 else -row[-n] for n in range(-box, box + 1)})
+    for nvec in product(range(-box, box + 1), repeat=len(gens)):
+        terms = [row[n] for n, row in zip(nvec, multiples) if n]
+        P = reduce(add, terms) if terms else E.zero()
         val = psi.rational_value(P)
         if val is None:
             continue
@@ -188,15 +193,22 @@ def trivial_torsion_certificate(E: WeierstrassCurve):
     """E(K)_tors = 0 for y^2 = x^3 + c: no 2-torsion (-c not a cube in K),
     no 3-torsion (c not a square; -4c cube with -3c square fails), and the
     gcd of #E(F_q) over the degree-1 rows of the curve's reduction table
-    kills every other prime.  Certified once per curve."""
+    kills every other prime.  Certified once per curve.  A "not a power"
+    claim is proven by a power-residue symbol != 1 at a degree-1 prime of
+    K; only if no q <= 400 gives one, the root search tells a torsion
+    point from an unproven claim."""
     c = E.b
-    if nf_nth_root(-c, 3) is not None:
-        raise CurveProblem("curve has K-rational 2-torsion")
-    if nf_nth_root(c, 2) is not None:
-        raise CurveProblem("curve has K-rational 3-torsion (x = 0)")
-    x3 = nf_nth_root(-4 * c, 3)
-    if x3 is not None and nf_nth_root(-3 * c, 2) is not None:
-        raise CurveProblem("curve has K-rational 3-torsion (x^3 = -4c)")
+    claims = (("2-torsion", [(-c, 3)]),
+              ("3-torsion (x = 0)", [(c, 2)]),
+              ("3-torsion (x^3 = -4c)", [(-4 * c, 3), (-3 * c, 2)]))
+    for torsion, powers in claims:
+        # No such point unless every x here is an n-th power in K.
+        if any(power_residue_symbol(x, q, r, n) not in (None, 1) for x, n in powers
+               for q, r in degree_one_character_data(c.parent, 400, n)):
+            continue
+        if all(nf_nth_root(x, n) is not None for x, n in powers):
+            raise CurveProblem(f"curve has K-rational {torsion}")
+        raise CurveProblem(f"no power-residue symbol rules out K-rational {torsion}")
     bound = 0
     used = []
     for q in (11, 23, 37, 59, 61, 71, 73):

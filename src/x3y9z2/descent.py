@@ -65,7 +65,7 @@ def _character_rank(gens, algebra: EtaleAlgebra, max_chars=24):
         if kind == "Q":
             char_data = [(q, None) for q in _split_rational_char_primes()]
         else:
-            char_data = degree_one_character_data(data, 250)
+            char_data = degree_one_character_data(data, 250, 3)
         used = 0
         for (q, r) in char_data:
             col = []

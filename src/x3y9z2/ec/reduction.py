@@ -19,7 +19,7 @@ from functools import reduce
 from itertools import product
 from math import gcd
 
-from ..arith.localfield import FqField, ZqRing, _fqmul, _fqpow, factor_quartic_mod_p
+from ..arith.localfield import FqField, ZqRing, _fqinv, _fqmul, factor_quartic_mod_p
 from ..arith.numberfield import NfElem, NumberField
 from ..arith.rationals import valuation
 from .torsion import count_points_fp
@@ -121,7 +121,8 @@ def primes_above(field: NumberField, p: int, degree_cap: int = 4):
 
 class FqCurve:
     """y^2 = x^3 + a x + b over F_q = F_p[w]/(h), a and b coordinate
-    tuples; the product is _fqmul and the inverse is u^(q - 2)."""
+    tuples; the product is _fqmul and the inverse _fqinv (extended Euclid
+    in F_p[w], pow mod p for d = 1)."""
 
     def __init__(self, fq: FqField, a, b):
         self.fq, self.p, self.a, self.b = fq, fq.p, tuple(a), tuple(b)
@@ -130,7 +131,7 @@ class FqCurve:
         return _fqmul(u, v, self.fq.h, self.p)
 
     def finv(self, u):
-        return _fqpow(u, self.fq.q - 2, self.fq.h, self.p)
+        return _fqinv(u, self.fq.h, self.p)
 
     def rhs(self, x):
         """x^3 + a x + b."""

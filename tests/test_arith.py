@@ -4,17 +4,19 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import product
 from math import gcd, lcm
 
 import pytest
-from fq_reference import is_irreducible_quartic, polmod, polmul
+from fq_reference import (factor_by_trial_division, fermat_inverse, is_irreducible_quartic,
+                          polmod, polmul)
 from nf_reference import (discriminant, minimal_polynomial, norm_resultant, ref_mul,
                           ref_norm, ref_power_table)
 
 from x3y9z2.arith import (
     EtaleAlgebra, NumberField, ZeroDivisorError, factor_deg_le4,
 )
-from x3y9z2.arith.localfield import (FqField, ZqElem, ZqRing, factor_quartic_mod_p,
+from x3y9z2.arith.localfield import (FqField, ZqElem, ZqRing, _fqinv, factor_quartic_mod_p,
                                      residue_degrees)
 from x3y9z2.arith.poly import UPoly
 from x3y9z2.arith.rationals import factorize, rational_reconstruct, valuation
@@ -273,12 +275,12 @@ class TestRoots:
         assert nf_nth_root(K.gen(), 3) is None
         # A nonzero cubic character proves the generator is not a cube.
         assert any(nf_cubic_character(K.gen(), q, r)
-                   for q, r in degree_one_character_data(K, 400))
+                   for q, r in degree_one_character_data(K, 400, 3))
 
     def test_characters_kill_cubes(self, K):
         al = K.gen()
         cube = (al + 1) ** 3
-        for q, r in degree_one_character_data(K, 80):
+        for q, r in degree_one_character_data(K, 80, 3):
             assert nf_cubic_character(cube, q, r) in (0, None)
 
     # x -> the square root of x^2 that nf_nth_root returns (+x or -x).
@@ -434,6 +436,71 @@ def test_reduction_to_fq_is_a_homomorphism(p, modulus, rng):
             assert red(x.inverse()) == red(x).inverse()
             assert red(x) * red(x).inverse() == fq.one()
             assert x * x.inverse() == R.one()
+
+
+def _first_irreducible(p, d):
+    """The first monic h of degree d mod p, in product() order of
+    (h_(d-1), ..., h_0), with no monic factor of lower degree."""
+    for high in product(range(p), repeat=d):
+        h = [*reversed(high), 1]
+        if factor_by_trial_division(h, p) == [(h, 1)]:
+            return h
+
+
+@pytest.mark.parametrize("p, d", [(p, d) for p in (2, 3, 5, 7, 11, 31) for d in (1, 2, 3, 4)])
+def test_fq_inverse_matches_fermat(p, d, rng):
+    """_fqinv, extended Euclid in F_p[w] (pow mod p at d = 1), against
+    u^(q - 2) written with tests/fq_reference.py: on every unit when
+    q <= 1000, else on 200 seeded ones.  ZqElem.inverse returns it at
+    N = 1 and lifts it at N = 4; zero and multiples of p are refused."""
+    h = _first_irreducible(p, d)
+    fq, R = FqField(p, h), ZqRing(p, h, 4)
+    if fq.q <= 1000:
+        units = [u for u in product(range(p), repeat=d) if any(u)]
+    else:
+        units = [u for u in (tuple(rng.randrange(p) for _ in range(d)) for _ in range(200))
+                 if any(u)]
+    for u in units:
+        inv = fermat_inverse(u, h, p)
+        assert _fqinv(u, h, p) == inv, (h, u)
+        assert fq.elem(u).inverse().coords == inv
+        x = R.elem([c + p * rng.randrange(p**3) for c in u])
+        y = x.inverse()
+        assert x * y == R.one() and tuple(c % p for c in y.coords) == inv
+    for zero in ((0,) * d, (p,) * d):
+        with pytest.raises(ZeroDivisionError):
+            _fqinv(zero, h, p)
+    for zero in (fq.zero(), R.elem([p] * d)):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
+def test_factor_quartic_with_repeated_roots_matches_trial_division(p, rng):
+    """factor_quartic_mod_p scans for roots once and divides each root out
+    as often as it divides.  On seeded quartics with repeated roots, and
+    on two distinct quadratics, each with a unit leading coefficient, it
+    agrees with trial division at every degree cap.  A rootless cofactor
+    is squarefree here, as it is at every prime not dividing the
+    discriminant."""
+    def lin(a):
+        return [-a % p, 1]
+
+    quads = [[c, b, 1] for b in range(p) for c in range(p)
+             if all((x * x + b * x + c) % p for x in range(p))]
+    for _ in range(20):
+        a, b, c = (rng.randrange(p) for _ in range(3))
+        quad, quad2 = rng.sample(quads, 2)
+        for parts in ([lin(a)] * 4, [lin(a)] * 2 + [lin(b)] * 2, [lin(a)] * 3 + [lin(b)],
+                      [lin(a), lin(a), lin(b), lin(c)], [lin(a), lin(a), quad],
+                      [lin(a), lin(b), quad], [lin(a), lin(a), lin(b)], [quad, quad2]):
+            f = [rng.randrange(1, p)]
+            for g in parts:
+                f = polmul(f, g, p)
+            ref = factor_by_trial_division(f, p)
+            for cap in (1, 2, 4):
+                expected = [(g, m) for g, m in ref if len(g) - 1 <= cap]
+                assert factor_quartic_mod_p(f, p, degree_cap=cap) == expected, (f, p, cap)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

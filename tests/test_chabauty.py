@@ -1,17 +1,21 @@
 """The Chabauty machinery: formal log, sieve, and per-curve runs."""
 
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from chabauty_reference import known_points_direct
 
 from x3y9z2.arith.localfield import ZqRing
 from x3y9z2.arith.roots import small_primes
-from x3y9z2.chabauty.engine import (ChabautyRun, PrimeContext, _empty_mod,
-                                    rational_st_values, residue_sieve)
+from x3y9z2.chabauty.engine import (ChabautyRun, CurveProblem, PrimeContext, _empty_mod,
+                                    rational_st_values, reductions_at, residue_sieve)
 from x3y9z2.chabauty.series import PrecisionTooLow, formal_log
-from x3y9z2.chabauty.setup import chabauty_setup_for_row, find_primitive_solution
+from x3y9z2.chabauty.setup import (_known_points, chabauty_setup_for_row,
+                                   find_primitive_solution, trivial_torsion_certificate)
 from x3y9z2.ec.reduction import all_points_fq, primes_above
 from x3y9z2.ec.weierstrass import WeierstrassCurve
 from x3y9z2.param import STValue
@@ -110,7 +114,7 @@ class TestSieve:
         return ("val", ratio.coords[0])
 
     @pytest.mark.parametrize("p", [11, 31])
-    def test_residue_value_matches_projective_rule(self, setup_eq1_row0, K, p):
+    def test_residue_value_matches_projective_rule(self, setup_eq1_row0, p):
         """Every point of E(F_q) at every degree-2 prime above p, for psi
         and for three more coefficient vectors: [x - x0 : x - x0], which
         is undefined where x = x0, [1 : x - x0], which is oo there, and a
@@ -118,10 +122,11 @@ class TestSieve:
         s = setup_eq1_row0
         rng = random.Random(f"residue-value/{p}")
         seen = set()
-        for pr in primes_above(K, p):
+        for row in reductions_at(s.curve, p):
+            pr = row[0]
             if pr.degree != 2:
                 continue
-            ctx = PrimeContext(pr, s.curve, s.psi, s.gens, 8)
+            ctx = PrimeContext(row, s.curve, s.psi, s.gens, 8)
             pts = all_points_fq(ctx.Ebar)
             assert len(pts) == ctx.order
             one, zero, minus_x0 = (1, 0), (0, 0), tuple(-c % p for c in pts[1][0])
@@ -228,6 +233,27 @@ def test_reduction_orders_count_each_prime_once(mw_data, monkeypatch):
     assert second is first
 
 
+def test_chabauty_run_reads_the_reduction_table(setup_eq1_row0, K, monkeypatch):
+    """At 11 and 31 the table's rows cover every prime above p (degrees
+    summing to [K:Q] = 4), so a run reduces and counts nothing itself.
+    At 5, whose one prime has degree 4, the run reduces and counts there;
+    at 2 BadPrime reaches rational_st_values."""
+    from x3y9z2.chabauty import engine
+    s = setup_eq1_row0
+    for p in (11, 31):
+        rows = reductions_at(s.curve, p)
+        monkeypatch.setattr(engine, "curve_order_fq", None)
+        run = ChabautyRun(s.curve, s.psi, s.gens, s.known_points, p)
+        monkeypatch.undo()
+        assert [(ctx.pr, ctx.Ebar, ctx.order) for ctx in run.contexts] == list(rows)
+        assert sum(ctx.pr.degree for ctx in run.contexts) == K.degree
+    ctx, = ChabautyRun(s.curve, s.psi, s.gens, s.known_points, 5).contexts
+    assert reductions_at(s.curve, 5) == () and ctx.pr.degree == 4
+    assert ctx.order == len(all_points_fq(ctx.Ebar))
+    outcome = rational_st_values(s.curve, s.psi, s.gens, s.known_points, primes=(2,))
+    assert outcome.reason == "p=2: bad prime (2 divides disc of the defining polynomial)"
+
+
 def test_index_certificate_factors_each_prime_once(mw_data, monkeypatch):
     """certify_index_coprimality calls primes_above once per scanned q,
     also when an ell (17 here: no prime below 600 has 17 | #E(F_q)) widens
@@ -251,6 +277,72 @@ def test_index_certificate_factors_each_prime_once(mw_data, monkeypatch):
     assert failed == [] and sorted(certified) == [5, 17]
     assert max(p for p, _ in certified[17]) > 600
     assert calls == [q for q in small_primes(2000) if q >= 5]
+
+
+def test_torsion_claims_refuted_by_characters(mw_data, monkeypatch):
+    """On each of the six E_i, "-c is not a cube", "c is not a square" and
+    "-4c is not a cube or -3c is not a square" are each proven by a
+    power-residue symbol != 1, so the root search is never asked."""
+    from x3y9z2.chabauty import setup
+
+    def no_root_search(*args):
+        raise RuntimeError("nf_nth_root was called")
+
+    monkeypatch.setattr(setup, "nf_nth_root", no_root_search)
+    trivial_torsion_certificate.cache_clear()
+    for i in range(1, 7):
+        assert trivial_torsion_certificate(mw_data.curve(i))["primes"]
+    trivial_torsion_certificate.cache_clear()
+
+
+# c in K, a = alpha, and the torsion point it makes.
+TORSION_CURVES = {
+    "c = (a + 1)^2": (lambda K: (K.gen() + 1) ** 2, r"3-torsion \(x = 0\)"),     # (0, a + 1)
+    "-c = (a + 1)^3": (lambda K: -(K.gen() + 1) ** 3, "2-torsion"),              # (a + 1, 0)
+    "c = -432": (lambda K: K(-432), r"3-torsion \(x\^3 = -4c\)"),                 # (12, 36)
+}
+
+
+@pytest.mark.parametrize("name", TORSION_CURVES)
+def test_torsion_found_on_curves_with_torsion(K, name):
+    """Where c makes a torsion point, no symbol refutes its claim, and the
+    root search finds the point's coordinate: CurveProblem."""
+    c_of, torsion = TORSION_CURVES[name]
+    E = WeierstrassCurve(K.zero(), c_of(K))
+    with pytest.raises(CurveProblem, match=f"curve has K-rational {torsion}"):
+        trivial_torsion_certificate(E)
+
+
+def test_soundness_checks_hold_under_optimize():
+    """The zero inverse in F_q and the torsion refusal are exceptions, not
+    asserts: python -O keeps them."""
+    for code, error in [
+            ("from x3y9z2.arith.localfield import _fqinv; _fqinv((0, 7), [3, 2, 1], 7)",
+             "ZeroDivisionError: [0, 7] is not invertible mod 7, [3, 2, 1]"),
+            ("from x3y9z2.dataio import quartic_field; "
+             "from x3y9z2.ec.weierstrass import WeierstrassCurve; "
+             "from x3y9z2.chabauty.setup import trivial_torsion_certificate; "
+             "K = quartic_field(); a = K.gen(); "
+             "trivial_torsion_certificate(WeierstrassCurve(K.zero(), (a + 1) * (a + 1)))",
+             "CurveProblem: curve has K-rational 3-torsion (x = 0)")]:
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode != 0
+        assert error in out.stderr
+
+
+def test_known_points_match_direct_sums(descent_data, mw_data, tables):
+    """On the rank-2 row eq 2 delta 1, the box walk finds the same
+    (nvec, psi-value) list as evaluating each sum n_i g_i afresh
+    (tests/chabauty_reference.py), with equal points."""
+    row = tables["quartic_field_table"]["eq2"]["rows"][1]
+    s = chabauty_setup_for_row(descent_data, mw_data, 2, row)
+    assert len(s.gens) == 2
+    P0 = s.known_points[-1][1]
+    got = _known_points(s.curve, s.psi, s.gens, P0, 3)
+    ref = known_points_direct(s.curve, s.psi, s.gens, P0, 3)
+    assert [(nvec, val) for nvec, _, val in got] == [(nvec, val) for nvec, _, val in ref]
+    assert all(P == Q for (_, P, _), (_, Q, _) in zip(got, ref))
 
 
 class TestSetup:
