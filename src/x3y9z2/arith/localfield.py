@@ -54,25 +54,32 @@ def _fqpow(u, e, h, m):
 
 
 def _fqinv(u, h, p):
-    """u^-1 in F_p[w]/(h), h monic and irreducible mod p of degree len(u),
-    u and h given mod a power of p: pow mod p for d = 1, else the extended
-    Euclidean algorithm on (h, u) over F_p, keeping t with t u = b mod h
-    (Cohen, GTM 138, 3.2).  ZeroDivisionError when u = 0 mod p."""
-    if len(u) == 1 and u[0] % p:
-        return (pow(u[0], -1, p),)
+    """u^-1 in F_p[w]/(h), h monic and irreducible mod p of degree d = len(u),
+    u and h given mod a power of p, as v / n with one inverse mod p of the
+    integer n: n = u for d = 1; for d = 2, u = a + b w and h = w^2 + h1 w + h0,
+    v = (a - b h1) - b w and n = a^2 - a b h1 + b^2 h0, the norm of u; else
+    the extended Euclidean algorithm on (h, u) over F_p, keeping t with
+    t u = b mod h (Cohen, GTM 138, 3.2).  ZeroDivisionError when u = 0 mod p."""
     d = len(u)
-    b = [c % p for c in u]
-    while b and not b[-1]:
-        b.pop()
-    a, s, t = h, (0,) * d, (1,) + (0,) * (d - 1)
-    while len(b) > 1:
-        q, r = _poldivmod(a, b, p)
-        qt = _fqmul(tuple(q) + (0,) * (d - len(q)), t, h, p)
-        a, b, s, t = b, r, t, tuple((x - y) % p for x, y in zip(s, qt))
-    if not b:
+    if d == 1:
+        n, v = u[0], (1,)
+    elif d == 2:
+        (a, b), (h0, h1) = u, h[:2]
+        n, v = a * a - a * b * h1 + b * b * h0, (a - b * h1, -b)
+    else:
+        b = [c % p for c in u]
+        while b and not b[-1]:
+            b.pop()
+        a, s, t = h, (0,) * d, (1,) + (0,) * (d - 1)
+        while len(b) > 1:
+            q, r = _poldivmod(a, b, p)
+            qt = _fqmul(tuple(q) + (0,) * (d - len(q)), t, h, p)
+            a, b, s, t = b, r, t, tuple((x - y) % p for x, y in zip(s, qt))
+        n, v = (b[0] if b else 0), t
+    if n % p == 0:
         raise ZeroDivisionError(f"{list(u)} is not invertible mod {p}, {list(h)}")
-    c = pow(b[0], -1, p)
-    return tuple(x * c % p for x in t)
+    c = pow(n, -1, p)
+    return tuple(x * c % p for x in v)
 
 
 def _make_monic(v, p):

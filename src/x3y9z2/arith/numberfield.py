@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 
-from .poly import MPoly, UPoly
+from .poly import UPoly, dense_table
 from .rationals import divisors, rational_sqrt
 
 
@@ -354,7 +354,7 @@ class _PowerBasisElem:
         M_i being M with column i replaced by e_0, and 1/self = den * c."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        cols = self._matrix()
+        cols = self.int_matrix()
         det = _int_det(cols)
         if not det:
             self.parent._raise_zero_divisor(self)
@@ -384,9 +384,9 @@ class _PowerBasisElem:
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
 
-    def _matrix(self):
-        """The integer matrix of multiplication by num, as its columns
-        num * x^i."""
+    def int_matrix(self):
+        """The integer matrix of multiplication by num (self is num / den),
+        as its columns num * x^i."""
         deg = self.parent.degree
         table = self.parent._power_table
         return [_int_product(self.num, [int(i == j) for j in range(deg)], table)
@@ -395,7 +395,7 @@ class _PowerBasisElem:
     def norm(self) -> Fraction:
         """Determinant of the multiplication-by-self map (for an etale
         algebra, the product of the component norms)."""
-        return Fraction(_int_det(self._matrix()), self.den**self.parent.degree)
+        return Fraction(_int_det(self.int_matrix()), self.den**self.parent.degree)
 
     def __repr__(self):
         name = self.parent.gen_name
@@ -569,20 +569,18 @@ class EtaleAlgebra:
         return AlgElem(self, [0, 1, 0, 0])
 
     @cached_property
-    def cube_forms(self):
-        """Cubic forms B_0..B_3 in y0..y3 with (sum y_i t^i)^3 = sum B_m t^m."""
+    def cube_form_table(self):
+        """The integral cubic forms B_0..B_3 in y0..y3 with
+        (sum y_i t^i)^3 = sum B_m t^m, as the columns of their dense_tables:
+        column j holds entry j of each B_m's table, so entry j of the table
+        of sum_m w_m B_m is the dot product of w with column j."""
         powers = [(self.gen() ** n).num for n in range(10)]   # integral: monic f
-        forms = [MPoly(4) for _ in range(4)]
-        for i, j, k in product(range(4), repeat=3):
-            e = [0, 0, 0, 0]
-            e[i] += 1
-            e[j] += 1
-            e[k] += 1
-            mono = MPoly(4, {tuple(e): Fraction(1)})
-            for m, c in enumerate(powers[i + j + k]):
-                if c:
-                    forms[m] = forms[m] + mono * c
-        return forms
+        forms = [{} for _ in range(4)]
+        for ijk in product(range(4), repeat=3):
+            e = tuple(map(ijk.count, range(4)))
+            for m, c in enumerate(powers[sum(ijk)]):
+                forms[m][e] = forms[m].get(e, 0) + c
+        return list(zip(*(dense_table(f, 3) for f in forms)))
 
     def component_map(self, i: int, elem: "AlgElem"):
         """m_i: image of elem in the i-th component (Fraction or NfElem)."""

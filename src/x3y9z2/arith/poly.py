@@ -5,6 +5,9 @@ UPoly is the workhorse for minimal polynomials and factorization.
 MPoly is deliberately ring-generic: the same code manipulates cubic
 forms over Q, over a number field, or with p-adic coefficients, as long
 as the coefficients support +, -, * and truth-testing (zero is falsy).
+Integer forms of degree <= 3 in four variables also have a dense layout
+(`dense_table`), which the descent construction and the local search
+share.
 """
 
 from __future__ import annotations
@@ -335,13 +338,7 @@ class MPoly:
 
     def partial(self, i):
         """Partial derivative with respect to variable i."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = c * e[i]
-        return MPoly(self.nvars, out)
+        return MPoly(self.nvars, _partial(self.terms, i))
 
     def substitute_linear(self, matrix):
         """Compose with the linear change of variables x_i = sum_j M[i][j] y_j."""
@@ -402,3 +399,65 @@ def _inv_ring(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(1) / Fraction(c)
     return c.inverse()
+
+
+# -- dense forms in y0..y3 -------------------------------------------------
+# A form of degree d <= 3 in y0..y3 as one coefficient per monomial, in the
+# order of `monomials`: the local solubility search evaluates forms as dot
+# products with such lists.
+
+
+def monomials(vec):
+    """Values at vec of the monomials of degrees 0..3 in y0..y3, one list
+    per degree.  Degree d + 1 is grouped by last variable k: group k is
+    each degree-d monomial in y0..yk, in its own order, times yk."""
+    y0, y1, y2, y3 = vec
+    q00, q01, q11, q02, q12, q22, q03, q13, q23, q33 = quad = [
+        y0 * y0, y0 * y1, y1 * y1, y0 * y2, y1 * y2, y2 * y2,
+        y0 * y3, y1 * y3, y2 * y3, y3 * y3]
+    cubic = [q00 * y0,
+             q00 * y1, q01 * y1, q11 * y1,
+             q00 * y2, q01 * y2, q11 * y2, q02 * y2, q12 * y2, q22 * y2,
+             q00 * y3, q01 * y3, q11 * y3, q02 * y3, q12 * y3, q22 * y3,
+             q03 * y3, q13 * y3, q23 * y3, q33 * y3]
+    return [[1], [y0, y1, y2, y3], quad, cubic]
+
+
+# The exponent tuple of each monomial of `monomials`, one list per degree,
+# by the same grouping rule, and each one's position in its list.
+MONOMIAL_EXPONENTS = [[(0, 0, 0, 0)]]
+for _ in range(3):
+    MONOMIAL_EXPONENTS.append([e[:k] + (e[k] + 1,) + e[k + 1:] for k in range(4)
+                               for e in MONOMIAL_EXPONENTS[-1] if not any(e[k + 1:])])
+_POSITION = [{e: i for i, e in enumerate(level)} for level in MONOMIAL_EXPONENTS]
+
+# Index pairs a <= b in the order of the degree-2 monomials of `monomials`.
+PAIRS = [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3), (3, 3)]
+
+
+def _dense(form, degree):
+    """{expo: coeff} of the given degree -> coefficient list in `monomials` order."""
+    coeffs = [0] * len(_POSITION[degree])
+    for e, coeff in form.items():
+        coeffs[_POSITION[degree][e]] = coeff
+    return coeffs
+
+
+def _partial(form, var):
+    """The partial derivative of {expo: coeff} along variable var."""
+    return {e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
+            for e, c in form.items() if e[var]}
+
+
+def dense_table(form, degree):
+    """A form {expo: coeff} of the given degree 1 to 3 in y0..y3 as one flat
+    list: its dense coefficients, then its four partials' and then its ten
+    second partials' (PAIRS order), each in `monomials` order.  The list is
+    linear in the form."""
+    firsts = [_partial(form, v) for v in range(4)]
+    out = _dense(form, degree)
+    for g in firsts:
+        out += _dense(g, degree - 1)
+    for a, b in PAIRS:
+        out += _dense(_partial(firsts[a], b), max(degree - 2, 0))
+    return out

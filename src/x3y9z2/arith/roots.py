@@ -67,7 +67,7 @@ def _rational_nth_root(x: Fraction, n: int):
     raise ValueError(f"unsupported root order {n}")
 
 
-def _inert_prime_rings(xi: NfElem, prec: int, enum_bound=250_000):
+def _inert_prime_rings(xi: NfElem, prec: int):
     """Yield ZqRing contexts at the primes 5 <= q < 400 where xi is a unit
     (q divides neither xi.den nor N(xi)) and residue_degrees says the
     defining poly is irreducible (K tensor Q_q is one unramified field)."""
@@ -81,8 +81,6 @@ def _inert_prime_rings(xi: NfElem, prec: int, enum_bound=250_000):
             continue
         if disc.numerator % q == 0 or disc.denominator % q == 0:
             continue
-        if q**field.degree > enum_bound:
-            return
         if residue_degrees(f_ints, q) == (field.degree,):
             yield ZqRing(q, [c % q**prec for c in f_ints], prec)
 

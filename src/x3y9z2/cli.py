@@ -17,7 +17,8 @@ from .arith.rationals import factorize
 from .chabauty.engine import (DEFAULT_PREC, DEFAULT_PRIMES, CurveProblem, RankConditionViolated,
                               rational_st_values)
 from .chabauty.setup import chabauty_setup_for_row
-from .dataio import load_descent_data, load_mw_data, load_tables, quartic_field, set_data_dir
+from .dataio import (TrustedDataError, load_descent_data, load_mw_data, load_tables,
+                     quartic_field, set_data_dir)
 from .descent import build_descent_forms, cubic_norm_filter, enumerate_delta
 from .local import ProjectiveSystem, Undecided, is_locally_soluble
 from .param import lift_to_ninth
@@ -297,7 +298,7 @@ def main(argv=None):
         set_data_dir(args.data_dir)
     try:
         return args.func(args)
-    except (PipelineError, CurveProblem, RankConditionViolated) as exc:
+    except (PipelineError, CurveProblem, RankConditionViolated, TrustedDataError) as exc:
         print(f"x3y9z2: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,10 @@ from .ec.weierstrass import WeierstrassCurve
 _DATA_DIR_OVERRIDE = None
 
 
+class TrustedDataError(ValueError):
+    """A trusted data file disagrees with what the package builds itself."""
+
+
 def set_data_dir(path):
     """Point the loaders at an alternative data directory (CLI --data-dir)."""
     global _DATA_DIR_OVERRIDE
@@ -69,7 +73,7 @@ class DescentData:
         self.K = K
         kd = raw["K"]
         if _upoly(kd["minpoly"]) != K.minpoly:
-            raise AssertionError("trusted minimal polynomial of K differs from the built-in one")
+            raise TrustedDataError("trusted minimal polynomial of K differs from the built-in one")
         self.k_generators = [nf(c, K) for c in kd["generators"]]
 
         e5 = raw["eq5"]
@@ -83,7 +87,7 @@ class DescentData:
             ed = raw[f"eq{eq}"]
             alg = EtaleAlgebra(_upoly(ed["defining"]), "theta")
             if alg.n_components != 1:
-                raise AssertionError("quartic-field equations have irreducible algebras")
+                raise TrustedDataError(f"eq{eq}: quartic-field equations have irreducible algebras")
             afield = alg.components[0][1]
             theta_in_alpha = nf(ed["theta_in_alpha"], K)
             iso = FieldIso(afield, K, theta_in_alpha)

@@ -3,20 +3,22 @@ curve Q_2 = Q_3 = 0 in P^3, the map s/t = -Q_0/Q_1, the cubic-norm
 filter, and the genus-1 quotient curves.
 
 The defining identity delta*(y0 + t*y1 + t^2*y2 + t^3*y3)^3
-= Q_0 + Q_1*t + Q_2*t^2 + Q_3*t^3 is verified symbolically for every
-constructed system.
+= Q_0 + Q_1*t + Q_2*t^2 + Q_3*t^3 is verified symbolically by
+`CubicFormSystem.verify_identity`, independently of the integer construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .arith.numberfield import AlgElem, EtaleAlgebra, NumberField
-from .arith.poly import MPoly, binary_form_divide
+from .arith.poly import MONOMIAL_EXPONENTS, MPoly, binary_form_divide
 from .arith.rationals import is_rational_cube, strip_primes
 from .arith.roots import degree_one_character_data, nf_cubic_character, small_primes
+from .local import DenseForm
 from .param import STValue
 
 
@@ -145,13 +147,28 @@ def cubic_norm_filter(candidates, C: Fraction):
 @dataclass
 class CubicFormSystem:
     """The four cubic forms of a descent class: s = Q0, t = -Q1, and the
-    curve is Q2 = Q3 = 0 in P^3."""
+    curve is Q2 = Q3 = 0 in P^3.  With B_m the algebra's cube forms,
+    Q_i = sum_m (delta t^m)_i B_m, so with delta = num / den,
+    den * Q_i = sum_m weights[i][m] B_m for integer weights."""
 
     algebra: EtaleAlgebra
     delta: AlgElem
-    forms: list  # [Q0, Q1, Q2, Q3], MPoly in y0..y3 over Q
     eq_id: int | None = None
     expo: tuple | None = None
+
+    @cached_property
+    def weights(self):
+        """weights[i][m] = den * (delta t^m)_i: row i of delta's integer matrix."""
+        return list(zip(*self.delta.int_matrix()))
+
+    @cached_property
+    def forms(self):
+        """[Q0, Q1, Q2, Q3] as MPolys in y0..y3 over Q."""
+        exponents = MONOMIAL_EXPONENTS[3]
+        columns = self.algebra.cube_form_table[:len(exponents)]
+        return [MPoly(4, {e: Fraction(c, self.delta.den)
+                          for e, c in zip(exponents, _combine(w, columns)) if c})
+                for w in self.weights]
 
     def verify_identity(self) -> bool:
         """Symbolic check of delta * beta^3 = sum Q_i t^i, computed through
@@ -175,35 +192,31 @@ class CubicFormSystem:
         return True
 
     def curve_forms(self):
-        return self.forms[2], self.forms[3]
+        """Q2 and Q3 with content 1, as the DenseForms of the local system."""
+        columns = self.algebra.cube_form_table
+        return tuple(DenseForm.primitive(3, _combine(w, columns)) for w in self.weights[2:])
 
     def is_on_curve(self, y) -> bool:
         args = tuple(Fraction(v) for v in y)
         return not self.forms[2](args) and not self.forms[3](args)
 
 
+def _combine(w, columns):
+    """Entry j is the dot product of the four weights w with column j."""
+    w0, w1, w2, w3 = w
+    return [w0 * a + w1 * b + w2 * c + w3 * d for a, b, c, d in columns]
+
+
 def build_descent_forms(algebra: EtaleAlgebra, delta: AlgElem,
                         eq_id=None, expo=None) -> CubicFormSystem:
-    """Unique cubic forms with delta*(y0+t y1+t^2 y2+t^3 y3)^3 = sum Q_i t^i.
+    """Unique cubic forms with delta*(y0+t y1+t^2 y2+t^3 y3)^3 = sum Q_i t^i,
+    as integer combinations of the algebra's cube forms.
 
     The defining quartic must already be degree 4 in the descent variable
     (true for every equation handled here; an SL2(Z) move would be applied
     upstream otherwise).
     """
-    B = algebra.cube_forms
-    gen_pow = [algebra.gen() ** m for m in range(4)]
-    dt = [delta * gp for gp in gen_pow]  # delta * t^m
-    forms = []
-    for i in range(4):
-        Q = MPoly(4)
-        for m in range(4):
-            c = dt[m].num[i]
-            if c:
-                Q = Q + B[m] * Fraction(c, dt[m].den)
-        forms.append(Q)
-    sys = CubicFormSystem(algebra=algebra, delta=delta, forms=forms,
-                          eq_id=eq_id, expo=expo)
-    return sys
+    return CubicFormSystem(algebra=algebra, delta=delta, eq_id=eq_id, expo=expo)
 
 
 def st_map(sys: CubicFormSystem, y) -> STValue:

@@ -39,7 +39,9 @@ from fractions import Fraction
 from itertools import product, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
+from .arith.poly import MONOMIAL_EXPONENTS, PAIRS, dense_table, monomials
 from .arith.rationals import valuation
 
 
@@ -53,84 +55,67 @@ class NodeBudgetExceeded(Undecided):
     pass
 
 
-def _monomials(vec):
-    """Values at vec of the monomials of degrees 0..3 in y0..y3, one list
-    per degree.  Degree d + 1 is grouped by last variable k: group k is
-    each degree-d monomial in y0..yk, in its own order, times yk."""
-    y0, y1, y2, y3 = vec
-    q00, q01, q11, q02, q12, q22, q03, q13, q23, q33 = quad = [
-        y0 * y0, y0 * y1, y1 * y1, y0 * y2, y1 * y2, y2 * y2,
-        y0 * y3, y1 * y3, y2 * y3, y3 * y3]
-    cubic = [q00 * y0,
-             q00 * y1, q01 * y1, q11 * y1,
-             q00 * y2, q01 * y2, q11 * y2, q02 * y2, q12 * y2, q22 * y2,
-             q00 * y3, q01 * y3, q11 * y3, q02 * y3, q12 * y3, q22 * y3,
-             q03 * y3, q13 * y3, q23 * y3, q33 * y3]
-    return [[1], [y0, y1, y2, y3], quad, cubic]
+class DenseForm(NamedTuple):
+    """A homogeneous integer form in y0..y3 of degree 1 to 3, as its
+    dense_table: the coefficient lists of the form, of its four partials
+    and of its ten second partials."""
+
+    degree: int
+    table: list
+
+    @classmethod
+    def primitive(cls, degree, table):
+        """The form whose dense_table is `table`, divided by its content (the
+        table is linear in the form)."""
+        g = gcd(*table[:len(MONOMIAL_EXPONENTS[degree])])
+        if not g:
+            raise ValueError("forms must be nonzero")
+        return cls(degree, [c // g for c in table] if g > 1 else table)
 
 
-# Position of each monomial in the lists of _monomials, keyed by its value
-# at the primes (2, 3, 5, 7), which fixes its exponents.
-_POSITION = [{m: i for i, m in enumerate(level)} for level in _monomials((2, 3, 5, 7))]
-
-
-def _dense(form, degree):
-    """{expo: coeff} of the given degree -> coefficient list in _monomials order."""
-    coeffs = [0] * len(_POSITION[degree])
-    for (a, b, c, d), coeff in form.items():
-        coeffs[_POSITION[degree][2**a * 3**b * 5**c * 7**d]] = coeff
-    return coeffs
-
-
-def _partial(form, var):
-    """The partial derivative of {expo: coeff} along y_var."""
-    return {e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
-            for e, c in form.items() if e[var]}
-
-
-# Index pairs a <= b in the order of the degree-2 monomials of _monomials.
-_PAIRS = [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3), (3, 3)]
+def _dense_form(terms):
+    """The DenseForm with content 1 of a form {expo: rational}."""
+    degs = {sum(e) for e in terms}
+    if len(degs) != 1 or not degs <= {1, 2, 3}:
+        raise ValueError("forms must be nonzero, homogeneous and of degree 1 to 3")
+    d = degs.pop()
+    den = lcm(*(Fraction(c).denominator for c in terms.values()))
+    return DenseForm.primitive(d, dense_table({e: int(c * den) for e, c in terms.items()}, d))
 
 
 @dataclass
 class ProjectiveSystem:
     """Homogeneous integer forms in y0..y3 with content 1, of degree 1 to 3.
     Each form, its four partials and its ten second partials are also kept
-    as dense coefficient lists."""
+    as dense coefficient lists, cut from the form's dense_table."""
 
-    forms: list          # list of {expo: int}
+    forms: list          # {expo: coeff} over Q, or DenseForms; kept as {expo: int}
 
     def __post_init__(self):
-        degs = [{sum(e) for e in f} for f in self.forms]
-        if any(len(d) != 1 or not d <= {1, 2, 3} for d in degs):
-            raise ValueError("forms must be nonzero, homogeneous and of degree 1 to 3")
-        self._degrees = [min(d) for d in degs]
-        self._coeffs = [_dense(f, d) for f, d in zip(self.forms, self._degrees)]
-        self._partials, self._hessians = [], []
-        for f, d in zip(self.forms, self._degrees):
-            firsts = [_partial(f, v) for v in range(4)]
-            self._partials.append([_dense(g, d - 1) for g in firsts])
-            self._hessians.append({(a, b): _dense(_partial(firsts[a], b), max(d - 2, 0))
-                                   for a, b in _PAIRS})
+        dense = [f if isinstance(f, DenseForm) else _dense_form(f) for f in self.forms]
+        self.forms = [{e: c for e, c in zip(MONOMIAL_EXPONENTS[d], t) if c} for d, t in dense]
+        self._degrees = [d for d, _ in dense]
+        self._coeffs, self._partials, self._hessians = [], [], []
+        for d, t in dense:
+            n0, n1, n2 = (len(MONOMIAL_EXPONENTS[max(d - k, 0)]) for k in range(3))
+            self._coeffs.append(t[:n0])
+            self._partials.append([t[n0 + v * n1:n0 + (v + 1) * n1] for v in range(4)])
+            h = n0 + 4 * n1
+            self._hessians.append({pair: t[h + k * n2:h + (k + 1) * n2]
+                                   for k, pair in enumerate(PAIRS)})
 
     @classmethod
     def from_mpolys(cls, mpolys):
-        forms = []
-        for f in mpolys:
-            if not f.is_homogeneous():
-                raise ValueError("forms must be homogeneous")
-            den = lcm(*(Fraction(c).denominator for c in f.terms.values()))
-            ints = {e: int(c * den) for e, c in f.terms.items()}
-            g = gcd(*ints.values()) or 1
-            forms.append({e: v // g for e, v in ints.items()})
-        return cls(forms=forms)
+        """The system of the given MPolys over Q, or of the DenseForms of a
+        descent class's `curve_forms`."""
+        return cls(forms=[f if isinstance(f, DenseForm) else f.terms for f in mpolys])
 
     def evaluate(self, i, vec, mod=None):
-        v = sum(map(mul, self._coeffs[i], _monomials(vec)[self._degrees[i]]))
+        v = sum(map(mul, self._coeffs[i], monomials(vec)[self._degrees[i]]))
         return v % mod if mod else v
 
     def jacobian_entry(self, i, var, vec):
-        return sum(map(mul, self._partials[i][var], _monomials(vec)[self._degrees[i] - 1]))
+        return sum(map(mul, self._partials[i][var], monomials(vec)[self._degrees[i] - 1]))
 
 
 @dataclass
@@ -222,10 +207,10 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
     (c0, c1), (d0, d1) = system._coeffs, system._degrees
     h0deg, h1deg = max(d0 - 2, 0), max(d1 - 2, 0)
     # per patch: its free coordinates, both forms' partials along them, and
-    # both forms' second partials along the pairs of them (_PAIRS order)
+    # both forms' second partials along the pairs of them (PAIRS order)
     frees = [[j for j in range(4) if j != patch] for patch in range(4)]
     rows = [[[P[j] for j in free] for P in system._partials] for free in frees]
-    hessians = [[[H[free[a], free[b]] for a, b in _PAIRS[:6]] for H in system._hessians]
+    hessians = [[[H[free[a], free[b]] for a, b in PAIRS[:6]] for H in system._hessians]
                 for free in frees]
     # per patch, filled at its first expansion: F_i(e) for e in {0..p-1}^3
     # on the free coordinates, in child order (zeros below degree 3)
@@ -248,7 +233,7 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
         visit(k)
         pk = p**k
         free, (rows0, rows1) = frees[patch], rows[patch]
-        mons = _monomials(vec)
+        mons = monomials(vec)
         f0 = sum(map(mul, c0, mons[d0]))
         if f0 % pk:
             return None

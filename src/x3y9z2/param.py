@@ -191,31 +191,25 @@ def _remove_weighted_content(x: int, v: int, z: int):
     return x // lam**2, v // lam**2, z // lam**3
 
 
-def lift_to_ninth(x: int, v: int, z: int, bound: int = 12):
-    """All primitive solutions of x^3 + y^9 = z^2 weighted-equivalent to
-    the x^3 + v^3 = z^2 solution (x, v, z), via scalings
-    (lam^2 x, lam^2 v, lam^3 z) with lam a {2,3}-unit (|exponents| <= bound)
-    after content removal.  Empty list when no equivalent primitive
-    solution exists (a valid outcome).
+def lift_to_ninth(x: int, v: int, z: int):
+    """All primitive solutions (big, y, z') of x^3 + y^9 = z^2
+    weighted-equivalent to the x^3 + v^3 = z^2 solution (x, v, z): those
+    with (big, y^3, z') = (lam^2 x, lam^2 v, lam^3 z) or (lam^2 v, lam^2 x,
+    lam^3 z) for a {2,3}-unit lam, and z' >= 0.  Empty list when there is
+    none (a valid outcome).
+
+    After weighted content removal only lam = 1 can give one.  For each p,
+    some nonzero coordinate n then has v_p(n) < w, its weight (2 for x and
+    v, 3 for z).  A negative power of p in lam makes that coordinate
+    non-integral; a positive one makes p divide big, y^3 (so y) and z'.
+    So this is one primitivity check of (x, cbrt v, z) and (v, cbrt x, z).
     """
     if x**3 + v**3 != z**2:
         raise ValueError("input does not satisfy x^3+v^3=z^2")
     x, v, z = _remove_weighted_content(x, v, abs(z))
     found = set()
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            num = Fraction(2) ** a * Fraction(3) ** b
-            x2 = Fraction(x) * num**2
-            v2 = Fraction(v) * num**2
-            z2 = Fraction(z) * num**3
-            if x2.denominator != 1 or v2.denominator != 1 or z2.denominator != 1:
-                continue
-            xi, vi, zi = int(x2), int(v2), int(z2)
-            for big, cube in ((xi, vi), (vi, xi)):
-                y = icbrt(cube)
-                if y is None:
-                    continue
-                if gcd(gcd(abs(big), abs(y)), abs(zi)) != 1:
-                    continue
-                found.add(SolutionTriple(big, y, abs(zi)))
+    for big, cube in ((x, v), (v, x)):
+        y = icbrt(cube)
+        if y is not None and gcd(gcd(abs(big), abs(y)), z) == 1:
+            found.add(SolutionTriple(big, y, z))
     return sorted(found)

@@ -306,6 +306,13 @@ class TestRoots:
         x = K(coords)
         assert nf_nth_root(x * x, 2) == sign * x
 
+    def test_roots_past_the_first_inert_primes(self, K):
+        """b = (alpha + 2) 17/5 is a non-unit at 5 and 17, the inert primes
+        below 250000^(1/4), so its square and cube lift at 29 and beyond."""
+        b = (K.gen() + 2) * F(17, 5)
+        assert nf_nth_root(b * b, 2) == b
+        assert nf_nth_root(b**3, 3) == b
+
     def test_sixth_root(self, K):
         x = (K.gen() + 2)
         r = nf_nth_root(x**6, 6)
@@ -475,6 +482,33 @@ def test_fq_inverse_matches_fermat(p, d, rng):
             zero.inverse()
 
 
+def test_degree_two_inverse_at_the_primes_of_k(K, rng):
+    """The closed-form inverse at d = 2, ((a - b h1) - b w) / (a^2 - a b h1
+    + b^2 h0), against u^(q - 2) (tests/fq_reference.py) on every unit at
+    each degree-2 prime of K above 11 and 31, with h given mod p and mod
+    p^4.  Zero and multiples of p raise ZeroDivisionError, under python -O
+    too."""
+    f = K.minpoly.integer_coeffs()
+    moduli = [(p, h) for p in (11, 31)
+              for h, _ in factor_quartic_mod_p(f, p) if len(h) == 3]
+    assert moduli == [(11, [1, 5, 1]), (31, [23, 11, 1]), (31, [27, 18, 1])]
+    for p, h in moduli:
+        lifted = [c + p * rng.randrange(p**3) for c in h[:2]] + [1]
+        for u in product(range(p), repeat=2):
+            if any(u):
+                inv = fermat_inverse(u, h, p)
+                assert _fqinv(u, h, p) == _fqinv(u, lifted, p) == inv, (h, u)
+        for zero in ((0, 0), (p, 0), (0, p), (p, 3 * p)):
+            with pytest.raises(ZeroDivisionError):
+                _fqinv(zero, lifted, p)
+    out = subprocess.run([sys.executable, "-O", "-c",
+                          "from x3y9z2.arith.localfield import _fqinv; "
+                          "_fqinv((31, 62), [23, 11, 1], 31)"],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode != 0
+    assert "ZeroDivisionError: [31, 62] is not invertible mod 31, [23, 11, 1]" in out.stderr
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_factor_quartic_with_repeated_roots_matches_trial_division(p, rng):
     """factor_quartic_mod_p scans for roots once and divides each root out
@@ -537,22 +571,20 @@ def _factoring_rule_primes(xi):
         if (factorize(q) != {q: 1} or q in avoid
                 or disc.numerator % q == 0 or disc.denominator % q == 0):
             continue
-        if q**field.degree > 250_000:
-            break
         factors = factor_quartic_mod_p(f, q)
         if len(factors) == 1 and factors[0][1] == 1 and len(factors[0][0]) == field.degree + 1:
             out.append(q)
     return out
 
 
-# (field, coordinates, scale, the first primes): 5 and 17 are the inert
-# primes of K below 250000^(1/4); in Q(sqrt -3), the eq-5 algebra's
-# field component, the inert primes are those = 2 mod 3.
+# (field, coordinates, scale, the first primes): 5, 17, 29, 41, 53 and 89
+# are the first inert primes of K; in Q(sqrt -3), the eq-5 algebra's field
+# component, the inert primes are those = 2 mod 3.
 @pytest.mark.parametrize("where, coords, scale, head", [
-    ("K", [2, 1, 0, 0], F(1), [5, 17]),
-    ("K", [2, 1, 0, 0], F(1, 5), [17]),        # 5 in the denominator
-    ("K", [2, 1, 0, 0], F(17), [5]),           # 17^4 in the norm
-    ("K", [2, 1, 0, 0], F(17, 5), []),
+    ("K", [2, 1, 0, 0], F(1), [5, 17, 29, 41]),
+    ("K", [2, 1, 0, 0], F(1, 5), [17, 29, 41, 53]),        # 5 in the denominator
+    ("K", [2, 1, 0, 0], F(17), [5, 29, 41, 53]),           # 17^4 in the norm
+    ("K", [2, 1, 0, 0], F(17, 5), [29, 41, 53, 89]),
     ("sqrt-3", [1, 1], F(1), [5, 11, 17, 23]),
     ("sqrt-3", [1, 1], F(11, 23), [5, 17, 29, 41]),
 ])

@@ -2,9 +2,11 @@
 
 from fractions import Fraction as F
 
+from descent_reference import mpoly_descent_forms
 from x3y9z2.descent import (IndeterminatePoint, SelmerSetSpec,
                             build_descent_forms, cubic_norm_filter,
                             enumerate_delta, genus1_quotients, plane_cubic, st_map)
+from x3y9z2.local import ProjectiveSystem
 from x3y9z2.param import INF, equation_rhs
 from x3y9z2.verify import cube_free_part
 
@@ -92,6 +94,40 @@ class TestForms:
                 for i in range(4):
                     rhs = rhs + theta**i * sysd.forms[i](args)
                 assert lhs == rhs
+
+    def test_integer_combinations_match_mpoly_construction(self, descent_data, tables):
+        """Each class's forms and local system, built as integer combinations
+        of the algebra's cube-form tables, against the MPoly-over-Fraction
+        construction (tests/descent_reference.py) and from_mpolys: on all
+        261 classes of eq 5, 1 and 2, on the table rows' delta_A (with
+        denominators 2 and 4), and on deltas whose delta t^m have smaller
+        denominators than delta."""
+        cases = []
+        for eq in (5, 1, 2):
+            spec = descent_data.specs[eq]
+            cases += [(spec.algebra, delta) for _, delta in
+                      cubic_norm_filter(enumerate_delta(spec), spec.leading_coeff)]
+        assert len(cases) == 261
+        for eq in (1, 2):
+            A, iso = descent_data.specs[eq].algebra, descent_data.iso[eq]
+            for row in tables["quartic_field_table"][f"eq{eq}"]["rows"]:
+                delta = descent_data.K([F(c) for c in row["delta"]])
+                cases.append((A, A(list(iso.inverse_apply(delta).coords))))
+        A5 = descent_data.specs[5].algebra
+        cases += [(A5, A5([0, 0, F(1, 2), F(1, 2)])), (A5, A5([F(1, 3), F(2, 9), 0, F(5, 6)]))]
+        assert {delta.den for _, delta in cases} == {1, 2, 4, 18}
+        assert (cases[-2][1] * A5.gen() ** 2).den == 1
+        for A, delta in cases:
+            sysd = build_descent_forms(A, delta)
+            ref = mpoly_descent_forms(A, delta)
+            assert sysd.forms == ref
+            got = ProjectiveSystem.from_mpolys(list(sysd.curve_forms()))
+            want = ProjectiveSystem.from_mpolys(ref[2:])
+            assert got == want
+            assert got._degrees == want._degrees == [3, 3]
+            assert got._coeffs == want._coeffs
+            assert got._partials == want._partials
+            assert got._hessians == want._hessians
 
     def test_identity_rejects_tampered_forms(self, descent_data):
         spec = descent_data.specs[5]

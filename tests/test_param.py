@@ -1,12 +1,15 @@
 """Parametrizations, the six equations, transfers, and lifting."""
 
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
-from param_reference import eq5_eq6_transfer, eq5_eq6_transfer_inverse, weighted_rescale
+from param_reference import (eq5_eq6_transfer, eq5_eq6_transfer_inverse, lift_by_scalings,
+                             weighted_rescale)
 from x3y9z2.param import (INF, STValue, SolutionTriple, equation_rhs, lift_to_ninth,
                           mordell_families, transfer_st_value)
 
@@ -123,6 +126,32 @@ class TestLift:
                 from math import gcd
                 assert sol.x**3 + sol.y**9 == sol.z**2
                 assert gcd(gcd(abs(sol.x), abs(sol.y)), sol.z) == 1
+
+    def test_lift_matches_every_scaling(self):
+        """The one primitivity check after content removal against trying all
+        625 scalings 2^a 3^b (tests/param_reference.py), on 1,200 seeded
+        solutions of x^3 + v^3 = z^2: values of the twelve families and
+        known solutions, with zeros, scaled by 2^a 3^b 5^c, with x and v
+        swapped and z of either sign."""
+        rng = random.Random(17)
+        pool = [(-7, 8, 13), (2, 1, 3), (2, 2, 4), (65, 56, 671), (1, 0, 1), (0, 1, 1),
+                (1, -1, 0), (0, 0, 0), (4, 0, 8), (0, 9, 27), (5, -5, 0)]
+        for family, (s, t) in product(mordell_families(), product(range(-4, 5), repeat=2)):
+            x, v, z = family.evaluate(s, t)
+            lam = next(m for m in (1, 2, 4) if all((m * m * c).denominator == 1
+                                                   for c in (x, v, z * m)))
+            pool.append((int(lam**2 * x), int(lam**2 * v), int(lam**3 * z)))
+        lifted = 0
+        for _ in range(1200):
+            x, v, z = rng.choice(pool)
+            lam = 2**rng.randrange(6) * 3**rng.randrange(5) * 5**rng.randrange(3)
+            x, v, z = lam**2 * x, lam**2 * v, rng.choice((1, -1)) * lam**3 * z
+            if rng.randrange(2):
+                x, v = v, x
+            got = lift_to_ninth(x, v, z)
+            assert got == lift_by_scalings(x, v, z), (x, v, z)
+            lifted += bool(got)
+        assert lifted > 300
 
     def test_triple_validation(self):
         with pytest.raises(ValueError, match="does not satisfy"):

@@ -238,6 +238,31 @@ def test_data_dir_override_catches_tampering(data_copy):
         assert len(out.stderr.splitlines()) == 1
 
 
+def test_tampered_descent_data_exits_cleanly(data_copy):
+    """An edited K.minpoly, or an eq-1 algebra that splits, in
+    selmer_generators.json stops `pipeline run` with one line on stderr
+    and exit 1, not a traceback."""
+    path = data_copy / "selmer_generators.json"
+    original = path.read_text()
+
+    def edit_minpoly(sd):
+        sd["K"]["minpoly"][0] = "2"
+
+    def split_eq1(sd):
+        sd["eq1"]["defining"] = sd["eq5"]["defining"]
+
+    for change, message in ((edit_minpoly, "trusted minimal polynomial of K differs"),
+                            (split_eq1, "eq1: quartic-field equations have irreducible")):
+        path.write_text(original)
+        _edit_json(path, change)
+        out = subprocess.run([sys.executable, "-m", "x3y9z2.cli", "--data-dir", str(data_copy),
+                              "pipeline", "run"], capture_output=True, text=True, timeout=300)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert f"x3y9z2: TrustedDataError: {message}" in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+
+
 def test_rank_condition_violated(mw_data):
     from x3y9z2.chabauty.engine import ChabautyRun, RankConditionViolated, RationalFunctionOnE
     from x3y9z2.dataio import quartic_field
