@@ -334,9 +334,6 @@ class ZqElem:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -382,9 +379,6 @@ class ZqElem:
     def __truediv__(self, other):
         o = self._coerce(other)
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __pow__(self, n):
         if n < 0:

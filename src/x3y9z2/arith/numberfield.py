@@ -321,9 +321,6 @@ class _PowerBasisElem:
             return self._make([a - b for a, b in zip(self.num, o.num)], da)
         return self._make([a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._make([a * other.numerator for a in self.num],
@@ -369,9 +366,6 @@ class _PowerBasisElem:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._from_scalar(other) / self
 
     def denominator_lcm(self) -> int:
         return self.den

@@ -43,16 +43,10 @@ class UPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, UPoly):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __getitem__(self, i) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
@@ -78,9 +72,6 @@ class UPoly:
         if not isinstance(other, UPoly):
             other = UPoly([other])
         return self + (-other)
-
-    def __rsub__(self, other):
-        return UPoly([other]) - self
 
     def __mul__(self, other):
         if not isinstance(other, UPoly):
@@ -166,9 +157,6 @@ class UPoly:
                 cs[j - 1] += a * cs[j]
         return UPoly(cs)
 
-    def denominator_lcm(self) -> int:
-        return lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-
     def integer_coeffs(self):
         """Coefficients scaled to content-1 integers (primitive part)."""
         if not self.coeffs:
@@ -227,9 +215,6 @@ class MPoly:
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -266,9 +251,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             other = MPoly.constant(self.nvars, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return MPoly.constant(self.nvars, other) - self
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):

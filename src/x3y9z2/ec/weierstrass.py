@@ -120,9 +120,6 @@ class EcPoint:
         # fall back to exact chord-tangent arithmetic.
         return _classical_add(self, other)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __rmul__(self, n: int) -> "EcPoint":
         if not isinstance(n, int):
             return NotImplemented
@@ -136,9 +133,6 @@ class EcPoint:
             base = base + base
             n >>= 1
         return acc
-
-    def __mul__(self, n):
-        return self.__rmul__(n)
 
     def __repr__(self):
         aff = self.affine()

@@ -22,27 +22,51 @@ where F(e) puts e on the free coordinates and 0 on the patch coordinate,
 the half is exact because H's diagonal is even, and the terms above
 degree d vanish.  The first identity is exact, and the gap test only
 reads gcd(J(c), p^(k+1)), so the parent's verdict on a child is the
-child's own.  Only the children that pass go down a level; a rejected
-child still counts as a visited node, in child order, against the node
-budget.
+child's own.
+
+Most children fail on the first digit of F(c), so the parent reads that
+digit first.  Let p^s = gcd(J, p^k).  The node passed its own gap test,
+so p^(k+s) divides F(v), and every J(c) = J + p^k H e + p^(2k) (...) is
+divisible by p^s (s <= k).  A child that passes therefore has p^(k+1+s)
+dividing F(c), and modulo that power the p^(3k) F(e) term drops out
+(3k >= k + s + 1), which leaves one quadratic over F_p per form:
+
+    r(e) = F(v)/p^(k+s) + (J/p^s).e + p^(k-s) Q(e)  = 0  (mod p),
+    Q(e) = sum_a (H_aa/2) e_a^2 + sum_(a<b) H_ab e_a e_b.
+
+Its ten coefficients mod p (Q's six are zero unless s = k) are a key, and
+the children where both forms' r vanish are a memoized function of
+(p, key0, key1): a few dozen key pairs cover every class at p = 2 and 3.
+r(e) = 0 is only necessary (it ignores the child's own gcd(J(c), p^(k+1))
+and the higher digits of F(c)), so the exact gap test above still decides
+each of these candidates.  Every other child is rejected by r(e) != 0
+mod p.  Only the children that pass go down a level; each rejected child
+still counts as a visited node against the node budget, in child order,
+a run of them at a time, and the budget runs out at the same child and
+depth as with one visit each.
 
 A node computes the monomials of its vector once and evaluates each form
 and partial as a dot product with a dense coefficient list.  Form 0 is
 tested first, and form 1 only where form 0 leaves the branch alive; the
-valuation-gap test is one divisibility check per form.
+valuation-gap test is one divisibility check per form, and the Hensel
+test one valuation of the gcd of the 2x2 minors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
 from .arith.poly import MONOMIAL_EXPONENTS, PAIRS, dense_table, monomials
 from .arith.rationals import valuation
+
+# the column pairs of the 2x2 Jacobian minors on a patch's free coordinates
+MINORS = ((0, 1), (0, 2), (1, 2))
 
 
 class Undecided(Exception):
@@ -152,7 +176,9 @@ def enumerate_points_mod_p(system: ProjectiveSystem, p: int):
     for patch in range(4):
         for rest in product(range(p), repeat=3 - patch):
             vec = (0,) * patch + (1,) + rest
-            if all(system.evaluate(i, vec, p) == 0 for i in range(len(system.forms))):
+            mons = monomials(vec)
+            if not any(sum(map(mul, c, mons[d])) % p
+                       for c, d in zip(system._coeffs, system._degrees)):
                 out.append(vec)
     return out
 
@@ -173,6 +199,32 @@ def _taylor(f, j, h, z, e, pk):
     return fc, (j[0] + pk * he0, j[1] + pk * he1, j[2] + pk * he2)
 
 
+def _first_digit(f, j, h, p, pk):
+    """The ten coefficients mod p of r(e) = F(c) / p^(k+s) mod p at the
+    children c = v + p^k e of a node v mod p^k that passed its gap test,
+    with p^s = gcd(J, p^k): the constant, the three linear ones and, only
+    when s = k, the six of Q(e) (h00/2, h01, h11/2, h02, h12, h22/2)."""
+    ps = gcd(*j, pk)
+    key = (f // (pk * ps) % p, *(x // ps % p for x in j))
+    if ps < pk:
+        return key + (0,) * 6
+    h00, h01, h11, h02, h12, h22 = h
+    return key + (h00 // 2 % p, h01 % p, h11 // 2 % p, h02 % p, h12 % p, h22 // 2 % p)
+
+
+@lru_cache(maxsize=4096)
+def _candidates(p, key0, key1):
+    """The indices, in child order (e over {0..p-1}^3 lexicographically), of
+    the children at which both first digits r with coefficients key0 and
+    key1 vanish mod p."""
+    out = []
+    for i, (e0, e1, e2) in enumerate(product(range(p), repeat=3)):
+        terms = (1, e0, e1, e2, e0 * e0, e0 * e1, e1 * e1, e0 * e2, e1 * e2, e2 * e2)
+        if not (sum(map(mul, key0, terms)) % p or sum(map(mul, key1, terms)) % p):
+            out.append(i)
+    return tuple(out)
+
+
 def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
                        node_budget: int = 1_000_000) -> LocalVerdict:
     """Decide solubility over Q_p by certified branch refinement.
@@ -185,13 +237,15 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
     Jacobian is divisible by p (the cube-structure of the descent forms
     makes that the typical case at p = 3).
 
-    A live node judges each of its p^3 children by that gap test itself,
-    from its Taylor expansion (module docstring): F(child) is exact and
-    J(child) is exact mod p^(k+1), which is all the test reads, so a child
-    is rejected there exactly when it would die at its own node.  Only the
-    children that pass are visited in turn.  A rejected child still counts
-    as a visited node, in child order, and the node budget runs out at the
-    same child as with no parent-side test.
+    A live node judges each of its p^3 children by that gap test itself
+    (module docstring).  The first digit r(e) of F(child)/p^(k+s) must
+    vanish mod p for both forms; that rules out most children, but it is
+    only necessary, so the exact test, read from the node's Taylor
+    expansion, decides the rest.  A child is rejected there exactly when
+    it would die at its own node.  Only the children that pass are visited
+    in turn.  A rejected child still counts as a visited node, in child
+    order (the rejected ones between two passing children at once), and
+    the node budget runs out at the same child as with no parent-side test.
 
     soluble=True carries a re-checkable witness; soluble=False is only
     returned once every branch died; anything else raises Undecided.
@@ -212,22 +266,25 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
     rows = [[[P[j] for j in free] for P in system._partials] for free in frees]
     hessians = [[[H[free[a], free[b]] for a, b in PAIRS[:6]] for H in system._hessians]
                 for free in frees]
-    # per patch, filled at its first expansion: F_i(e) for e in {0..p-1}^3
-    # on the free coordinates, in child order (zeros below degree 3)
+    children = list(product(range(p), repeat=3))
+    # per patch, filled at its first expansion: F_i(e) for each child offset
+    # e on the free coordinates, in child order (zeros below degree 3)
     cubes = [None] * 4
     budget = [node_budget]
     undecided = []
     BIG = 10**9
 
     def cube_table(patch):
-        spots = [e[:patch] + (0,) + e[patch:] for e in product(range(p), repeat=3)]
-        return [[system.evaluate(i, spot) for spot in spots] if d == 3 else repeat(0)
-                for i, d in enumerate((d0, d1))]
+        cubics = [monomials(e[:patch] + (0,) + e[patch:])[3] for e in children]
+        return [[sum(map(mul, c, m)) for m in cubics] if d == 3 else [0] * len(children)
+                for c, d in ((c0, d0), (c1, d1))]
 
-    def visit(k):
-        if budget[0] <= 0:
+    def visit(k, n=1):
+        """Count n visited nodes at depth k, in order: the budget runs out
+        at the same node and depth as with n single visits."""
+        if budget[0] < n:
             raise NodeBudgetExceeded(k, "node budget exhausted")
-        budget[0] -= 1
+        budget[0] -= n
 
     def descend(vec, k, patch):
         visit(k)
@@ -244,46 +301,53 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
         j1 = [sum(map(mul, r, mons[d1 - 1])) for r in rows1]
         if f1 % (pk * gcd(*j1, pk)):
             return None
-        verr = min((valuation(v, p) if v else BIG) for v in (f0, f1))
-        best = None
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            det = j0[a] * j1[b] - j0[b] * j1[a]
-            if det:
-                m = valuation(det, p)
-                if best is None or m < best[0]:
-                    best = (m, (free[a], free[b]))
-        if best is not None and verr >= 2 * best[0] + 1:
-            return {
-                "vector": list(vec),
-                "depth": k,
-                "patch": patch,
-                "minor_columns": list(best[1]),
-                "minor_valuation": best[0],
-                "form_valuation": verr,
-            }
+        minors = [j0[a] * j1[b] - j0[b] * j1[a] for a, b in MINORS]
+        g = gcd(*minors)
+        if g:
+            m = valuation(g, p)
+            if not (f0 % p ** (2 * m + 1) or f1 % p ** (2 * m + 1)):
+                a, b = next(ab for ab, det in zip(MINORS, minors)
+                            if det and valuation(det, p) == m)
+                return {
+                    "vector": list(vec),
+                    "depth": k,
+                    "patch": patch,
+                    "minor_columns": [free[a], free[b]],
+                    "minor_valuation": m,
+                    "form_valuation": min((valuation(v, p) if v else BIG) for v in (f0, f1)),
+                }
         if k >= max_depth:
             undecided.append((vec, k))
             return None
         if cubes[patch] is None:
             cubes[patch] = cube_table(patch)
+        z0, z1 = cubes[patch]
         hess0, hess1 = hessians[patch]
         h0 = [sum(map(mul, r, mons[h0deg])) for r in hess0]
         h1 = [sum(map(mul, r, mons[h1deg])) for r in hess1]
         pk1 = pk * p
-        for e, z0, z1 in zip(product(range(p), repeat=3), *cubes[patch]):
-            # the child's gap test, form 0 first, from this node's expansion
-            fc, jc = _taylor(f0, j0, h0, z0, e, pk)
-            if not fc % (pk1 * gcd(*jc, pk1)):
-                fc, jc = _taylor(f1, j1, h1, z1, e, pk)
-                if not fc % (pk1 * gcd(*jc, pk1)):
-                    child = list(vec)
-                    for pos, inc in zip(free, e):
-                        child[pos] += pk * inc
-                    w = descend(child, k + 1, patch)
-                    if w is not None:
-                        return w
-                    continue
-            visit(k + 1)
+        counted = 0  # children before this index are counted as visited
+        for i in _candidates(p, _first_digit(f0, j0, h0, p, pk),
+                             _first_digit(f1, j1, h1, p, pk)):
+            # the child's exact gap test, form 0 first, from this node's expansion
+            e = children[i]
+            fc, jc = _taylor(f0, j0, h0, z0[i], e, pk)
+            if fc % (pk1 * gcd(*jc, pk1)):
+                continue
+            fc, jc = _taylor(f1, j1, h1, z1[i], e, pk)
+            if fc % (pk1 * gcd(*jc, pk1)):
+                continue
+            if i > counted:
+                visit(k + 1, i - counted)
+            counted = i + 1
+            child = list(vec)
+            for pos, inc in zip(free, e):
+                child[pos] += pk * inc
+            w = descend(child, k + 1, patch)
+            if w is not None:
+                return w
+        if counted < len(children):
+            visit(k + 1, len(children) - counted)
         return None
 
     for vec in start_points:

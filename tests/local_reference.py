@@ -4,7 +4,9 @@ The exhaustive refinement: every child v + p^k e of a live node is
 visited and judged by the full valuation-gap test at its own node, from
 `ProjectiveSystem.evaluate` and `ProjectiveSystem.jacobian_entry`.  No
 child is judged at its parent.  The witness, node count and Undecided
-outcome are defined exactly as in `is_locally_soluble`.
+outcome are defined exactly as in `is_locally_soluble`.  Given a list as
+`trail`, the search appends [depth, dead] for each node it visits, in
+order, with dead true when the node fails its own gap test.
 """
 
 from itertools import product
@@ -15,7 +17,7 @@ from x3y9z2.local import (LocalVerdict, NodeBudgetExceeded, Undecided,
                           enumerate_points_mod_p)
 
 
-def exhaustive_search(system, p, max_depth=12, node_budget=1_000_000):
+def exhaustive_search(system, p, max_depth=12, node_budget=1_000_000, trail=None):
     budget = [node_budget]
     undecided = []
 
@@ -23,6 +25,8 @@ def exhaustive_search(system, p, max_depth=12, node_budget=1_000_000):
         if budget[0] <= 0:
             raise NodeBudgetExceeded(k, "node budget exhausted")
         budget[0] -= 1
+        if trail is not None:
+            trail.append([k, True])
         pk = p**k
         free = [j for j in range(4) if j != patch]
         f = [system.evaluate(i, vec) for i in (0, 1)]
@@ -31,6 +35,8 @@ def exhaustive_search(system, p, max_depth=12, node_budget=1_000_000):
         jac = [[system.jacobian_entry(i, j, vec) for j in free] for i in (0, 1)]
         if any(f[i] % (pk * gcd(*jac[i], pk)) for i in (0, 1)):
             return None
+        if trail is not None:
+            trail[-1][1] = False
         verr = min(valuation(x, p) if x else 10**9 for x in f)
         best = None
         for a, b in ((0, 1), (0, 2), (1, 2)):

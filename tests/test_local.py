@@ -5,13 +5,16 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 
 from x3y9z2.arith.poly import MPoly
+from x3y9z2.arith.rationals import valuation
 from x3y9z2.descent import build_descent_forms, cubic_norm_filter, enumerate_delta
-from x3y9z2.local import (NodeBudgetExceeded, ProjectiveSystem, Undecided, _taylor,
-                          enumerate_points_mod_p, is_locally_soluble)
+from x3y9z2.local import (NodeBudgetExceeded, ProjectiveSystem, Undecided, _candidates,
+                          _first_digit, _taylor, enumerate_points_mod_p,
+                          is_locally_soluble)
 
 from local_reference import exhaustive_search
 
@@ -230,6 +233,87 @@ def test_taylor_expansion_at_a_child(degree):
                 assert (x - system.jacobian_entry(0, a, c)) % (pk * p) == 0
 
 
+def _node_with_gap(rng, degree, p, k, patch, mode):
+    """A random form of the given degree and a vector v (1 on the patch
+    coordinate) at which it passes the gap test mod p^k, or None when
+    clearing the content breaks that.  mode "generic" puts random values on
+    the free coordinates; mode t >= 1 keeps only monomials with two or more
+    free factors and puts multiples of p^t there (all zero for t = k + 2),
+    so that p^min(t, k) divides J and J = 0 at t = k + 2."""
+    free = [j for j in range(4) if j != patch]
+    form = {e: rng.choice([-1, 1]) * rng.randint(1, 50)
+            for e in product(range(degree + 1), repeat=4) if sum(e) == degree}
+    v = [0] * 4
+    v[patch] = 1
+    if mode == "generic":
+        for a in free:
+            v[a] = rng.randint(-10**3, 10**3)
+    else:
+        form = {e: c for e, c in form.items() if e[patch] <= degree - 2}
+        for a in free:
+            v[a] = 0 if mode == k + 2 else p**mode * rng.randint(-50, 50)
+    top = tuple(degree if j == patch else 0 for j in range(4))
+    form[top] = 0
+    if not any(form.values()):
+        return None
+    pk = p**k
+    system = ProjectiveSystem(forms=[form])
+    j = [system.jacobian_entry(0, a, v) for a in free]
+    ps = gcd(*j, pk)
+    # the top monomial moves F(v) alone: J and H on the free coordinates
+    # do not see it; F(v) becomes p^(k+s) u
+    form[top] = -system.evaluate(0, v) + pk * ps * rng.choice([1, -1, p, 5 * p * p, 0])
+    system = ProjectiveSystem(forms=[form])
+    f = system.evaluate(0, v)
+    j = [system.jacobian_entry(0, a, v) for a in free]
+    if f % (pk * gcd(*j, pk)):
+        return None
+    return system, v, f, j
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_first_digit_keeps_every_child_that_passes(degree):
+    """Soundness of the parent-side prefilter: at nodes that pass their own
+    gap test, every child c = v + p^k e that the exact gap test accepts
+    (judged at c from evaluate and jacobian_entry, not from the parent) is
+    among the candidates of its parent's first-digit key.  p runs over
+    {2, 3, 5, 7} and k over 1..4, with s = 0, 0 < s < k, s = k and J = 0 all
+    covered at degrees 2 and 3.  A linear form of content 1 has s = 0 at
+    every node that passes, so degree 1 covers s = 0 alone."""
+    rng = random.Random(180 + degree)
+    cases = {"s=0": 0, "0<s<k": 0, "s=k": 0, "J=0": 0}
+    wanted = ["s=0"] if degree == 1 else list(cases)
+    accepted_total = rejected_total = 0
+    while min(cases[c] for c in wanted) < 60 and sum(cases.values()) < 5000:
+        p, k, patch = rng.choice([2, 3, 5, 7]), rng.randint(1, 4), rng.randrange(4)
+        mode = rng.choice(["generic", "generic"] + list(range(1, k + 3)))
+        node = _node_with_gap(rng, degree, p, k, patch, mode)
+        if node is None:
+            continue
+        system, v, f, j = node
+        free = [a for a in range(4) if a != patch]
+        pk, pk1 = p**k, p**(k + 1)
+        poly = MPoly(4, {e: F(c) for e, c in system.forms[0].items()})
+        h = [int(poly.partial(free[a]).partial(free[b])(v))
+             for a, b in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))]
+        key = _first_digit(f, j, h, p, pk)
+        candidates = set(_candidates(p, key, key))
+        s = valuation(gcd(*j, pk), p)
+        cases["J=0" if not any(j) else "s=k" if s == k else "s=0" if s == 0 else "0<s<k"] += 1
+        for i, e in enumerate(product(range(p), repeat=3)):
+            c = list(v)
+            for a, x in zip(free, e):
+                c[a] += pk * x
+            jc = [system.jacobian_entry(0, a, c) for a in free]
+            if system.evaluate(0, c) % (pk1 * gcd(*jc, pk1)) == 0:
+                assert i in candidates, (p, k, v, system.forms, e)
+                accepted_total += 1
+            elif i not in candidates:
+                rejected_total += 1
+    assert min(cases[c] for c in wanted) >= 60, cases
+    assert accepted_total and rejected_total
+
+
 def test_budget_boundary_at_a_child_judged_by_its_parent(class_systems):
     """An insoluble equation 5 class whose last visited node is a child its
     parent rejected: with one node less the budget runs out at depth >= 2,
@@ -247,3 +331,36 @@ def test_budget_boundary_at_a_child_judged_by_its_parent(class_systems):
         pytest.fail("no insoluble class ends on a child rejected at its parent")
     assert is_locally_soluble(system, 3, node_budget=verdict.nodes) == verdict
     assert short == _outcome(exhaustive_search, system, 3, node_budget=verdict.nodes - 1)
+
+
+@pytest.mark.parametrize("eq, p", [(5, 2), (5, 3), (1, 2), (1, 3), (2, 2), (2, 3)])
+def test_budget_runs_out_inside_runs_of_rejected_children(class_systems, eq, p):
+    """The rejected children between two passing ones are counted at once,
+    and the budget still runs out at the same child, depth and message as
+    in the exhaustive reference.  Per class: a seeded sample of budgets
+    below `nodes`, and budgets whose last node is a rejected child right
+    after a rejected sibling, that is inside a run counted at once (found
+    from the reference's trail).  Equation 5 uses a seeded sample of its
+    decided classes."""
+    rng = random.Random(1800 + 10 * eq + p)
+    systems = [system for _, system in class_systems[eq]]
+    if eq == 5:
+        systems = [systems[i] for i in rng.sample(range(len(systems)), 3)]
+    inside = 0
+    for system in systems:
+        trail = []
+        try:
+            verdict = exhaustive_search(system, p, trail=trail)
+        except Undecided:
+            continue
+        assert _outcome(is_locally_soluble, system, p)[2] == verdict.nodes == len(trail)
+        runs = [b for b in range(1, len(trail))
+                if trail[b][0] >= 2 and trail[b][1] and trail[b - 1] == [trail[b][0], True]]
+        budgets = set(rng.sample(range(verdict.nodes), min(verdict.nodes, 5)))
+        budgets |= set(rng.sample(runs, min(len(runs), 3)))
+        inside += len(budgets & set(runs))
+        for b in sorted(budgets):
+            short = _outcome(is_locally_soluble, system, p, node_budget=b)
+            assert short[0] == "NodeBudgetExceeded"
+            assert short == _outcome(exhaustive_search, system, p, node_budget=b)
+    assert inside >= 3
