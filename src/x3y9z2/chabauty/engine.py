@@ -20,7 +20,7 @@ Closing at p is sound only when the generators' index is prime to p and
 to the primes dividing the local group orders.  That is certified by the
 reduction sieve, which reads one table per curve: reductions_at(curve, q)
 gives each prime of K above q with E reduced there and #E(F_q), computed
-once per (curve, q) however often the search bound widens.
+once per (curve, q) and read lazily, up to the row that certifies.
 """
 
 from __future__ import annotations
@@ -213,20 +213,21 @@ class SieveData:
         self.zeros = (None,) * len(contexts)
         if rank > 2:
             raise RankConditionViolated("only rank <= 2 lattices are handled")
-        # o1: the order of g1's images; k2: the least k with k g2 = a g1.
+        # orbit: c1 g1 for c1 < o1 (g1's order); starts: c2 g2 for c2 < k2 (k2 g2 = a g1).
         self.o1, self.k2, self.a_rel, self.basis = 1, 1, 0, []
+        self.orbit, self.starts = [self.zeros], [self.zeros]
         if rank:
             seen, T = {}, self.zeros
             while T not in seen:
                 seen[T] = len(seen)
                 T = self.step(T, 0)
-            self.o1 = len(seen)
-            self.basis = [(self.o1,)]
+            self.o1, self.orbit, self.basis = len(seen), list(seen), [(len(seen),)]
         if rank == 2:
-            T, self.k2 = self.gens_imgs[1], 1
+            T = self.gens_imgs[1]
             while T not in seen:
-                T, self.k2 = self.step(T, 1), self.k2 + 1
-            self.a_rel = seen[T]
+                self.starts.append(T)
+                T = self.step(T, 1)
+            self.k2, self.a_rel = len(self.starts), seen[T]
             self.basis = [(self.o1, 0), (-self.a_rel, self.k2)]
 
     def step(self, T, i):
@@ -249,13 +250,12 @@ class SieveData:
 
     def iter_classes(self):
         """(class, images): the class is (c1, c2)[:rank], c1 < o1, c2 < k2."""
-        T2 = self.zeros
-        for c2 in range(self.k2):
-            T = T2
+        for c1, T in enumerate(self.orbit):
+            yield (c1, 0)[:self.rank], T
+        for c2, T in enumerate(self.starts[1:], 1):
             for c1 in range(self.o1):
-                yield (c1, c2)[:self.rank], T
-                T = self.step(T, 0) if self.rank else T
-            T2 = self.step(T2, 1) if self.rank == 2 else T2
+                T = self.step(T, 0) if c1 else T
+                yield (c1, c2), T
 
 
 def residue_sieve(contexts, rank):
@@ -547,17 +547,15 @@ def certify_index_coprimality(curve, gens, ells):
     reduction sieve; returns ({ell: primes used}, uncertified list).
 
     Only primes where ell divides #E(F_q) carry information, so the sieve
-    reads just those rows of the curve's reduction table, widening the
-    search bound on demand.
+    reads just those rows of the curve's reduction table, lazily, up to
+    the prime that certifies ell, widening the search bound on demand.
     """
     certified = {}
     failed = []
     for ell in sorted(set(ells)):
         for bound in (600, 2000, 5000):
-            rows = [row for q in small_primes(bound) if q >= 5
-                    for row in reductions_at(curve, q) if row[2] % ell == 0]
-            if not rows:
-                continue
+            rows = (row for q in small_primes(bound) if q >= 5
+                    for row in reductions_at(curve, q) if row[2] % ell == 0)
             result, used = non_divisibility_sieve(gens, ell, rows)
             if result is True:
                 certified[ell] = used

@@ -16,7 +16,7 @@ a point over F_q is None (O) or an affine pair (x, y), its own dict key.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import gcd
 
 from ..arith.localfield import FqField, ZqRing, _fqinv, _fqmul, factor_quartic_mod_p
@@ -272,27 +272,29 @@ def non_divisibility_sieve(points, m: int, reductions):
     outside m*E(F_q); otherwise returns the list of surviving vectors
     (the Inconclusive outcome — never silently converted to a success).
     The primes that removed a vector are listed as (p, idx).
+
+    Rows are read lazily, up to the one that removes the last vector (none
+    for r = 0).  Vectors are summed from tables k*Q_i, k < m: Q_i = (N/m)*P_i
+    against {O} when gcd(m, N/m) = 1, else Q_i = P_i against m*E(F_q).
     """
-    r = len(points)
-    survivors = [e for e in product(range(m), repeat=r) if any(e)]
+    survivors = [e for e in product(range(m), repeat=len(points)) if any(e)]
     used = []
+    if not survivors:
+        return True, used
     for pr, Ebar, N in reductions:
-        if not survivors:
-            break
+        if N % m:  # then m*E(F_q) = E(F_q): no vector leaves
+            continue
         red = [reduce_point(Ebar, P, pr) for P in points]
-        in_mE = _multiple_test(Ebar, m, N)
-        still = [e for e in survivors if in_mE(reduce(Ebar.add, map(Ebar.mul, e, red)))]
+        if gcd(m, N // m) == 1:
+            red, targets = [Ebar.mul(N // m, P) for P in red], {None}
+        else:
+            targets = {Ebar.mul(m, Q) for Q in all_points_fq(Ebar)}
+        tables = [[None, *accumulate(repeat(P, m - 1), Ebar.add)] for P in red]
+        still = [e for e in survivors
+                 if reduce(Ebar.add, map(list.__getitem__, tables, e)) in targets]
         if len(still) < len(survivors):
             used.append((pr.p, pr.idx))
-        survivors = still
-    return (True, used) if not survivors else (survivors, used)
-
-
-def _multiple_test(Ebar: FqCurve, m: int, N: int):
-    """Membership test for m*E(F_q), N = #E(F_q).  When gcd(m, N/m) = 1
-    the m-part of E(F_q) has order m, so S is in m*E(F_q) iff (N/m)*S = O;
-    otherwise the multiples of m are enumerated."""
-    if N % m == 0 and gcd(m, N // m) == 1:
-        return lambda S: Ebar.mul(N // m, S) is None
-    mult_set = {Ebar.mul(m, Q) for Q in all_points_fq(Ebar)}
-    return lambda S: S in mult_set
+            survivors = still
+            if not survivors:
+                return True, used
+    return survivors, used

@@ -91,6 +91,34 @@ class TestSieve:
         assert sd.n_classes() == 144
         assert len(survivors) == 3
 
+    @pytest.mark.parametrize("eq, delta, p, steps", [(1, 3, 11, 444), (1, 3, 31, 84),
+                                                     (2, 1, 11, 144)])
+    def test_classes_walk_each_orbit_once(self, descent_data, mw_data, tables, monkeypatch,
+                                          eq, delta, p, steps):
+        """iter_classes yields, c2 outer and c1 inner, the class
+        (c1, c2)[:rank] and the images c1 g1 + c2 g2 at every prime, as
+        FqCurve.mul makes them.  The images are distinct, and SieveData's
+        walks and rows together take one step per class."""
+        from x3y9z2.chabauty import engine
+        row = tables["quartic_field_table"][f"eq{eq}"]["rows"][delta]
+        s = chabauty_setup_for_row(descent_data, mw_data, eq, row)
+        run = ChabautyRun(s.curve, s.psi, s.gens, s.known_points, p)
+        rank = len(s.gens)
+        counted = []
+        step = engine.SieveData.step
+        monkeypatch.setattr(engine.SieveData, "step",
+                            lambda sd, T, i: counted.append(i) or step(sd, T, i))
+        sd = engine.SieveData(run.contexts, rank)
+        classes = list(sd.iter_classes())
+        assert len(counted) == sd.n_classes() == steps
+        expected = [((c1, c2)[:rank],
+                     tuple(ctx.Ebar.add(ctx.Ebar.mul(c1, ctx.gens_bar[0]),
+                                        ctx.Ebar.mul(c2, ctx.gens_bar[-1]))
+                           for ctx in run.contexts))
+                    for c2 in range(sd.k2) for c1 in range(sd.o1)]
+        assert classes == expected
+        assert len({imgs for _, imgs in classes}) == len(classes)
+
     @staticmethod
     def _projective_residue_value(fq, coeffs, P):
         """The projective rule that residue_value replaced, kept as its
@@ -258,6 +286,8 @@ def test_index_certificate_factors_each_prime_once(mw_data, monkeypatch):
     """certify_index_coprimality calls primes_above once per scanned q,
     also when an ell (17 here: no prime below 600 has 17 | #E(F_q)) widens
     the bound: the sieve reads the reduction table and factors nothing.
+    The rows are read lazily, so the scan ends at 1019, the prime that
+    certifies 17, not at the bound 2000.
     The curve is E1 twisted by u = 2, which no other test reduces."""
     from x3y9z2.chabauty import engine
     from x3y9z2.ec import reduction
@@ -275,8 +305,8 @@ def test_index_certificate_factors_each_prime_once(mw_data, monkeypatch):
     monkeypatch.setattr(engine, "primes_above", counted)
     certified, failed = engine.certify_index_coprimality(E, gens, {5, 17})
     assert failed == [] and sorted(certified) == [5, 17]
-    assert max(p for p, _ in certified[17]) > 600
-    assert calls == [q for q in small_primes(2000) if q >= 5]
+    assert certified[17] == [(1019, 0), (1019, 1)]
+    assert calls == [q for q in small_primes(2000) if 5 <= q <= 1019]
 
 
 def test_torsion_claims_refuted_by_characters(mw_data, monkeypatch):

@@ -3,11 +3,15 @@
 import random
 from fractions import Fraction as F
 from functools import reduce
+from itertools import product
+from math import gcd
 
 import pytest
 
 from x3y9z2.arith.localfield import FqField, factor_quartic_mod_p, residue_degrees
 from x3y9z2.arith.poly import MPoly
+from x3y9z2.arith.roots import small_primes
+from x3y9z2.chabauty.engine import reductions_at
 from x3y9z2.ec import (BadPrime, EcPoint, PlaneCubicWithFlex, WeierstrassCurve,
                        curve_order_fq, flex_to_weierstrass, non_divisibility_sieve,
                        torsion_over_Q)
@@ -392,7 +396,6 @@ class TestSieve:
     def test_one_multiple_path_matches_enumeration(self, mw_data, K):
         """Where 3 || #E(F_q), the sieve tests S in 3E(F_q) as (N/3)S = O;
         its survivors must be those of enumerating 3E(F_q)."""
-        from itertools import product
         E = mw_data.curve(1)
         g1, g2 = mw_data.points(1)
         points = [g1, g2, 3 * g1 + g2]
@@ -416,6 +419,55 @@ class TestSieve:
                 assert (result is True and not expected) or result == expected
                 checked += 1
         assert checked >= 3
+
+    def test_reads_rows_up_to_the_one_that_certifies(self, mw_data):
+        """Rows are pulled one at a time, up to the one that removes the
+        last vector and no further; with no points no row is pulled."""
+        E = mw_data.curve(1)
+        gens = mw_data.points(1)
+        for m in (3, 5, 7):
+            rows = [row for q in small_primes(600) if q >= 5
+                    for row in reductions_at(E, q) if row[2] % m == 0]
+            read = []
+            result, used = non_divisibility_sieve(gens, m, (read.append(row) or row
+                                                            for row in rows))
+            k = len(read)
+            assert result is True and k < len(rows)
+            assert used[-1] == (rows[k - 1][0].p, rows[k - 1][0].idx)
+            # rows[k - 1] is needed: the rows before it leave a vector.
+            assert non_divisibility_sieve(gens, m, rows[:k - 1])[0] is not True
+            read.clear()
+            assert non_divisibility_sieve([], m, (read.append(row) or row
+                                                  for row in rows)) == (True, [])
+            assert read == []
+
+    @pytest.mark.parametrize("i", range(1, 7))
+    def test_linear_tables_match_brute_force(self, mw_data, i):
+        """On E_i, for m in {3, 5, 7, 11} and r = 1, 2, 3 points, the
+        survivors at one row are the e with sum e_j P_j in mE(F_q), the sum
+        made by scalar multiplications.  Rows (N <= 1000, which bounds the
+        enumeration of mE(F_q)): the first with gcd(m, N/m) = 1, where the
+        sieve tabulates k (N/m) P_j, and the first with m^2 | N, where it
+        tabulates k P_j against mE(F_q)."""
+        E = mw_data.curve(i)
+        g1, g = mw_data.points(i)[0], mw_data.points(i)[-1]
+        points = [g1, g + g1, 3 * g + 2 * g1]
+        paths = set()
+        rows = (row for q in small_primes(400) if q >= 5 for row in reductions_at(E, q))
+        for pr, Ebar, N in rows:
+            for m in (3, 5, 7, 11):
+                if N % m or N > 1000 or (m, gcd(m, N // m)) in paths:
+                    continue
+                paths.add((m, gcd(m, N // m)))
+                red = [reduce_point(Ebar, P, pr) for P in points]
+                mE = {Ebar.mul(m, Q) for Q in all_points_fq(Ebar)}
+                for r in (1, 2, 3):
+                    expected = [e for e in product(range(m), repeat=r) if any(e)
+                                and reduce(Ebar.add, map(Ebar.mul, e, red[:r])) in mE]
+                    result, used = non_divisibility_sieve(points[:r], m, [(pr, Ebar, N)])
+                    assert (result is True and not expected) or result == expected
+                    assert used == ([] if len(expected) == m**r - 1 else [(pr.p, pr.idx)])
+        assert paths == {(m, c) for m in (3, 5, 7, 11) for c in (1, m)}
 
 
 class TestPointCount:
