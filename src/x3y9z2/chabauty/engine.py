@@ -547,19 +547,17 @@ def certify_index_coprimality(curve, gens, ells):
     reduction sieve; returns ({ell: primes used}, uncertified list).
 
     Only primes where ell divides #E(F_q) carry information, so the sieve
-    reads just those rows of the curve's reduction table, lazily, up to
-    the prime that certifies ell, widening the search bound on demand.
+    reads just those rows of the curve's reduction table, in one lazy pass
+    over the primes 5 <= q <= 5000 that stops at the prime certifying ell.
     """
     certified = {}
     failed = []
     for ell in sorted(set(ells)):
-        for bound in (600, 2000, 5000):
-            rows = (row for q in small_primes(bound) if q >= 5
-                    for row in reductions_at(curve, q) if row[2] % ell == 0)
-            result, used = non_divisibility_sieve(gens, ell, rows)
-            if result is True:
-                certified[ell] = used
-                break
+        rows = (row for q in small_primes(5000) if q >= 5
+                for row in reductions_at(curve, q) if row[2] % ell == 0)
+        result, used = non_divisibility_sieve(gens, ell, rows)
+        if result is True:
+            certified[ell] = used
         else:
             failed.append(ell)
     return certified, failed

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from .arith.numberfield import AlgElem, EtaleAlgebra, NumberField
 from .arith.poly import MONOMIAL_EXPONENTS, MPoly, binary_form_divide
@@ -117,17 +116,15 @@ def _f3_rank(rows):
 
 def enumerate_delta(spec: SelmerSetSpec):
     """All 3^r products of generator powers (exponents 0..2) in lex
-    order of the exponent vector; the class representative is scaled to
-    integral coordinates with cube-free content."""
-    out = []
-    r = len(spec.generators)
-    for expo in product(range(3), repeat=r):
-        d = spec.algebra.one()
-        for g, e in zip(spec.generators, expo):
-            if e:
-                d = d * g**e
-        out.append((expo, d.scale_to_integral()))
-    return out
+    order of the exponent vector, each one multiplication from its prefix;
+    the class representative is scaled to integral coordinates with
+    cube-free content."""
+    prefixes = [((), spec.algebra.one())]
+    for g in spec.generators:
+        powers = (None, g, g * g)
+        prefixes = [(expo + (e,), d * powers[e] if e else d)
+                    for expo, d in prefixes for e in range(3)]
+    return [(expo, d.scale_to_integral()) for expo, d in prefixes]
 
 
 def cubic_norm_filter(candidates, C: Fraction):

@@ -98,14 +98,13 @@ def torsion_over_Q(curve: WeierstrassCurve):
     points = []
     for x in _integer_roots_cubic(a, b):
         points.append(curve.point(Fraction(x), Fraction(0)))
-    y = 1
-    while y * y <= disc:
-        if disc % (y * y) == 0:
-            const = b - y * y
-            for x in _integer_roots_cubic(a, const):
-                points.append(curve.point(Fraction(x), Fraction(y)))
-                points.append(curve.point(Fraction(x), Fraction(-y)))
-        y += 1
+    root = 1  # the largest integer whose square divides disc
+    for q, e in factorize(disc).items():
+        root *= q ** (e // 2)
+    for y in divisors(root):  # y^2 | disc exactly when y | root, ascending
+        for x in _integer_roots_cubic(a, b - y * y):
+            points.append(curve.point(Fraction(x), Fraction(y)))
+            points.append(curve.point(Fraction(x), Fraction(-y)))
 
     torsion = {}
     for P in points:

@@ -10,46 +10,63 @@ a boolean.
 Refinement is exhaustive: a live branch v mod p^k has all p^3 children
 c = v + p^k e, e ranging over {0..p-1}^3 on the free coordinates of its
 patch, and each child is judged by the valuation-gap test at depth
-k + 1.  That test reads only F(c) and J(c) mod p^(k+1), and the parent
-predicts both from its own Taylor expansion.  With J and H the Jacobian
-row and the Hessian of a form F of degree d <= 3 on the free
-coordinates at v,
+k + 1: it passes iff p^(k+1) gcd(J(c), p^(k+1)) divides F(c).  The parent
+predicts F(c) and J(c) mod p^(k+1) from its own Taylor expansion.  With J
+and H the Jacobian row and the Hessian of a form F of degree d <= 3 on
+the free coordinates at v,
 
-    F(c) = F(v) + p^k J.e + p^(2k) (1/2) e^T H e + p^(3k) F(e)
+    F(c) = F(v) + p^k J.e + p^(2k) Q(e) + p^(3k) F(e)
     J(c) = J(v) + p^k H e          (mod p^(k+1), as 2k >= k + 1)
+    Q(e) = (1/2) e^T H e = sum_a (H_aa/2) e_a^2 + sum_(a<b) H_ab e_a e_b
 
 where F(e) puts e on the free coordinates and 0 on the patch coordinate,
-the half is exact because H's diagonal is even, and the terms above
-degree d vanish.  The first identity is exact, and the gap test only
-reads gcd(J(c), p^(k+1)), so the parent's verdict on a child is the
-child's own.
+Q has integer coefficients because H's diagonal is even, and the terms
+above degree d vanish.  The first identity is exact, so the parent's
+verdict on a child is the child's own, and it needs only a few digits.
+Let p^s = gcd(J, p^k).  The node passed its own gap test, so p^(k+s)
+divides F(v).
 
-Most children fail on the first digit of F(c), so the parent reads that
-digit first.  Let p^s = gcd(J, p^k).  The node passed its own gap test,
-so p^(k+s) divides F(v), and every J(c) = J + p^k H e + p^(2k) (...) is
-divisible by p^s (s <= k).  A child that passes therefore has p^(k+1+s)
-dividing F(c), and modulo that power the p^(3k) F(e) term drops out
-(3k >= k + s + 1), which leaves one quadratic over F_p per form:
+  s < k:  some J_a has valuation s < k, and J(c) = J + p^k (...) keeps
+    it, so gcd(J(c), p^(k+1)) = p^s and the child passes iff p^(k+1+s)
+    divides F(c).  The terms of F(c)/p^(k+s) after the linear one carry
+    p^(k-s) or more, so that is the first digit
 
-    r(e) = F(v)/p^(k+s) + (J/p^s).e + p^(k-s) Q(e)  = 0  (mod p),
-    Q(e) = sum_a (H_aa/2) e_a^2 + sum_(a<b) H_ab e_a e_b.
+        r(e) = F(v)/p^(k+s) + (J/p^s).e  = 0  (mod p).
 
-Its ten coefficients mod p (Q's six are zero unless s = k) are a key, and
-the children where both forms' r vanish are a memoized function of
-(p, key0, key1): a few dozen key pairs cover every class at p = 2 and 3.
-r(e) = 0 is only necessary (it ignores the child's own gcd(J(c), p^(k+1))
-and the higher digits of F(c)), so the exact gap test above still decides
-each of these candidates.  Every other child is rejected by r(e) != 0
-mod p.  Only the children that pass go down a level; each rejected child
-still counts as a visited node against the node budget, in child order,
-a run of them at a time, and the budget runs out at the same child and
-depth as with one visit each.
+  s = k:  p^k divides J, so J(c) = p^k (J/p^k + H e) mod p^(k+1), and
+    gcd(J(c), p^(k+1)) is p^(k+1) when J/p^k + H e = 0 mod p, else p^k.
+    With
+
+        t(e) = F(c)/p^(2k) = F(v)/p^(2k) + (J/p^k).e + Q(e) + p^k F(e),
+
+    the child passes iff p | t, and also p^2 | t whenever
+    J/p^k + H e = 0 (mod p).  For k >= 2 the p^k F(e) term vanishes
+    mod p^2.
+
+So per form the verdict reads a key: the modulus m (p when s < k, p^2
+when s = k) and the ten coefficients mod m of r, or of t - p^k F(e), in
+the monomials 1, e_a, e_a e_b (Q's six are zero when s < k); H mod p is
+read back from Q's.  The children that pass both forms are a memoized
+function of (p, key0, key1, k = 1), merged from one memo per form: on
+equation 5 at p = 3, 563 key pairs and 187 keys cover the 5,546 nodes
+that expand.  At k = 1 (s = 1) a child
+with J/p + H e = 0 mod p also reads F(e) mod p: there the memo gives the
+residue t - p F(e) mod p^2 that p F(e) must cancel, and the node reads
+F(e) mod p from a table per patch.  Only the children that pass go down a
+level; each rejected child still counts as a visited node against the
+node budget, in child order, a run of them at a time, and the budget
+runs out at the same child and depth as with one visit each.
 
 A node computes the monomials of its vector once and evaluates each form
 and partial as a dot product with a dense coefficient list.  Form 0 is
 tested first, and form 1 only where form 0 leaves the branch alive; the
 valuation-gap test is one divisibility check per form, and the Hensel
-test one valuation of the gcd of the 2x2 minors.
+test one valuation of the gcd of the 2x2 minors.  The residue points
+where both forms vanish mod p and the values F(e) mod p depend only on
+p, the patch and the forms mod p, and the monomials behind them only on
+p and the patch, so all four tables are memoized for p <= 7 (an entry
+holds up to p^3 values).  On equation 5 at p = 3 the 243 classes have 25
+distinct pairs of forms mod 3, and 11 distinct forms.
 """
 
 from __future__ import annotations
@@ -166,63 +183,106 @@ class LocalVerdict:
         return det != 0 and valuation(det, p) == m
 
 
+def _small_p_memo(maxsize):
+    """Memoize a table function f(p, ...) for p <= 7, at most maxsize entries,
+    and build afresh for larger p: an entry holds up to p^3 values."""
+    def wrap(build):
+        memo = lru_cache(maxsize=maxsize)(build)
+        return lambda p, *args: (memo if p <= 7 else build)(p, *args)
+    return wrap
+
+
+@_small_p_memo(8)
+def _point_monomials(p, patch):
+    """(vec, monomials(vec)) for the residue points of P^3(F_p) in a patch:
+    0 before the patch coordinate, 1 on it, in lexicographic order."""
+    vecs = ((0,) * patch + (1,) + rest for rest in product(range(p), repeat=3 - patch))
+    return tuple((vec, monomials(vec)) for vec in vecs)
+
+
+@_small_p_memo(8)
+def _offset_cubics(p, patch):
+    """The cubic monomials of each child offset e in {0..p-1}^3, put on a
+    patch's free coordinates (0 on the patch coordinate), in child order."""
+    return tuple(monomials(e[:patch] + (0,) + e[patch:])[3] for e in product(range(p), repeat=3))
+
+
+@_small_p_memo(256)
+def _residue_points(p, forms):
+    """The residue points of P^3(F_p), in canonical order, at which every
+    form vanishes, for forms given as (degree, coefficients mod p)."""
+    return tuple(vec for patch in range(4) for vec, mons in _point_monomials(p, patch)
+                 if not any(sum(map(mul, c, mons[d])) % p for d, c in forms))
+
+
+@_small_p_memo(512)
+def _cube_residues(p, patch, coeffs):
+    """F(e) mod p at each child offset e of a patch, in child order, for the
+    cubic form with the given coefficients mod p."""
+    return tuple(sum(map(mul, coeffs, m)) % p for m in _offset_cubics(p, patch))
+
+
 def enumerate_points_mod_p(system: ProjectiveSystem, p: int):
     """All primitive classes of P^3(F_p) killing every form, in canonical
     (patch, lexicographic) order; vectors are normalized with their first
     nonzero coordinate equal to 1."""
     if p > 101:
         raise ValueError("residue enumeration is limited to p <= 101")
-    out = []
-    for patch in range(4):
-        for rest in product(range(p), repeat=3 - patch):
-            vec = (0,) * patch + (1,) + rest
-            mons = monomials(vec)
-            if not any(sum(map(mul, c, mons[d])) % p
-                       for c, d in zip(system._coeffs, system._degrees)):
-                out.append(vec)
-    return out
+    return list(_residue_points(p, tuple((d, tuple(x % p for x in c))
+                                         for c, d in zip(system._coeffs, system._degrees))))
 
 
-def _taylor(f, j, h, z, e, pk):
-    """F(c) exactly and F's Jacobian row J(c) mod p^(k+1) (k >= 1) on the free
-    coordinates at the child c = v + p^k e of a node v mod p^k, read from the
-    node: f = F(v), j and h are F's Jacobian row and Hessian
-    (h00, h01, h11, h02, h12, h22) on the free coordinates at v, and
-    z = F(e), or 0 when F has degree below 3."""
-    e0, e1, e2 = e
-    h00, h01, h11, h02, h12, h22 = h
-    he0 = h00 * e0 + h01 * e1 + h02 * e2
-    he1 = h01 * e0 + h11 * e1 + h12 * e2
-    he2 = h02 * e0 + h12 * e1 + h22 * e2
-    fc = f + pk * (j[0] * e0 + j[1] * e1 + j[2] * e2
-                   + pk * ((e0 * he0 + e1 * he1 + e2 * he2) // 2 + pk * z))
-    return fc, (j[0] + pk * he0, j[1] + pk * he1, j[2] + pk * he2)
-
-
-def _first_digit(f, j, h, p, pk):
-    """The ten coefficients mod p of r(e) = F(c) / p^(k+s) mod p at the
-    children c = v + p^k e of a node v mod p^k that passed its gap test,
-    with p^s = gcd(J, p^k): the constant, the three linear ones and, only
-    when s = k, the six of Q(e) (h00/2, h01, h11/2, h02, h12, h22/2)."""
-    ps = gcd(*j, pk)
-    key = (f // (pk * ps) % p, *(x // ps % p for x in j))
+def _child_key(p, pk, f, j, ps, hess, mons):
+    """One form's key at a node v mod p^k that passed its gap test (module
+    docstring): the modulus m, p when s < k and p^2 when s = k with
+    p^s = ps = gcd(J, p^k), then the ten coefficients mod m of r(e), or of
+    t(e) - p^k F(e), in the monomials 1, e0, e1, e2, e0^2, e0 e1, e1^2,
+    e0 e2, e1 e2, e2^2.  f = F(v), j is F's Jacobian row on the free
+    coordinates, and the Hessian there is read only when s = k: hess holds
+    the coefficient rows of its six entries (h00, h01, h11, h02, h12, h22)
+    and mons the monomials of degree d - 2 at v."""
+    j0, j1, j2 = j
     if ps < pk:
-        return key + (0,) * 6
-    h00, h01, h11, h02, h12, h22 = h
-    return key + (h00 // 2 % p, h01 % p, h11 // 2 % p, h02 % p, h12 % p, h22 // 2 % p)
+        return (p, f // (pk * ps) % p, j0 // ps % p, j1 // ps % p, j2 // ps % p,
+                0, 0, 0, 0, 0, 0)
+    m = p * p
+    h00, h01, h11, h02, h12, h22 = [sum(map(mul, r, mons)) for r in hess]
+    return (m, f // (pk * pk) % m, j0 // pk % m, j1 // pk % m, j2 // pk % m,
+            h00 // 2 % m, h01 % m, h11 // 2 % m, h02 % m, h12 % m, h22 // 2 % m)
 
 
 @lru_cache(maxsize=4096)
-def _candidates(p, key0, key1):
-    """The indices, in child order (e over {0..p-1}^3 lexicographically), of
-    the children at which both first digits r with coefficients key0 and
-    key1 vanish mod p."""
+def _form_children(p, key, first_level):
+    """The children of a node, in child order (e over {0..p-1}^3
+    lexicographically), that pass one form's gap test, given the form's
+    key there, as (index, r).  r is None when the verdict is settled; at
+    the first level (k = 1) a child with s = k and J/p + H e = 0 mod p
+    passes only if (r + p F(e)) = 0 mod p^2, and r is that residue."""
+    m, c, l0, l1, l2, q00, q01, q11, q02, q12, q22 = key
     out = []
     for i, (e0, e1, e2) in enumerate(product(range(p), repeat=3)):
-        terms = (1, e0, e1, e2, e0 * e0, e0 * e1, e1 * e1, e0 * e2, e1 * e2, e2 * e2)
-        if not (sum(map(mul, key0, terms)) % p or sum(map(mul, key1, terms)) % p):
-            out.append(i)
+        t = (c + l0 * e0 + l1 * e1 + l2 * e2 + q00 * e0 * e0 + q01 * e0 * e1
+             + q11 * e1 * e1 + q02 * e0 * e2 + q12 * e1 * e2 + q22 * e2 * e2) % m
+        if t % p:
+            continue
+        if (m == p or (l0 + 2 * q00 * e0 + q01 * e1 + q02 * e2) % p
+                or (l1 + q01 * e0 + 2 * q11 * e1 + q12 * e2) % p
+                or (l2 + q02 * e0 + q12 * e1 + 2 * q22 * e2) % p):
+            out.append((i, None))
+        elif first_level:
+            out.append((i, t))
+        elif not t:
+            out.append((i, None))
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _passing_children(p, key0, key1, first_level):
+    """The children that pass both forms' gap tests, given their keys, as
+    (index, r0, r1) in child order (`_form_children`)."""
+    other = dict(_form_children(p, key1, first_level))
+    return tuple((i, r0, other[i]) for i, r0 in _form_children(p, key0, first_level)
+                 if i in other)
 
 
 def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
@@ -237,13 +297,11 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
     Jacobian is divisible by p (the cube-structure of the descent forms
     makes that the typical case at p = 3).
 
-    A live node judges each of its p^3 children by that gap test itself
-    (module docstring).  The first digit r(e) of F(child)/p^(k+s) must
-    vanish mod p for both forms; that rules out most children, but it is
-    only necessary, so the exact test, read from the node's Taylor
-    expansion, decides the rest.  A child is rejected there exactly when
-    it would die at its own node.  Only the children that pass are visited
-    in turn.  A rejected child still counts as a visited node, in child
+    A live node judges each of its p^3 children by that gap test itself,
+    exactly, from the first one or two digits of F(child) that its own
+    Taylor expansion gives (module docstring): a child is rejected there
+    exactly when it would die at its own node.  Only the children that
+    pass are visited in turn.  A rejected child still counts as a visited node, in child
     order (the rejected ones between two passing children at once), and
     the node budget runs out at the same child as with no parent-side test.
 
@@ -267,17 +325,18 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
     hessians = [[[H[free[a], free[b]] for a, b in PAIRS[:6]] for H in system._hessians]
                 for free in frees]
     children = list(product(range(p), repeat=3))
-    # per patch, filled at its first expansion: F_i(e) for each child offset
-    # e on the free coordinates, in child order (zeros below degree 3)
+    pp = p * p
+    # per patch, filled at its first expansion (always at k = 1, the only
+    # depth that reads it): F_i(e) mod p for each child offset e on the free
+    # coordinates, in child order (zeros below degree 3)
     cubes = [None] * 4
     budget = [node_budget]
     undecided = []
     BIG = 10**9
 
     def cube_table(patch):
-        cubics = [monomials(e[:patch] + (0,) + e[patch:])[3] for e in children]
-        return [[sum(map(mul, c, m)) for m in cubics] if d == 3 else [0] * len(children)
-                for c, d in ((c0, d0), (c1, d1))]
+        return [_cube_residues(p, patch, tuple(x % p for x in c)) if d == 3
+                else [0] * len(children) for c, d in ((c0, d0), (c1, d1))]
 
     def visit(k, n=1):
         """Count n visited nodes at depth k, in order: the budget runs out
@@ -295,11 +354,13 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
         if f0 % pk:
             return None
         j0 = [sum(map(mul, r, mons[d0 - 1])) for r in rows0]
-        if f0 % (pk * gcd(*j0, pk)):
+        g0 = gcd(*j0, pk)
+        if f0 % (pk * g0):
             return None  # F_0 cannot vanish anywhere in this branch
         f1 = sum(map(mul, c1, mons[d1]))
         j1 = [sum(map(mul, r, mons[d1 - 1])) for r in rows1]
-        if f1 % (pk * gcd(*j1, pk)):
+        g1 = gcd(*j1, pk)
+        if f1 % (pk * g1):
             return None
         minors = [j0[a] * j1[b] - j0[b] * j1[a] for a, b in MINORS]
         g = gcd(*minors)
@@ -323,20 +384,14 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
             cubes[patch] = cube_table(patch)
         z0, z1 = cubes[patch]
         hess0, hess1 = hessians[patch]
-        h0 = [sum(map(mul, r, mons[h0deg])) for r in hess0]
-        h1 = [sum(map(mul, r, mons[h1deg])) for r in hess1]
-        pk1 = pk * p
         counted = 0  # children before this index are counted as visited
-        for i in _candidates(p, _first_digit(f0, j0, h0, p, pk),
-                             _first_digit(f1, j1, h1, p, pk)):
-            # the child's exact gap test, form 0 first, from this node's expansion
+        for i, r0, r1 in _passing_children(p, _child_key(p, pk, f0, j0, g0, hess0, mons[h0deg]),
+                                           _child_key(p, pk, f1, j1, g1, hess1, mons[h1deg]),
+                                           k == 1):
+            if ((r0 is not None and (r0 + p * z0[i]) % pp)
+                    or (r1 is not None and (r1 + p * z1[i]) % pp)):
+                continue  # only at k = 1: p F(e) does not cancel the residue
             e = children[i]
-            fc, jc = _taylor(f0, j0, h0, z0[i], e, pk)
-            if fc % (pk1 * gcd(*jc, pk1)):
-                continue
-            fc, jc = _taylor(f1, j1, h1, z1[i], e, pk)
-            if fc % (pk1 * gcd(*jc, pk1)):
-                continue
             if i > counted:
                 visit(k + 1, i - counted)
             counted = i + 1

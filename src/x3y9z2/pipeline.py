@@ -51,10 +51,8 @@ def brute_search(y_bound: int, aux_bound: int):
     found = set()
     for y in range(-y_bound, y_bound + 1):
         y9 = y**9
-        for x in range(-aux_bound, aux_bound + 1):
+        for x in range(max(-aux_bound, -y**3), aux_bound + 1):  # x^3 + y^9 >= 0
             n = x**3 + y9
-            if n < 0:
-                continue
             z = isqrt(n)
             if z * z != n:
                 continue

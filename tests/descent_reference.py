@@ -7,9 +7,14 @@ combinations of dense tables: the cube forms B_m are read off
 Q_i = sum_m (delta t^m)_i B_m is summed with Fraction scalars.  Passed to
 `ProjectiveSystem.from_mpolys`, Q2 and Q3 give the local system that each
 form's own `dense_table` defines.
+
+`direct_deltas` lists a spec's classes the way `enumerate_delta` did
+before it built each class from its prefix: every product of generator
+powers multiplied out afresh.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from x3y9z2.arith.poly import MPoly
 
@@ -31,3 +36,16 @@ def mpoly_descent_forms(algebra, delta):
                 Q = Q + B[m] * Fraction(c)
         forms.append(Q)
     return forms
+
+
+def direct_deltas(spec):
+    """[(exponents, delta)] in lex order of the exponents, with each delta
+    the product of g**e over the generators, scaled to integral."""
+    out = []
+    for expo in product(range(3), repeat=len(spec.generators)):
+        d = spec.algebra.one()
+        for g, e in zip(spec.generators, expo):
+            if e:
+                d = d * g**e
+        out.append((expo, d.scale_to_integral()))
+    return out

@@ -7,6 +7,9 @@ child is judged at its parent.  The witness, node count and Undecided
 outcome are defined exactly as in `is_locally_soluble`.  Given a list as
 `trail`, the search appends [depth, dead] for each node it visits, in
 order, with dead true when the node fails its own gap test.
+
+`_taylor` writes out, child by child, the parent-side expansion of the
+module docstring of x3y9z2.local: F(c) exactly and J(c) mod p^(k+1).
 """
 
 from itertools import product
@@ -69,3 +72,19 @@ def exhaustive_search(system, p, max_depth=12, node_budget=1_000_000, trail=None
         raise Undecided(max_depth, f"{len(undecided)} branch(es) alive")
     return LocalVerdict(prime=p, soluble=False, witness=None, depth_searched=max_depth,
                         nodes=node_budget - budget[0])
+
+
+def _taylor(f, j, h, z, e, pk):
+    """F(c) exactly and F's Jacobian row J(c) mod p^(k+1) (k >= 1) on the free
+    coordinates at the child c = v + p^k e of a node v mod p^k, read from the
+    node: f = F(v), j and h are F's Jacobian row and Hessian
+    (h00, h01, h11, h02, h12, h22) on the free coordinates at v, and
+    z = F(e), or 0 when F has degree below 3."""
+    e0, e1, e2 = e
+    h00, h01, h11, h02, h12, h22 = h
+    he0 = h00 * e0 + h01 * e1 + h02 * e2
+    he1 = h01 * e0 + h11 * e1 + h12 * e2
+    he2 = h02 * e0 + h12 * e1 + h22 * e2
+    fc = f + pk * (j[0] * e0 + j[1] * e1 + j[2] * e2
+                   + pk * ((e0 * he0 + e1 * he1 + e2 * he2) // 2 + pk * z))
+    return fc, (j[0] + pk * he0, j[1] + pk * he1, j[2] + pk * he2)

@@ -284,10 +284,10 @@ def test_chabauty_run_reads_the_reduction_table(setup_eq1_row0, K, monkeypatch):
 
 def test_index_certificate_factors_each_prime_once(mw_data, monkeypatch):
     """certify_index_coprimality calls primes_above once per scanned q,
-    also when an ell (17 here: no prime below 600 has 17 | #E(F_q)) widens
-    the bound: the sieve reads the reduction table and factors nothing.
-    The rows are read lazily, so the scan ends at 1019, the prime that
-    certifies 17, not at the bound 2000.
+    also for an ell that needs primes above 600 (17 here: no prime below
+    600 has 17 | #E(F_q)): each ell is one lazy pass over the reduction
+    table, which factors each q once.  The pass ends at 1019, the prime
+    that certifies 17, not at the bound 5000.
     The curve is E1 twisted by u = 2, which no other test reduces."""
     from x3y9z2.chabauty import engine
     from x3y9z2.ec import reduction

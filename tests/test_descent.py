@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 
-from descent_reference import mpoly_descent_forms
+from descent_reference import direct_deltas, mpoly_descent_forms
 from x3y9z2.descent import (IndeterminatePoint, SelmerSetSpec,
                             build_descent_forms, cubic_norm_filter,
                             enumerate_delta, genus1_quotients, plane_cubic, st_map)
@@ -21,6 +21,14 @@ class TestEnumeration:
     def test_k_81(self, descent_data):
         for eq in (1, 2):
             assert len(enumerate_delta(descent_data.specs[eq])) == 81
+
+    def test_prefix_products_match_direct_powers(self, descent_data):
+        """Each class built from its prefix by one multiplication equals the
+        product of generator powers multiplied out afresh, in the same
+        order, on equations 5, 1 and 2."""
+        for eq in (5, 1, 2):
+            spec = descent_data.specs[eq]
+            assert enumerate_delta(spec) == direct_deltas(spec)
 
     def test_empty_generators(self, descent_data):
         spec = SelmerSetSpec(algebra=descent_data.specs[5].algebra, S=(2, 3),

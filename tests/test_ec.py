@@ -18,6 +18,8 @@ from x3y9z2.ec import (BadPrime, EcPoint, PlaneCubicWithFlex, WeierstrassCurve,
 from x3y9z2.ec.reduction import FqCurve, all_points_fq, primes_above, reduce_curve, reduce_point
 from x3y9z2.ec.weierstrass import _classical_add
 
+from torsion_reference import torsion_by_search
+
 
 class TestGroupLaw:
     def test_identity(self):
@@ -127,6 +129,45 @@ class TestTorsion:
         structure, pts = torsion_over_Q(WeierstrassCurve(F(0), F(-1728)))
         assert structure == "Z/2"
         assert pts[0].affine() == (F(12), F(0))
+
+    # (a, b, structure): y^2 = x^3 + a x + b, one curve per torsion group
+    # of Mazur's list but Z/2 x Z/8, whose smallest short model (from
+    # 210e2) has |disc| ~ 1e20.  Z/5 and Z/8 are Kubert family members and
+    # Z/2 x Z/4 a Legendre curve, each with a small discriminant; Z/7, Z/9,
+    # Z/10, Z/12 and Z/2 x Z/6 are the short models of 26b1, 54b3, 66c1,
+    # 90c3 and 30a2.
+    MAZUR = [(1, 0, "Z/2"), (0, 16, "Z/3"), (4, 0, "Z/4"), (-432, 8208, "Z/5"),
+             (0, 1, "Z/6"), (-43, 166, "Z/7"), (1269, 127386, "Z/8"), (-219, 1654, "Z/9"),
+             (-58347, 3954150, "Z/10"), (-1947, 108214, "Z/12"), (-1, 0, "Z/2 x Z/2"),
+             (-351, 1890, "Z/2 x Z/4"), (-24003, 1296702, "Z/2 x Z/6")]
+
+    def test_divisor_walk_matches_the_search_by_y(self, monkeypatch):
+        """torsion_over_Q, which tries the divisors y of the largest r with
+        r^2 | disc, gives the structure and points of the reference that
+        tries every y with y^2 <= |disc|: on the Mordell curves of the
+        equation 5 quotients, and on one curve per torsion group.  The
+        reference takes sqrt|disc| steps, so it is skipped on Z/10 and
+        Z/2 x Z/6 (7.7e7 and 1.3e7 steps), where the structure is checked
+        against the tables instead."""
+        from x3y9z2 import verify
+        from x3y9z2.dataio import load_descent_data
+        seen = []
+        monkeypatch.setattr(verify, "torsion_over_Q",
+                            lambda E: seen.append(E) or torsion_over_Q(E))
+        forms = verify._quotient_forms(load_descent_data())
+        for label, cs in (("E1,delta", (1, 2, 3, 4, 18, 36)),
+                          ("E2,delta", (1, 2, 3, 4, 6, 9, 12))):
+            for c in cs:
+                verify._quotient_torsion(forms[label], F(c))
+        assert sorted({int(E.b) for E in seen}) == [-3888, -432, -108, -48, -27, -12, -3]
+        for E in seen:
+            assert torsion_over_Q(E) == torsion_by_search(E)
+        for a, b, structure in self.MAZUR:
+            E = WeierstrassCurve(F(a), F(b))
+            found = torsion_over_Q(E)
+            assert found[0] == structure
+            if structure not in ("Z/10", "Z/2 x Z/6"):
+                assert found == torsion_by_search(E)
 
     def test_torsion_injects_at_good_primes(self):
         from x3y9z2.ec.torsion import count_points_fp

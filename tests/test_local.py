@@ -12,11 +12,11 @@ import pytest
 from x3y9z2.arith.poly import MPoly
 from x3y9z2.arith.rationals import valuation
 from x3y9z2.descent import build_descent_forms, cubic_norm_filter, enumerate_delta
-from x3y9z2.local import (NodeBudgetExceeded, ProjectiveSystem, Undecided, _candidates,
-                          _first_digit, _taylor, enumerate_points_mod_p,
-                          is_locally_soluble)
+from x3y9z2.arith.poly import PAIRS, monomials
+from x3y9z2.local import (NodeBudgetExceeded, ProjectiveSystem, Undecided, _child_key,
+                          _passing_children, enumerate_points_mod_p, is_locally_soluble)
 
-from local_reference import exhaustive_search
+from local_reference import _taylor, exhaustive_search
 
 
 def brute_points_mod_p(system, p):
@@ -203,7 +203,7 @@ def test_search_matches_exhaustive_reference_on_eq5_sample(class_systems, p, max
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_taylor_expansion_at_a_child(degree):
-    """_taylor's F(c) equals evaluate(c) exactly, and its J(c) is
+    """The reference _taylor's F(c) equals evaluate(c) exactly, and its J(c) is
     jacobian_entry(c) mod p^(k+1), at c = v + p^k e for random integer
     forms with every monomial present, with J and H at v taken from MPoly
     partials."""
@@ -272,19 +272,25 @@ def _node_with_gap(rng, degree, p, k, patch, mode):
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_first_digit_keeps_every_child_that_passes(degree):
-    """Soundness of the parent-side prefilter: at nodes that pass their own
-    gap test, every child c = v + p^k e that the exact gap test accepts
-    (judged at c from evaluate and jacobian_entry, not from the parent) is
-    among the candidates of its parent's first-digit key.  p runs over
-    {2, 3, 5, 7} and k over 1..4, with s = 0, 0 < s < k, s = k and J = 0 all
-    covered at degrees 2 and 3.  A linear form of content 1 has s = 0 at
-    every node that passes, so degree 1 covers s = 0 alone."""
+def test_child_memo_matches_gap_test_at_the_child(degree):
+    """The parent-side verdict is exact: at nodes v mod p^k that pass their
+    own gap test, a child c = v + p^k e passes the memo (and, at k = 1, the
+    residue check with F(e) that the search adds) exactly when the gap test
+    judged at c, from evaluate and jacobian_entry, accepts it.  p runs over
+    {2, 3, 5, 7} and k over 1..4, with s = 0, 0 < s < k, s = k and J = 0
+    all covered at degrees 2 and 3, and the k = 1 residue path taken by
+    children that pass and children that fail.  A linear form of content 1
+    has s = 0 at every node that passes, so degree 1 covers s = 0 alone.
+    Pairs of keys: each node's children pass both forms exactly when they
+    pass each form alone."""
     rng = random.Random(180 + degree)
     cases = {"s=0": 0, "0<s<k": 0, "s=k": 0, "J=0": 0}
     wanted = ["s=0"] if degree == 1 else list(cases)
+    residue = {True: 0, False: 0}
     accepted_total = rejected_total = 0
-    while min(cases[c] for c in wanted) < 60 and sum(cases.values()) < 5000:
+    previous = {}
+    while (min(cases[c] for c in wanted) < 60
+           or degree > 1 and min(residue.values()) < 20) and sum(cases.values()) < 5000:
         p, k, patch = rng.choice([2, 3, 5, 7]), rng.randint(1, 4), rng.randrange(4)
         mode = rng.choice(["generic", "generic"] + list(range(1, k + 3)))
         node = _node_with_gap(rng, degree, p, k, patch, mode)
@@ -293,24 +299,33 @@ def test_first_digit_keeps_every_child_that_passes(degree):
         system, v, f, j = node
         free = [a for a in range(4) if a != patch]
         pk, pk1 = p**k, p**(k + 1)
-        poly = MPoly(4, {e: F(c) for e, c in system.forms[0].items()})
-        h = [int(poly.partial(free[a]).partial(free[b])(v))
-             for a, b in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))]
-        key = _first_digit(f, j, h, p, pk)
-        candidates = set(_candidates(p, key, key))
+        hess = [system._hessians[0][free[a], free[b]] for a, b in PAIRS[:6]]
+        key = _child_key(p, pk, f, j, gcd(*j, pk), hess, monomials(v)[max(degree - 2, 0)])
+        memo = {i: r for i, r, _ in _passing_children(p, key, key, k == 1)}
         s = valuation(gcd(*j, pk), p)
         cases["J=0" if not any(j) else "s=k" if s == k else "s=0" if s == 0 else "0<s<k"] += 1
         for i, e in enumerate(product(range(p), repeat=3)):
-            c = list(v)
+            c, spot = list(v), [0] * 4
             for a, x in zip(free, e):
                 c[a] += pk * x
+                spot[a] = x
             jc = [system.jacobian_entry(0, a, c) for a in free]
-            if system.evaluate(0, c) % (pk1 * gcd(*jc, pk1)) == 0:
-                assert i in candidates, (p, k, v, system.forms, e)
-                accepted_total += 1
-            elif i not in candidates:
-                rejected_total += 1
+            exact = system.evaluate(0, c) % (pk1 * gcd(*jc, pk1)) == 0
+            passes = i in memo
+            if passes and memo[i] is not None:
+                z = system.evaluate(0, spot) if degree == 3 else 0
+                passes = (memo[i] + p * z) % (p * p) == 0
+                residue[passes] += 1
+            assert passes == exact, (p, k, v, system.forms, e)
+            accepted_total += exact
+            rejected_total += not exact
+        other = previous.get((p, k == 1))
+        if other is not None:
+            both = {i: (r0, r1) for i, r0, r1 in _passing_children(p, key, other[0], k == 1)}
+            assert both == {i: (memo[i], other[1][i]) for i in memo.keys() & other[1]}
+        previous[p, k == 1] = key, memo
     assert min(cases[c] for c in wanted) >= 60, cases
+    assert degree == 1 or min(residue.values()) >= 20, residue
     assert accepted_total and rejected_total
 
 
