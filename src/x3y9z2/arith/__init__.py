@@ -1,6 +1,8 @@
 """Exact arithmetic substrate: rationals, polynomials, number fields and
 etale algebras; `localfield` adds the unramified p-adic rings Z_q, the
-one residue-ring type, with the finite field F_q as Z_q at precision 1."""
+one residue-ring type, with the finite field F_q as Z_q at precision 1.
+Z_q and F_q elements are integer coordinate tuples, handled by the
+ring's methods rather than by operators."""
 
 from .rationals import (
     icbrt,

@@ -1,11 +1,12 @@
 """Unramified p-adic rings Z_q = Z_p[w]/(h) to precision p^N, and the
 finite fields F_q = Z_q/p as the same ring at N = 1.
 
-Elements are coefficient tuples in the power basis of a monic modulus
-h of degree d (d = 1 recovers Z_p and F_p, which keeps the calling code
-uniform across split, inert and mixed primes).  One ring type, ZqRing,
-and one element type, ZqElem, serve both: FqField is Z_q at N = 1 plus
-its size q and the enumeration of its elements.  Everything is exact
+An element is a tuple of d ints, its coordinates in the power basis of
+a monic modulus h of degree d (d = 1 recovers Z_p and F_p, which keeps
+the calling code uniform across split, inert and mixed primes).  One
+ring type, ZqRing, serves both: its methods multiply, invert, raise to
+powers and embed on such tuples, and FqField is Z_q at N = 1 plus its
+size q and the enumeration of its elements.  Everything is exact
 modulo p^N.
 """
 
@@ -200,7 +201,10 @@ def _poldivmod(a, b, p):
 
 class ZqRing:
     """Z_q = Z_p[w]/(h) to fixed absolute precision p^N (h monic, deg d;
-    h irreducible mod p so Z_q is an unramified extension ring)."""
+    h irreducible mod p so Z_q is an unramified extension ring).  An
+    element is a tuple of d ints in [0, p^N); the ring's methods take
+    and return such tuples, and a sum or difference is one elem() call
+    on the coordinate-wise sums."""
 
     def __init__(self, p: int, modulus, prec: int):
         self.p = p
@@ -211,53 +215,85 @@ class ZqRing:
             raise ValueError(f"modulus {list(modulus)} is not monic mod {p}^{prec}")
         self.d = len(self.h) - 1
 
-    def elem(self, coords) -> "ZqElem":
+    def elem(self, coords):
+        """The element with these coordinates, an int being a constant."""
         if isinstance(coords, int):
-            coords = [coords] + [0] * (self.d - 1)
-        coords = [c % self.mod for c in coords]
-        coords = coords[: self.d] + [0] * (self.d - len(coords))
-        return ZqElem(self, tuple(coords))
+            coords = (coords,)
+        m = self.mod
+        return tuple(c % m for c in coords[:self.d]) + (0,) * (self.d - len(coords))
 
     def zero(self):
-        return self.elem(0)
+        return (0,) * self.d
 
     def one(self):
-        return self.elem(1)
+        return (1,) + (0,) * (self.d - 1)
 
-    def gen(self) -> "ZqElem":
+    def gen(self):
         if self.d == 1:
-            return self.elem((-self.h[0]) % self.mod)
-        return self.elem([0, 1] + [0] * (self.d - 2))
+            return ((-self.h[0]) % self.mod,)
+        return (0, 1) + (0,) * (self.d - 2)
 
-    def from_fraction(self, x) -> "ZqElem":
+    def mul(self, u, v):
+        return _fqmul(u, v, self.h, self.mod)
+
+    def pow(self, u, e: int):
+        """u^e for e >= 0."""
+        return _fqpow(u, e, self.h, self.mod)
+
+    def inv(self, u):
+        """u^-1: _fqinv's inverse mod p, Newton-lifted by x -> x (2 - u x)
+        to p^N; ZeroDivisionError when u is not a unit."""
+        x = _fqinv(u, self.h, self.p)
+        if self.N == 1:
+            return x
+        for _ in range(self.N.bit_length() + 2):
+            ux = self.mul(u, x)
+            e = self.mul(x, (2 - ux[0],) + tuple(-c for c in ux[1:]))
+            if e == x:
+                break
+            x = e
+        if self.mul(u, x) != self.one():
+            raise AssertionError("Zq inversion failed")
+        return x
+
+    def val(self, u) -> int:
+        """min_i v_p(u_i); N if u is zero at this precision."""
+        return min((valuation(c, self.p) for c in u if c), default=self.N)
+
+    def poly_value(self, ints, x):
+        """sum ints[i] x^i for integers ints, by Horner's rule."""
+        acc = self.zero()
+        for c in reversed(ints):
+            acc = self.mul(acc, x)
+            acc = (acc[0] + c,) + acc[1:]
+        return self.elem(acc)
+
+    def from_fraction(self, x):
         x = Fraction(x)
         if x.denominator % self.p == 0:
             raise ZeroDivisionError("denominator divisible by p")
         return self.elem(x.numerator * pow(x.denominator, -1, self.mod))
 
-    def from_nf(self, elem) -> "ZqElem":
+    def from_nf(self, elem):
         """Image of a number-field element under generator -> gen()."""
-        acc = self.zero()
-        g = self.gen()
-        for c in reversed(elem.num):
-            acc = acc * g + self.elem(c)
-        return acc * self.from_fraction(Fraction(1, elem.den))
+        return self.mul(self.poly_value(elem.num, self.gen()),
+                        self.from_fraction(Fraction(1, elem.den)))
 
     @cached_property
     def residue_field(self) -> "FqField":
         return FqField(self.p, self.h)
 
-    def teich_lift_root(self, residue_root: "ZqElem", poly_ints) -> "ZqElem":
+    def teich_lift_root(self, residue_root, poly_ints):
         """Hensel-lift a simple residue root of an integer polynomial."""
-        x = self.elem(residue_root.coords)
+        x = self.elem(residue_root)
         dpoly = [i * c for i, c in enumerate(poly_ints)][1:]
         for _ in range(self.N.bit_length() + 2):
-            fx = _zq_eval_ints(poly_ints, x)
-            if not fx:
+            fx = self.poly_value(poly_ints, x)
+            if not any(fx):
                 break
-            dfx = _zq_eval_ints(dpoly, x)
-            x = x - fx * dfx.inverse()
-        if _zq_eval_ints(poly_ints, x):
+            step = self.mul(fx, self.inv(self.poly_value(dpoly, x)))
+            x = self.elem([a - b for a, b in zip(x, step)])
+        if any(self.poly_value(poly_ints, x)):
             raise AssertionError("Hensel lift failed")
         return x
 
@@ -274,117 +310,8 @@ class FqField(ZqRing):
         self.q = p**self.d
 
     def elements(self):
-        for coords in product(range(self.p), repeat=self.d):
-            yield ZqElem(self, coords)
+        """Every element, in itertools.product order of the coordinates."""
+        return product(range(self.p), repeat=self.d)
 
     def __repr__(self):
         return f"F_{self.p}^{self.d}"
-
-
-def _zq_eval_ints(ints, x: "ZqElem") -> "ZqElem":
-    acc = x.ring.zero()
-    for c in reversed(ints):
-        acc = acc * x + x.ring.elem(c)
-    return acc
-
-
-class ZqElem:
-    __slots__ = ("ring", "coords")
-
-    def __init__(self, ring, coords):
-        self.ring = ring
-        self.coords = coords
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __eq__(self, other):
-        if isinstance(other, ZqElem):
-            return self.ring is other.ring and self.coords == other.coords
-        if isinstance(other, (int, Fraction)):
-            return self == self.ring.from_fraction(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring.p, self.ring.d, self.coords))
-
-    def _coerce(self, other):
-        if isinstance(other, ZqElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.from_fraction(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m = self.ring.mod
-        return ZqElem(self.ring, tuple((a + b) % m for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        m = self.ring.mod
-        return ZqElem(self.ring, tuple(-a % m for a in self.coords))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        r = self.ring
-        return ZqElem(r, _fqmul(self.coords, o.coords, r.h, r.mod))
-
-    __rmul__ = __mul__
-
-    def valuation(self) -> int:
-        """min_i v_p(c_i); N if zero at precision (unramified basis)."""
-        if not any(self.coords):
-            return self.ring.N
-        return min(valuation(c, self.ring.p) for c in self.coords if c)
-
-    def unit_part(self):
-        """(self / p^v, v)."""
-        v = self.valuation()
-        if v == 0:
-            return self, 0
-        if v >= self.ring.N:
-            return self.ring.zero(), self.ring.N
-        pk = self.ring.p**v
-        return ZqElem(self.ring, tuple(c // pk for c in self.coords)), v
-
-    def inverse(self):
-        if self.valuation() != 0:
-            raise ZeroDivisionError("inverse of a non-unit in Zq")
-        r = self.ring
-        x = ZqElem(r, _fqinv(self.coords, r.h, r.p))
-        if r.N == 1:
-            return x
-        # Newton-lift the residue inverse: x -> x(2 - a x).
-        for _ in range(r.N.bit_length() + 2):
-            e = x * (r.elem(2) - self * x)
-            if e == x:
-                break
-            x = e
-        if self * x != r.one():
-            raise AssertionError("Zq inversion failed")
-        return x
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        r = self.ring
-        return ZqElem(r, _fqpow(self.coords, n, r.h, r.mod))
-
-    def __repr__(self):
-        return f"Zq({list(self.coords)} mod {self.ring.p}^{self.ring.N})"

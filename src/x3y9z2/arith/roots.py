@@ -114,49 +114,49 @@ def nf_nth_root(xi, n: int, field: NumberField | None = None):
     return None
 
 
-def _residue_nth_roots(target, n: int):
+def _residue_nth_roots(fq, target, n: int):
     """All y in F_q* with y^n = target (a unit), sorted by coordinates."""
     roots = [target]
     ell = 2
     while n > 1:
         while n % ell == 0:
-            roots = [y for r in roots for y in _ell_th_roots(r, ell)]
+            roots = [y for r in roots for y in _ell_th_roots(fq, r, ell)]
             n //= ell
         ell += 1
-    return sorted(roots, key=lambda y: y.coords)
+    return sorted(roots)
 
 
-def _ell_th_roots(a, ell: int):
+def _ell_th_roots(fq, a, ell: int):
     """All ell-th roots of a unit a in F_q, ell prime (Adleman-Manders-Miller;
     Cohen, GTM 138, Alg. 1.5.1 for ell = 2)."""
-    fq = a.ring
     t, s = fq.q - 1, 0
     while t % ell == 0:
         t, s = t // ell, s + 1
-    x0 = a ** pow(ell, -1, t)
+    x0 = fq.pow(a, pow(ell, -1, t))
     if s == 0:
         return [x0]      # x -> x^ell is a bijection of F_q*
     # g generates the ell-Sylow subgroup; the first non-ell-th power in
     # elements() order keeps the choice deterministic.
     cofactor = (fq.q - 1) // ell
-    z = next(z for z in fq.elements() if z and z ** cofactor != fq.one())
-    g = z ** t
+    one = fq.one()
+    z = next(z for z in fq.elements() if any(z) and fq.pow(z, cofactor) != one)
+    g = fq.pow(z, t)
     # x0^ell / a lies in <g>: find c with x0^ell / a = g^c.
-    b = x0 ** ell * a.inverse()
-    acc = fq.one()
+    b = fq.mul(fq.pow(x0, ell), fq.inv(a))
+    acc = one
     for c in range(ell**s):
         if acc == b:
             break
-        acc = acc * g
+        acc = fq.mul(acc, g)
     else:
         raise ArithmeticError("x0^ell / a is not in the ell-Sylow subgroup")
     if c % ell:
         return []        # a is not an ell-th power
-    root = x0 * g ** (ell**s - c // ell)
-    zeta = g ** (ell ** (s - 1))
+    root = fq.mul(x0, fq.pow(g, ell**s - c // ell))
+    zeta = fq.pow(g, ell ** (s - 1))
     out = [root]
     for _ in range(ell - 1):
-        out.append(out[-1] * zeta)
+        out.append(fq.mul(out[-1], zeta))
     return out
 
 
@@ -164,23 +164,22 @@ def _root_in_ring(xi: NfElem, n: int, ring: ZqRing):
     field = xi.parent
     fq = ring.residue_field
     target_res = fq.from_nf(xi)
-    if not target_res:
+    if not any(target_res):
         return None  # not reached: xi is a unit at every q yielded
-    res_roots = _residue_nth_roots(target_res, n)
     xi_q = ring.from_nf(xi)
-    for r0 in res_roots:
+    for y in _residue_nth_roots(fq, target_res, n):
         # Hensel-lift y^n - xi_q (derivative n y^(n-1) is a unit).
-        y = ring.elem(r0.coords)
         for _ in range(ring.N.bit_length() + 2):
-            err = y**n - xi_q
-            if not err:
+            err = ring.elem([a - b for a, b in zip(ring.pow(y, n), xi_q)])
+            if not any(err):
                 break
-            y = y - err * (ring.from_fraction(n) * y ** (n - 1)).inverse()
-        if y**n != xi_q:
+            slope = ring.inv(ring.elem([n * c for c in ring.pow(y, n - 1)]))
+            y = ring.elem([a - b for a, b in zip(y, ring.mul(err, slope))])
+        if ring.pow(y, n) != xi_q:
             continue
         coords = []
         ok = True
-        for c in y.coords:
+        for c in y:
             rec = rational_reconstruct(c, ring.mod)
             if rec is None:
                 ok = False

@@ -36,7 +36,7 @@ from ..arith.rationals import factorize, valuation
 from ..arith.roots import small_primes
 from ..ec.reduction import (BadPrime, curve_order_fq, non_divisibility_sieve,
                             primes_above, reduce_curve, reduce_point)
-from ..ec.weierstrass import EcPoint, WeierstrassCurve, _complete_add
+from ..ec.weierstrass import EcPoint, WeierstrassCurve
 from ..param import STValue
 from .series import PrecisionTooLow
 
@@ -96,7 +96,8 @@ class PrimeContext:
     Every projective K-vector reaches the prime through pr.primitive:
     the generators as (x : y : 1) over Z_q and F_q, and psi's six
     coefficients [num : den], whose scale is free, as psi_q over Z_q
-    and psi_bar = psi_q mod p, coordinate tuples over F_q."""
+    and psi_bar = psi_q mod p over F_q.  b3 is 3b for E: y^2 = x^3 + b
+    over Z_q, the one curve constant of the group law."""
 
     def __init__(self, row, curve: WeierstrassCurve,
                  psi: RationalFunctionOnE, gens, prec: int):
@@ -108,10 +109,9 @@ class PrimeContext:
         self.ring, _ = pr.zq(prec)
         # reduce_curve refused a p in b's denominator, so v >= 0.
         b, v = pr.embed(curve.b, prec)
-        self.curve_q = WeierstrassCurve(self.ring.zero(), b * self.ring.elem(self.p**v),
-                                        check_smooth=False)
+        self.b3 = self.ring.elem([3 * self.p**v * c for c in b])
         self.psi_q = tuple(pr.primitive(psi.num + psi.den, prec))
-        self.psi_bar = tuple(tuple(c % self.p for c in u.coords) for u in self.psi_q)
+        self.psi_bar = tuple(tuple(c % self.p for c in u) for u in self.psi_q)
 
     def residue_value(self, P):
         """('inf', None) | ('val', a in F_p) | 'incompatible' | 'undefined'
@@ -121,7 +121,7 @@ class PrimeContext:
         den = E.linear_form(self.psi_bar[3:], P)
         if not any(den):
             return ("inf", None) if any(num) else "undefined"
-        ratio = E.fmul(num, E.finv(den))
+        ratio = E.fq.mul(num, E.fq.inv(den))
         if any(ratio[1:]):
             return "incompatible"
         return ("val", ratio[0])
@@ -151,7 +151,8 @@ class PrimeContext:
 
 
 class ZqPoint:
-    """Primitive projective point over Z_q with tracked reliable precision."""
+    """Primitive projective point over Z_q with tracked reliable precision;
+    X, Y and Z are coordinate tuples of ctx.ring."""
 
     __slots__ = ("ctx", "X", "Y", "Z", "known")
 
@@ -163,23 +164,37 @@ class ZqPoint:
             raise PrecisionTooLow("point has no reliable digits left")
 
     def add(self, other: "ZqPoint") -> "ZqPoint":
-        X3, Y3, Z3 = _complete_add(self.ctx.curve_q, self.X, self.Y, self.Z,
-                                   other.X, other.Y, other.Z)
+        """The complete projective sum for a = 0 (Renes-Costello-Batina,
+        EUROCRYPT 2016, Alg. 7), divided by the largest p^m dividing every
+        coordinate; that division costs m digits of known precision."""
+        ctx = self.ctx
+        ring = ctx.ring
+        mul, b3, mod = ring.mul, ctx.b3, ring.mod
+        X1, Y1, Z1, X2, Y2, Z2 = self.X, self.Y, self.Z, other.X, other.Y, other.Z
+        t0, t1, t2 = mul(X1, X2), mul(Y1, Y2), mul(Z1, Z2)
+        t3 = [s - a - b for s, a, b in zip(mul(_plus(X1, Y1), _plus(X2, Y2)), t0, t1)]
+        t4 = [s - a - b for s, a, b in zip(mul(_plus(X1, Z1), _plus(X2, Z2)), t0, t2)]
+        t5 = [s - a - b for s, a, b in zip(mul(_plus(Y1, Z1), _plus(Y2, Z2)), t1, t2)]
+        W, V, U = mul(b3, t2), mul(b3, t4), [3 * c for c in t0]
+        t1m, t1p = [a - b for a, b in zip(t1, W)], _plus(t1, W)
+        X3 = tuple((a - b) % mod for a, b in zip(mul(t3, t1m), mul(t5, V)))
+        Y3 = tuple((a + b) % mod for a, b in zip(mul(t1m, t1p), mul(U, V)))
+        Z3 = tuple((a + b) % mod for a, b in zip(mul(t5, t1p), mul(t3, U)))
         known = min(self.known, other.known)
-        m = min(v.valuation() for v in (X3, Y3, Z3))
+        m = min(ring.val(X3), ring.val(Y3), ring.val(Z3))
         if m >= known:
             raise PrecisionTooLow("projective point lost all precision")
         if m:
-            ring = self.ctx.ring
-            pm = self.ctx.p**m
-            X3 = ring.elem([c // pm for c in X3.coords])
-            Y3 = ring.elem([c // pm for c in Y3.coords])
-            Z3 = ring.elem([c // pm for c in Z3.coords])
+            pm = ctx.p**m
+            X3 = tuple(c // pm for c in X3)
+            Y3 = tuple(c // pm for c in Y3)
+            Z3 = tuple(c // pm for c in Z3)
             known -= m
-        return ZqPoint(self.ctx, X3, Y3, Z3, known)
+        return ZqPoint(ctx, X3, Y3, Z3, known)
 
     def neg(self) -> "ZqPoint":
-        return ZqPoint(self.ctx, self.X, -self.Y, self.Z, self.known)
+        return ZqPoint(self.ctx, self.X, self.ctx.ring.elem([-c for c in self.Y]), self.Z,
+                       self.known)
 
     def mul(self, n: int) -> "ZqPoint":
         if n < 0:
@@ -194,8 +209,12 @@ class ZqPoint:
         return acc
 
     def in_kernel(self) -> bool:
-        return (self.Y.valuation() == 0 and self.X.valuation() >= 1
-                and self.Z.valuation() >= 1)
+        val = self.ctx.ring.val
+        return val(self.Y) == 0 and val(self.X) >= 1 and val(self.Z) >= 1
+
+
+def _plus(u, v):
+    return [a + b for a, b in zip(u, v)]
 
 
 # -- residue classes of the generator lattice -------------------------------
@@ -366,14 +385,15 @@ class ChabautyRun:
         """Chart value h_j at each prime for a tuple of ZqPoints."""
         out = []
         for ctx, P in zip(self.contexts, pts):
-            n0, n1, n2, d0, d1, d2 = ctx.psi_q
-            num = n0 * P.Z + n1 * P.X + n2 * P.Y
-            den = d0 * P.Z + d1 * P.X + d2 * P.Y
+            ring = ctx.ring
+            num, den = (ring.elem([sum(t) for t in zip(ring.mul(c0, P.Z), ring.mul(c1, P.X),
+                                                        ring.mul(c2, P.Y))])
+                        for c0, c1, c2 in (ctx.psi_q[:3], ctx.psi_q[3:]))
             if invert:
                 num, den = den, num
-            if den.valuation() != 0:
+            if ring.val(den) != 0:
                 raise PrecisionTooLow("chart denominator is not a unit")
-            out.append((num * den.inverse(), P.known))
+            out.append((ring.mul(num, ring.inv(den)), P.known))
         return out
 
     def _equations(self, values):
@@ -383,11 +403,11 @@ class ChabautyRun:
         for (h, known), ctx in zip(values, self.contexts):
             d = ctx.ring.d
             for ell in range(1, d):
-                eqs.append((h.coords[ell] % ctx.ring.mod, known))
+                eqs.append((h[ell] % ctx.ring.mod, known))
             if base is None:
-                base = (h.coords[0], known)
+                base = (h[0], known)
             else:
-                eqs.append(((h.coords[0] - base[0]) % ctx.ring.mod, min(known, base[1])))
+                eqs.append(((h[0] - base[0]) % ctx.ring.mod, min(known, base[1])))
         return eqs
 
     def _close_class(self, sd, cls, info, pts_here):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..arith.localfield import ZqElem, ZqRing
+from ..arith.localfield import ZqRing
 from ..arith.rationals import valuation
 
 
@@ -82,21 +82,21 @@ def _p_integral_residue(x, p: int, W: int) -> int:
     return q.numerator * pow(q.denominator, -1, p**W) % p**W
 
 
-def formal_log(a, b, t: ZqElem, terms: int = 24) -> ZqElem:
+def formal_log(a, b, ring: ZqRing, t, terms: int = 24):
     """Formal-group logarithm at parameter t = -x/y of a kernel point.
 
     a, b are the curve coefficients as p-integral rationals (e.g. the
-    residue representatives of an embedded curve).  t lies in a d = 1
-    ZqRing, i.e. Z_p mod p^N, with v_p(t) >= 1.  The result lies in a
-    d = 1 ZqRing of precision min(N, tail), the digits that the series
-    truncated after `terms` terms certifies; to that precision it is
-    additive on the kernel of reduction.
+    residue representatives of an embedded curve).  t is an element (a
+    1-tuple) of a d = 1 ZqRing, i.e. Z_p mod p^N, with v_p(t) >= 1.
+    Returns (log, ring'): log is an element of the d = 1 ZqRing ring' of
+    precision min(N, tail), the digits that the series truncated after
+    `terms` terms certifies; to that precision it is additive on the
+    kernel of reduction.
     """
-    ring = t.ring
     if ring.d != 1:
         raise ValueError("formal_log needs t in a degree-1 ZqRing")
     p, N = ring.p, ring.N
-    mu = t.valuation()
+    mu = ring.val(t)
     if mu < 1:
         raise PrecisionTooLow("parameter is not in the kernel of reduction")
     mod = p**N
@@ -107,7 +107,7 @@ def formal_log(a, b, t: ZqElem, terms: int = 24) -> ZqElem:
         # The log coefficient is omega_(k-1) / k.  p^e = p^v_p(k) divides
         # t^k (k*mu > e), and t mod p^N fixes t^k / p^e mod p^N.
         pe = p**valuation(k, p)
-        tk = pow(t.coords[0], k, mod * pe) // pe
+        tk = pow(t[0], k, mod * pe) // pe
         acc += omega[k - 1] * pow(k // pe, -1, mod) * tk
     # Tail: the omitted term at index k has valuation >= k*mu - v_p(k)
     # (log coefficients are integral over p up to the 1/k), so
@@ -116,7 +116,8 @@ def formal_log(a, b, t: ZqElem, terms: int = 24) -> ZqElem:
     cap = min(N, k0 * mu - _vp_excess(k0, p))
     if cap < 1:
         raise PrecisionTooLow("series tail dominates the computed value")
-    return (ring if cap == N else ZqRing(p, ring.h, cap)).elem(acc)
+    out = ring if cap == N else ZqRing(p, ring.h, cap)
+    return out.elem(acc), out
 
 
 def _vp_excess(k0: int, p: int) -> int:

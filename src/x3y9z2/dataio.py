@@ -99,9 +99,11 @@ class DescentData:
                                            leading_coeff=Fraction(ed["C"]))
             self.theta[eq] = theta_in_alpha
             self.iso[eq] = iso
-        # verify.quotient_torsion's results by (label, c): they depend on
-        # the eq-5 algebra and constant, so they live as long as this data.
+        # verify.quotient_torsion's results by (label, c), and the torsion
+        # of their integral models by (a, b): they depend on the eq-5
+        # algebra and constant, so they live as long as this data.
         self.quotient_torsion = {}
+        self.model_torsion = {}
 
     def verify(self):
         problems = []

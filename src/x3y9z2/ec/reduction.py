@@ -8,9 +8,11 @@ A K-vector reaches a prime one way: NfPrime.primitive scales it by one
 power of p into Z_q, with some entry a unit, and F_q is that image mod
 p.  Points (x : y : 1) and the coefficients of the Chabauty function
 psi both go through it, in reduce_point and chabauty.engine.PrimeContext.
+Every image is a coordinate tuple of the prime's ZqRing or FqField.
 
-A reduced curve is an FqCurve, whose group law runs on coordinate tuples:
-a point over F_q is None (O) or an affine pair (x, y), its own dict key.
+A reduced curve is an FqCurve, whose group law runs on coordinate tuples
+with the field's mul and inv: a point over F_q is None (O) or an affine
+pair (x, y), its own dict key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import reduce
 from itertools import accumulate, product, repeat
 from math import gcd
 
-from ..arith.localfield import FqField, ZqRing, _fqinv, _fqmul, factor_quartic_mod_p
+from ..arith.localfield import FqField, ZqRing, factor_quartic_mod_p
 from ..arith.numberfield import NfElem, NumberField
 from ..arith.rationals import valuation
 from .torsion import count_points_fp
@@ -61,37 +63,36 @@ class NfPrime:
         return self._fq.from_nf(x)
 
     def embed(self, x: NfElem, prec: int):
-        """(u, v): x = u * p^v with u a unit ZqElem exact to p^prec, or
+        """(u, v): x = u * p^v with u a unit of Z_q exact to p^prec, or
         (0, prec) when x is zero modulo p^prec."""
         ring, _ = self.zq(prec)
-        vd = valuation(x.den, self.p)
+        p = self.p
+        vd = valuation(x.den, p)
         acc = self._image(x.num, prec + vd)
-        vn = acc.valuation()
+        vn = self.zq(prec + vd)[0].val(acc)
         if vn - vd >= prec:
             return ring.zero(), prec
         if vn > vd:
             # The unit of the numerator needs vn more digits, not vd.
             acc = self._image(x.num, prec + vn)
-        unit = ring.elem(acc.unit_part()[0].coords)
-        return unit * ring.elem(pow(x.den // self.p**vd, -1, ring.mod)), vn - vd
+        pv = p**vn
+        return ring.mul(ring.elem([c // pv for c in acc]),
+                        ring.elem(pow(x.den // p**vd, -1, ring.mod))), vn - vd
 
     def _image(self, coords, prec: int):
         """sum coords[i] alpha^i in Z_q mod p^prec (integer coords)."""
         ring, root = self.zq(prec)
-        acc = ring.zero()
-        for c in reversed(coords):
-            acc = acc * root + ring.elem(c)
-        return acc
+        return ring.poly_value(coords, root)
 
     def primitive(self, vec, prec: int):
         """vec (K-elements) times the one power of p that makes every
-        entry integral at this prime and some entry a unit, as ZqElems
-        exact to p^prec (an entry that vanishes there is zero).
+        entry integral at this prime and some entry a unit, as Z_q
+        elements exact to p^prec (an entry that vanishes there is zero).
         BadPrime when every entry of vec is zero modulo p^prec.  This is
         the one map of a projective K-vector (a point, a function's
         coefficients) to Z_q, and mod p to F_q."""
         embedded = [self.embed(x, prec) for x in vec]
-        shifts = [v for u, v in embedded if u]
+        shifts = [v for u, v in embedded if any(u)]
         if not shifts:
             raise BadPrime(f"vector vanishes at {self}")
         m = min(shifts)
@@ -99,8 +100,7 @@ class NfPrime:
             # Dividing by p^m: every entry is needed to p^(prec + m).
             embedded = [self.embed(x, prec + m) for x in vec]
         ring, _ = self.zq(prec)
-        return [ring.elem((u * u.ring.elem(self.p ** (v - m))).coords) if u else ring.zero()
-                for u, v in embedded]
+        return [ring.elem([c * self.p ** (v - m) for c in u]) for u, v in embedded]
 
     def __repr__(self):
         return f"prime({self.p}, deg {self.degree}, {self.factor})"
@@ -121,25 +121,18 @@ def primes_above(field: NumberField, p: int, degree_cap: int = 4):
 
 class FqCurve:
     """y^2 = x^3 + a x + b over F_q = F_p[w]/(h), a and b coordinate
-    tuples; the product is _fqmul and the inverse _fqinv (extended Euclid
-    in F_p[w], pow mod p for d = 1)."""
+    tuples, with the field's mul and inv."""
 
     def __init__(self, fq: FqField, a, b):
         self.fq, self.p, self.a, self.b = fq, fq.p, tuple(a), tuple(b)
 
-    def fmul(self, u, v):
-        return _fqmul(u, v, self.fq.h, self.p)
-
-    def finv(self, u):
-        return _fqinv(u, self.fq.h, self.p)
-
     def rhs(self, x):
         """x^3 + a x + b."""
-        fmul = self.fmul
+        fmul = self.fq.mul
         return tuple(sum(t) % self.p for t in zip(fmul(fmul(x, x), x), fmul(self.a, x), self.b))
 
     def on_curve(self, P) -> bool:
-        return P is None or self.fmul(P[1], P[1]) == self.rhs(P[0])
+        return P is None or self.fq.mul(P[1], P[1]) == self.rhs(P[0])
 
     def neg(self, P):
         return None if P is None else (P[0], tuple(-c % self.p for c in P[1]))
@@ -148,14 +141,14 @@ class FqCurve:
         """P + Q by the chord-tangent rule."""
         if P is None or Q is None:
             return Q if P is None else P
-        (x1, y1), (x2, y2), p, fmul = P, Q, self.p, self.fmul
+        (x1, y1), (x2, y2), p, fmul, finv = P, Q, self.p, self.fq.mul, self.fq.inv
         if x1 == x2:
             if y1 != y2 or not any(y1):
                 return None
             num = tuple((3 * s + c) % p for s, c in zip(fmul(x1, x1), self.a))
-            lam = fmul(num, self.finv(tuple(2 * c % p for c in y1)))
+            lam = fmul(num, finv(tuple(2 * c % p for c in y1)))
         else:
-            lam = fmul(_fsub(y2, y1, p), self.finv(_fsub(x2, x1, p)))
+            lam = fmul(_fsub(y2, y1, p), finv(_fsub(x2, x1, p)))
         x3 = tuple((s - t - u) % p for s, t, u in zip(fmul(lam, lam), x1, x2))
         return x3, _fsub(fmul(lam, _fsub(x1, x3, p)), y1, p)
 
@@ -174,7 +167,7 @@ class FqCurve:
         """c0 Z + c1 X + c2 Y at P, with O = (0 : 1 : 0)."""
         if P is None:
             return c[2]
-        fmul = self.fmul
+        fmul = self.fq.mul
         return tuple(sum(t) % self.p for t in zip(c[0], fmul(c[1], P[0]), fmul(c[2], P[1])))
 
 
@@ -183,10 +176,12 @@ def _fsub(u, v, p):
 
 
 def reduce_curve(curve: WeierstrassCurve, pr: NfPrime) -> FqCurve:
+    fq = pr.fq()
     a, b = pr.residue(curve.a), pr.residue(curve.b)
-    if not -16 * (4 * a * a * a + 27 * b * b):
+    a3, b2 = fq.mul(fq.mul(a, a), a), fq.mul(b, b)
+    if not any(-16 * (4 * s + 27 * t) % fq.p for s, t in zip(a3, b2)):
         raise BadPrime(f"bad reduction at {pr}")
-    return FqCurve(pr.fq(), a.coords, b.coords)
+    return FqCurve(fq, a, b)
 
 
 def reduce_point(Ebar: FqCurve, P: EcPoint, pr: NfPrime):
@@ -196,10 +191,11 @@ def reduce_point(Ebar: FqCurve, P: EcPoint, pr: NfPrime):
     so precision p^1 gives the residues."""
     if P.is_zero():
         return None
-    X, Y, Z = (c.coords for c in pr.primitive((*P.affine(), pr.field.one()), 1))
+    X, Y, Z = pr.primitive((*P.affine(), pr.field.one()), 1)
     if any(Z):
-        zinv = Ebar.finv(Z)
-        Pbar = (Ebar.fmul(X, zinv), Ebar.fmul(Y, zinv))
+        fq = Ebar.fq
+        zinv = fq.inv(Z)
+        Pbar = (fq.mul(X, zinv), fq.mul(Y, zinv))
         if Ebar.on_curve(Pbar):
             return Pbar
     elif not any(X):
@@ -246,12 +242,12 @@ def curve_order_fq(Ebar: FqCurve) -> int:
         return total
     sq = {}
     for y in product(range(p), repeat=d):
-        key = _fqmul(y, y, h, p)
+        key = fq.mul(y, y)
         sq[key] = sq.get(key, 0) + 1
     total = 1
     for x in product(range(p), repeat=d):
-        s = tuple(u + v for u, v in zip(_fqmul(x, x, h, p), a))
-        total += sq.get(tuple((u + v) % p for u, v in zip(_fqmul(s, x, h, p), b)), 0)
+        s = tuple(u + v for u, v in zip(fq.mul(x, x), a))
+        total += sq.get(tuple((u + v) % p for u, v in zip(fq.mul(s, x), b)), 0)
     return total
 
 
@@ -259,7 +255,7 @@ def all_points_fq(Ebar: FqCurve):
     elements = list(product(range(Ebar.fq.p), repeat=Ebar.fq.d))
     roots = {}
     for y in elements:
-        roots.setdefault(Ebar.fmul(y, y), []).append(y)
+        roots.setdefault(Ebar.fq.mul(y, y), []).append(y)
     return [None] + [(x, y) for x in elements for y in roots.get(Ebar.rhs(x), ())]
 
 

@@ -60,21 +60,33 @@ def good_odd_primes(a: int, b: int, count: int):
 
 
 def _integer_roots_cubic(a: int, b: int):
-    """Integer roots of x^3 + a x + b."""
-    if b == 0:
-        roots = {0}
-        # x^2 = -a
-        if a <= 0:
-            r = isqrt(-a)
-            if r * r == -a:
-                roots |= {r, -r}
-        return sorted(roots)
-    roots = set()
-    for d in divisors(b):
-        for x in (d, -d):
-            if x**3 + a * x + b == 0:
-                roots.add(x)
-    return sorted(roots)
+    """Integer roots of f = x^3 + a x + b, in increasing order.
+
+    A root has |x| <= R = 1 + |a| + |b| (Cauchy).  f increases on the
+    integers x <= -c and x >= c, and decreases on |x| < c, for
+    c = ceil(sqrt(-a/3)) when a < 0; for a >= 0 it increases everywhere.
+    On each piece, bisection finds the least integer at which f, read in
+    the piece's direction, is not below 0; it is a root only if f
+    vanishes there exactly."""
+    def f(x):
+        return x * x * x + a * x + b
+
+    R = 1 + abs(a) + abs(b)
+    pieces = [(-R, R, 1)]
+    if a < 0:
+        c = isqrt(-(a // 3) - 1) + 1      # the least c with 3 c^2 >= -a
+        pieces = [(-R, -c, 1), (1 - c, c - 1, -1), (c, R, 1)]
+    roots = []
+    for lo, hi, sign in pieces:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if f(lo) == 0:
+            roots.append(lo)
+    return roots
 
 
 def torsion_over_Q(curve: WeierstrassCurve):

@@ -1,11 +1,11 @@
 """Short Weierstrass curves y^2 = x^3 + a x + b over a generic exact ring:
-Q, K or Z_q in the run (over F_q, ec.reduction.FqCurve has its own law).
+Q or K in the run (over F_q, ec.reduction.FqCurve has its own law, and
+over Z_q, chabauty.engine.ZqPoint).
 
 Points are projective (X:Y:Z).  Addition uses the complete projective
-formulas (Renes-Costello-Batina), which are division-free and therefore
-usable verbatim over p-adic approximation rings; the rare exceptional
-pairs on even-order groups degenerate to (0:0:0) and are redone with
-the classical chord-tangent case analysis (exact rings only).
+formulas (Renes-Costello-Batina), which are division-free; the rare
+exceptional pairs on even-order groups degenerate to (0:0:0) and are
+redone with the classical chord-tangent case analysis.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ class WeierstrassCurve:
 
     __slots__ = ("a", "b", "_one")
 
-    def __init__(self, a, b, check_smooth=True):
+    def __init__(self, a, b):
         self.a = a
         self.b = b
         self._one = _ring_one(a, b)
-        if check_smooth and not self.discriminant():
+        if not self.discriminant():
             raise ValueError("singular curve: discriminant vanishes")
 
     def discriminant(self):

@@ -87,20 +87,26 @@ def _quotient_curve(form: MPoly, c: Fraction):
 
 def quotient_torsion(label: str, c: Fraction):
     """(structure, [(s,t,u) primitive tuples], flex (s,t,u)) for the
-    quotient c u^3 = form(s,t), memoized on the loaded descent data."""
+    quotient c u^3 = form(s,t), memoized on the loaded descent data by
+    (label, c), and its integral model's torsion by the model's (a, b):
+    different quotients share a model, y^2 = x^3 + k."""
     dd = load_descent_data()
     key = (label, Fraction(c))
     if key not in dd.quotient_torsion:
-        dd.quotient_torsion[key] = _quotient_torsion(_quotient_forms(dd)[label], key[1])
+        dd.quotient_torsion[key] = _quotient_torsion(_quotient_forms(dd)[label], key[1],
+                                                     dd.model_torsion)
     return dd.quotient_torsion[key]
 
 
-def _quotient_torsion(form: MPoly, c: Fraction):
+def _quotient_torsion(form: MPoly, c: Fraction, memo: dict):
+    """quotient_torsion's value, with torsion_over_Q's results read from
+    and written to memo by the integral model's (a, b)."""
     cubic, flex = _quotient_curve(form, c)
     model = flex_to_weierstrass(cubic)
     a_i, b_i, lam = integralize_curve(model.curve.a, model.curve.b)
-    Eint = WeierstrassCurve(Fraction(a_i), Fraction(b_i))
-    structure, pts = torsion_over_Q(Eint)
+    if (a_i, b_i) not in memo:
+        memo[a_i, b_i] = torsion_over_Q(WeierstrassCurve(Fraction(a_i), Fraction(b_i)))
+    structure, pts = memo[a_i, b_i]
     back = []
     for P in pts:
         x, y = P.affine()

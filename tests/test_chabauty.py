@@ -8,8 +8,10 @@ from fractions import Fraction as F
 
 import pytest
 from chabauty_reference import known_points_direct
+from zq_reference import ZqElem
 
 from x3y9z2.arith.localfield import ZqRing
+from x3y9z2.arith.rationals import valuation
 from x3y9z2.arith.roots import small_primes
 from x3y9z2.chabauty.engine import (ChabautyRun, CurveProblem, PrimeContext, _empty_mod,
                                     rational_st_values, reductions_at, residue_sieve)
@@ -17,7 +19,7 @@ from x3y9z2.chabauty.series import PrecisionTooLow, formal_log
 from x3y9z2.chabauty.setup import (_known_points, chabauty_setup_for_row,
                                    find_primitive_solution, trivial_torsion_certificate)
 from x3y9z2.ec.reduction import all_points_fq, primes_above
-from x3y9z2.ec.weierstrass import WeierstrassCurve
+from x3y9z2.ec.weierstrass import WeierstrassCurve, _complete_add
 from x3y9z2.param import STValue
 
 
@@ -29,15 +31,18 @@ def setup_eq1_row0(descent_data, mw_data, tables):
 
 class TestFormalLog:
     def test_zero_parameter(self):
-        lg = formal_log(0, 1, ZqRing(11, [0, 1], 8).zero())
-        assert not lg
-        assert lg.ring.N == 8
+        R = ZqRing(11, [0, 1], 8)
+        lg, ring = formal_log(0, 1, R, R.zero())
+        assert not any(lg)
+        assert ring.N == 8
 
     def test_requires_kernel(self):
+        R = ZqRing(11, [0, 1], 10)
         with pytest.raises(PrecisionTooLow):
-            formal_log(0, 1, ZqRing(11, [0, 1], 10).one())
+            formal_log(0, 1, R, R.one())
+        R = ZqRing(7, [1, 0, 1], 10)
         with pytest.raises(ValueError, match="degree-1"):
-            formal_log(0, 1, ZqRing(7, [1, 0, 1], 10).elem(7))
+            formal_log(0, 1, R, R.elem(7))
 
     def test_frozen_regression_g1_over_11(self, mw_data, K):
         """log of (order of reduction) * g1 at the alpha -> 3 prime of 11
@@ -53,12 +58,12 @@ class TestFormalLog:
             ux, vx = pr.embed(x, prec)
             uy, vy = pr.embed(y, prec)
             R = ZqRing(11, [0, 1], prec)
-            t = -R.elem(ux.coords[0] * 11**(vx - vy)) / R.elem(uy.coords[0])
+            t = R.mul(R.elem(-ux[0] * 11**(vx - vy)), R.inv(R.elem(uy[0])))
             bu, bv = pr.embed(E.b, prec)
-            lg = formal_log(0, bu.coords[0] * 11**bv, t, terms=20)
-            assert lg.ring.N == 21      # the tail after 20 terms: 21 * v(t)
-            unit, v = lg.unit_part()
-            digits.append((v, [unit.coords[0] // 11**i % 11 for i in range(10)]))
+            lg, ring = formal_log(0, bu[0] * 11**bv, R, t, terms=20)
+            assert ring.N == 21      # the tail after 20 terms: 21 * v(t)
+            v = ring.val(lg)
+            digits.append((v, [lg[0] // 11**v // 11**i % 11 for i in range(10)]))
         assert digits[0] == digits[1]
         assert digits[0] == (1, [9, 7, 9, 9, 7, 3, 1, 6, 4, 8])
 
@@ -74,12 +79,12 @@ class TestFormalLog:
 
         def log_of(m):
             x, y = mults[m].affine()
-            return formal_log(0, -2, R.from_fraction(-x / y), terms=18)
+            return formal_log(0, -2, R, R.from_fraction(-x / y), terms=18)
 
         logs = {m: log_of(m) for m in range(1, 7)}
-        assert min(lg.ring.N for lg in logs.values()) >= 12
+        assert min(ring.N for _, ring in logs.values()) >= 12
         for m1, m2 in [(1, 1), (1, 2), (2, 3), (3, 3), (2, 2)]:
-            d = logs[m1 + m2].coords[0] - logs[m1].coords[0] - logs[m2].coords[0]
+            d = logs[m1 + m2][0][0] - logs[m1][0][0] - logs[m2][0][0]
             assert d % 11**12 == 0
 
 
@@ -125,9 +130,9 @@ class TestSieve:
         oracle: [num : den] over F_q at (X : Y : Z) for the coefficient
         coordinates coeffs, with the Frobenius test num^p den = den^p num
         for a value in P^1(F_p)."""
-        n0, n1, n2, d0, d1, d2 = (fq.elem(c) for c in coeffs)
-        X, Y, Z = ((fq.zero(), fq.one(), fq.zero()) if P is None
-                   else (fq.elem(P[0]), fq.elem(P[1]), fq.one()))
+        n0, n1, n2, d0, d1, d2 = (ZqElem(fq, c) for c in coeffs)
+        X, Y, Z = ((ZqElem(fq, 0), ZqElem(fq, 1), ZqElem(fq, 0)) if P is None
+                   else (ZqElem(fq, P[0]), ZqElem(fq, P[1]), ZqElem(fq, 1)))
         num = n0 * Z + n1 * X + n2 * Y
         den = d0 * Z + d1 * X + d2 * Y
         if not num and not den:
@@ -158,7 +163,7 @@ class TestSieve:
             pts = all_points_fq(ctx.Ebar)
             assert len(pts) == ctx.order
             one, zero, minus_x0 = (1, 0), (0, 0), tuple(-c % p for c in pts[1][0])
-            vectors = [tuple(c.coords for c in ctx.psi_q), (minus_x0, one, zero) * 2,
+            vectors = [ctx.psi_q, (minus_x0, one, zero) * 2,
                        (one, zero, zero, minus_x0, one, zero),
                        tuple(tuple(rng.randrange(p) for _ in range(2)) for _ in range(6))]
             for coeffs in vectors:
@@ -193,6 +198,71 @@ class TestSieve:
                                      [], [], primes=(11,))
         assert outcome.complete
         assert outcome.values == []
+
+
+def _reference_add(ctx, W, P, Q):
+    """ZqPoint.add written on the generic law: _complete_add over Z_q with
+    the operators of tests/zq_reference.py, the sum divided by the largest
+    p^m dividing every coordinate, and m digits taken off the known
+    precision.  ((X, Y, Z), known), or PrecisionTooLow."""
+    ring, p = ctx.ring, ctx.p
+    out = _complete_add(W, *(ZqElem(ring, c) for c in (P[0] + Q[0])))
+    known = min(P[1], Q[1])
+    m = min((valuation(c, p) for u in out for c in u.coords if c), default=ring.N)
+    if m >= known:
+        raise PrecisionTooLow("projective point lost all precision")
+    return tuple(tuple(c // p**m for c in u.coords) for u in out), known - m
+
+
+def _reference_mul(ctx, W, P, n):
+    """n P by the double-and-add walk of ZqPoint.mul, on _reference_add."""
+    if n < 0:
+        (X, Y, Z), known = P
+        P, n = ((X, ctx.ring.elem([-c for c in Y]), Z), known), -n
+    acc = ((ctx.ring.zero(), ctx.ring.one(), ctx.ring.zero()), ctx.ring.N)
+    while n:
+        if n & 1:
+            acc = _reference_add(ctx, W, acc, P)
+        P = _reference_add(ctx, W, P, P)
+        n >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("p", [11, 31])
+def test_zq_point_law_matches_the_generic_law(setup_eq1_row0, p):
+    """ZqPoint.add and mul, the a = 0 law on coordinate tuples with 3b
+    precomputed, against _reference_add on every PrimeContext ring at p
+    (d = 1 and 2 at 11, d = 2 at 31): the coordinates and the known
+    precision of sums and multiples of points i g1 + j g2.  The points
+    include pairs whose difference reduces to a point of order 2, where
+    the sum's coordinates share a factor p and the rescale takes a digit."""
+    s = setup_eq1_row0
+    run = ChabautyRun(s.curve, s.psi, s.gens, s.known_points, p)
+    degrees, rescaled = set(), 0
+    for ctx in run.contexts:
+        ring = ctx.ring
+        b, v = ctx.pr.embed(s.curve.b, ring.N)
+        W = WeierstrassCurve(ZqElem(ring, 0), ZqElem(ring, b) * p**v)
+        order = next(k for k in range(1, ctx.order + 1)
+                     if ctx.Ebar.mul(k, ctx.gens_bar[0]) is None)
+        assert order % 2 == 0
+        half = ctx.gens_q[0].mul(order // 2)
+        pts = [ctx.combination((i, j)) for i in range(-2, 3) for j in range(-1, 2)]
+        pts += [P.add(half) for P in pts[::3]]
+        as_ref = {id(P): ((P.X, P.Y, P.Z), P.known) for P in pts}
+        for P in pts:
+            for Q in pts:
+                R = P.add(Q)
+                assert ((R.X, R.Y, R.Z), R.known) == _reference_add(ctx, W, as_ref[id(P)],
+                                                                 as_ref[id(Q)])
+                rescaled += R.known < min(P.known, Q.known)
+        for P in pts[::4]:
+            for n in (0, 1, 2, 3, -5, order // 2, order, ctx.order + 1):
+                R = P.mul(n)
+                assert ((R.X, R.Y, R.Z), R.known) == _reference_mul(ctx, W, as_ref[id(P)], n)
+        degrees.add(ring.d)
+    assert degrees == ({1, 2} if p == 11 else {2})
+    assert rescaled >= 5 * len(run.contexts)
 
 
 class TestClosing:

@@ -18,7 +18,8 @@ from x3y9z2.ec import (BadPrime, EcPoint, PlaneCubicWithFlex, WeierstrassCurve,
 from x3y9z2.ec.reduction import FqCurve, all_points_fq, primes_above, reduce_curve, reduce_point
 from x3y9z2.ec.weierstrass import _classical_add
 
-from torsion_reference import torsion_by_search
+from torsion_reference import integer_roots_by_divisors, torsion_by_search
+from zq_reference import ZqElem
 
 
 class TestGroupLaw:
@@ -37,11 +38,11 @@ class TestGroupLaw:
     def test_exhaustive_vs_classical_over_fq(self):
         fq = FqField(11)
         for (a, b) in [(0, 6), (2, 0), (1, 3)]:
-            E = WeierstrassCurve(fq.elem(a), fq.elem(b))
+            E = WeierstrassCurve(ZqElem(fq, a), ZqElem(fq, b))
             pts = [E.zero()]
             for x in range(11):
                 for y in range(11):
-                    P = EcPoint(E, fq.elem(x), fq.elem(y), fq.one())
+                    P = EcPoint(E, ZqElem(fq, x), ZqElem(fq, y), ZqElem(fq, 1))
                     if P.on_curve():
                         pts.append(P)
             for P in pts:
@@ -52,7 +53,7 @@ class TestGroupLaw:
 
     def test_associativity_200(self, rng):
         fq = FqField(101)
-        E = WeierstrassCurve(fq.elem(3), fq.elem(7))
+        E = WeierstrassCurve(ZqElem(fq, 3), ZqElem(fq, 7))
         pts = []
         x = 0
         while len(pts) < 24:
@@ -60,7 +61,7 @@ class TestGroupLaw:
             rhs = fq.elem(x**3 + 3 * x + 7)
             for y in range(101):
                 if fq.elem(y * y) == rhs:
-                    pts.append(E.point(fq.elem(x), fq.elem(y)))
+                    pts.append(E.point(ZqElem(fq, x), ZqElem(fq, y)))
                     break
         for _ in range(200):
             P, Q, R = (rng.choice(pts) for _ in range(3))
@@ -139,16 +140,19 @@ class TestTorsion:
     MAZUR = [(1, 0, "Z/2"), (0, 16, "Z/3"), (4, 0, "Z/4"), (-432, 8208, "Z/5"),
              (0, 1, "Z/6"), (-43, 166, "Z/7"), (1269, 127386, "Z/8"), (-219, 1654, "Z/9"),
              (-58347, 3954150, "Z/10"), (-1947, 108214, "Z/12"), (-1, 0, "Z/2 x Z/2"),
-             (-351, 1890, "Z/2 x Z/4"), (-24003, 1296702, "Z/2 x Z/6")]
+             (-351, 1890, "Z/2 x Z/4"), (-24003, 1296702, "Z/2 x Z/6"),
+             (-1386747, 368636886, "Z/2 x Z/8")]
 
     def test_divisor_walk_matches_the_search_by_y(self, monkeypatch):
         """torsion_over_Q, which tries the divisors y of the largest r with
         r^2 | disc, gives the structure and points of the reference that
         tries every y with y^2 <= |disc|: on the Mordell curves of the
         equation 5 quotients, and on one curve per torsion group.  The
-        reference takes sqrt|disc| steps, so it is skipped on Z/10 and
-        Z/2 x Z/6 (7.7e7 and 1.3e7 steps), where the structure is checked
-        against the tables instead."""
+        reference takes sqrt|disc| steps, so it is skipped on Z/10,
+        Z/2 x Z/6 and Z/2 x Z/8 (7.7e7, 1.3e7 and 1.1e10 steps), where the
+        structure is checked against the tables instead.  The Z/2 x Z/8
+        curve is the short model of 210e2, whose squared-divisor part of
+        disc has 727 divisors y, each with a large b - y^2."""
         from x3y9z2 import verify
         from x3y9z2.dataio import load_descent_data
         seen = []
@@ -158,7 +162,7 @@ class TestTorsion:
         for label, cs in (("E1,delta", (1, 2, 3, 4, 18, 36)),
                           ("E2,delta", (1, 2, 3, 4, 6, 9, 12))):
             for c in cs:
-                verify._quotient_torsion(forms[label], F(c))
+                verify._quotient_torsion(forms[label], F(c), {})
         assert sorted({int(E.b) for E in seen}) == [-3888, -432, -108, -48, -27, -12, -3]
         for E in seen:
             assert torsion_over_Q(E) == torsion_by_search(E)
@@ -166,8 +170,31 @@ class TestTorsion:
             E = WeierstrassCurve(F(a), F(b))
             found = torsion_over_Q(E)
             assert found[0] == structure
-            if structure not in ("Z/10", "Z/2 x Z/6"):
+            if structure not in ("Z/10", "Z/2 x Z/6", "Z/2 x Z/8"):
                 assert found == torsion_by_search(E)
+
+    def test_integer_roots_by_bisection_match_the_divisor_search(self, rng):
+        """_integer_roots_cubic, bisection on the monotone pieces of
+        x^3 + a x + b, against the divisors of b (tests/torsion_reference.py):
+        on 2,000 seeded cubics with a and b up to 10^4, most of them
+        without an integer root, and on 1,000 cubics built from three
+        integer roots r, s, -r - s, repeated roots and roots at the turning
+        points +-sqrt(-a/3) among them."""
+        from x3y9z2.ec.torsion import _integer_roots_cubic
+        cubics = [(rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4))
+                  for _ in range(2000)]
+        for _ in range(1000):
+            r, s = rng.randint(-60, 60), rng.randint(-60, 60)
+            if rng.random() < 0.2:
+                s = r             # a double root, at a turning point
+            t = -r - s
+            cubics.append((r * s + r * t + s * t, -r * s * t))
+        rooted = 0
+        for a, b in cubics:
+            roots = _integer_roots_cubic(a, b)
+            assert roots == integer_roots_by_divisors(a, b), (a, b)
+            rooted += bool(roots)
+        assert rooted >= 1000
 
     def test_torsion_injects_at_good_primes(self):
         from x3y9z2.ec.torsion import count_points_fp
@@ -276,7 +303,7 @@ class TestPrimitive:
             ring = pr.zq(prec)[0]
             # embed: a unit exact to p^prec, or zero when x is 0 mod p^prec.
             assert [pr.embed(x, prec) for x in vec] == [
-                (ring.elem(u.coords), v) if v < prec else (ring.zero(), prec)
+                (ring.elem(u), v) if v < prec else (ring.zero(), prec)
                 for u, v in embedded]
             m = min(v for u, v in embedded)   # a zero entry has v = high
             if m >= prec:
@@ -285,13 +312,13 @@ class TestPrimitive:
                 refused += 1
                 continue
             out = pr.primitive(vec, prec)
-            assert len(out) == len(vec) and all(u.ring is ring for u in out)
-            assert min(u.valuation() for u in out) == 0
-            assert all(not u for u, x in zip(out, vec) if not x)
+            assert len(out) == len(vec) and all(u == ring.elem(u) for u in out)
+            assert min(ring.val(u) for u in out) == 0
+            assert all(not any(u) for u, x in zip(out, vec) if not x)
             # out = p^-m vec exactly: the higher-precision embedding,
             # scaled by the same power of p, agrees mod p^prec.
-            scale = pr.zq(high)[0].elem
-            assert out == [ring.elem((u * scale(p ** (v - m)) if u else u).coords)
+            big = pr.zq(high)[0]
+            assert out == [ring.elem(big.mul(u, big.elem(p ** (v - m))) if any(u) else u)
                            for u, v in embedded]
             checked += 1
         assert checked >= 30 and refused >= 1 and checked + refused == 60
@@ -319,7 +346,7 @@ class TestPrimitive:
                 x, y = P.affine()
                 if x.den % p == 0 or y.den % p == 0:
                     continue
-                oracle = (pr.residue(x).coords, pr.residue(y).coords)
+                oracle = (pr.residue(x), pr.residue(y))
                 assert reduce_point(Ebar, P, pr) == oracle
                 checked += 1
         assert checked >= 20
@@ -333,7 +360,8 @@ LAW_PRIMES = [(11, 0, 1), (11, 2, 2), (31, 0, 2), (31, 1, 2), (5, 0, 4)]
 
 class TestFqGroupLaw:
     """FqCurve's chord-tangent law on coordinate tuples, with the generic
-    projective EcPoint law over the same F_q as the oracle."""
+    projective EcPoint law over the same F_q, on the operators of
+    tests/zq_reference.py, as the oracle."""
 
     @staticmethod
     def _curves(mw_data, K, p, idx, rng):
@@ -349,16 +377,17 @@ class TestFqGroupLaw:
                 continue
             b = tuple(-c % p for c in FqCurve(fq, a, (0,) * fq.d).rhs(x0))
             E = FqCurve(fq, a, b)
-            A, B = fq.elem(a), fq.elem(b)
+            A, B = ZqElem(fq, a), ZqElem(fq, b)
             if 4 * A * A * A + 27 * B * B:
                 return fq, curves + [E], (x0, (0,) * fq.d)
 
     @staticmethod
     def _oracle(fq, E):
-        W = WeierstrassCurve(fq.elem(E.a), fq.elem(E.b), check_smooth=False)
+        W = WeierstrassCurve(ZqElem(fq, E.a), ZqElem(fq, E.b))
 
         def lift(P):
-            return W.zero() if P is None else EcPoint(W, fq.elem(P[0]), fq.elem(P[1]), fq.one())
+            return (W.zero() if P is None
+                    else EcPoint(W, ZqElem(fq, P[0]), ZqElem(fq, P[1]), ZqElem(fq, 1)))
         return lift
 
     @pytest.mark.parametrize("p, idx, degree", LAW_PRIMES)

@@ -310,3 +310,26 @@ def test_quotient_torsion_follows_the_data_dir(data_copy):
         assert quotient_torsion("E1,delta", 1) == ("Z/2", [(2, 1, 2)], (2, -1, 0))
     finally:
         set_data_dir(None)
+
+
+def test_quotient_torsion_runs_once_per_integral_model(data_copy, monkeypatch):
+    """run_eq5_stage and verify_quotient_claims ask for the torsion of 13
+    eq-5 quotients (label, c), whose integral models are 7 curves
+    y^2 = x^3 + k.  From a cold memo (freshly loaded data) torsion_over_Q
+    runs once per model."""
+    from x3y9z2 import verify
+    from x3y9z2.dataio import load_descent_data, set_data_dir
+    from x3y9z2.pipeline import run_eq5_stage
+    seen = []
+    torsion_over_Q = verify.torsion_over_Q
+    monkeypatch.setattr(verify, "torsion_over_Q",
+                        lambda E: seen.append((E.a, E.b)) or torsion_over_Q(E))
+    set_data_dir(data_copy)
+    try:
+        run_eq5_stage()
+        verify.verify_quotient_claims()
+        assert len(load_descent_data().quotient_torsion) == 13
+    finally:
+        set_data_dir(None)
+    assert sorted(b for _, b in seen) == [-3888, -432, -108, -48, -27, -12, -3]
+    assert len(set(seen)) == len(seen) == 7

@@ -56,6 +56,36 @@ def test_imports_are_at_module_level():
     assert found == []
 
 
+_BINARY = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+           "lshift", "rshift", "and", "xor", "or")
+ARITHMETIC_DUNDERS = ({f"__{p}{op}__" for op in _BINARY for p in ("", "r", "i")}
+                      | {"__neg__", "__pos__", "__abs__", "__invert__"})
+
+# The exact rings with operators: polynomials, number-field and etale
+# algebra elements, and points over Q and K.  Z_q and F_q elements are
+# coordinate tuples under ZqRing's methods.
+OPERATOR_CLASSES = {"arith.poly.UPoly", "arith.poly.MPoly",
+                    "arith.numberfield._PowerBasisElem", "ec.weierstrass.EcPoint"}
+
+
+def test_only_the_exact_rings_define_arithmetic_operators():
+    """One residue-ring type: no src/ class other than OPERATOR_CLASSES
+    defines or assigns an arithmetic dunder (__add__, __mul__, __neg__,
+    ... and their reflected and in-place forms)."""
+    found = set()
+    for rel, tree in _trees():
+        mod = ".".join(rel.with_suffix("").parts)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = {st.name for st in cls.body if isinstance(st, ast.FunctionDef)}
+            names |= {t.id for st in cls.body if isinstance(st, ast.Assign)
+                      for t in st.targets if isinstance(t, ast.Name)}
+            if names & ARITHMETIC_DUNDERS:
+                found.add(f"{mod}.{cls.name}")
+    assert found == OPERATOR_CLASSES
+
+
 # Definitions no src/ code reaches yet, each tracked on ROADMAP: the
 # formal logarithm (only tests call it until the Chabauty certificates
 # are re-checked).

@@ -4,13 +4,30 @@
 found the way they were before the divisor walk: every y = 1, 2, ... with
 y^2 <= |disc| is tried, and kept when y^2 divides disc.  That is about
 sqrt|disc| steps, so it suits curves with a small discriminant only.
+
+`integer_roots_by_divisors` finds the integer roots of x^3 + a x + b the
+way they were found before the bisection: every divisor d of b, and -d,
+is tried (0 and +-sqrt(-a) when b = 0).  It trial-divides b, so it too
+suits small coefficients only.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from x3y9z2.ec.torsion import (_integer_roots_cubic, _torsion_order, count_points_fp,
-                               good_odd_primes)
+from x3y9z2.arith.rationals import divisors
+from x3y9z2.ec.torsion import _torsion_order, count_points_fp, good_odd_primes
+
+
+def integer_roots_by_divisors(a, b):
+    """Sorted integer roots of x^3 + a x + b."""
+    if b == 0:
+        roots = {0}
+        if a <= 0:
+            r = isqrt(-a)
+            if r * r == -a:
+                roots |= {r, -r}
+        return sorted(roots)
+    return sorted({x for d in divisors(b) for x in (d, -d) if x**3 + a * x + b == 0})
 
 
 def torsion_by_search(curve):
@@ -18,11 +35,11 @@ def torsion_by_search(curve):
     a, b = int(curve.a), int(curve.b)
     bound = gcd(*(count_points_fp(a, b, p) for p in good_odd_primes(a, b, 6)))
     disc = abs(-16 * (4 * a**3 + 27 * b**2))
-    points = [curve.point(Fraction(x), Fraction(0)) for x in _integer_roots_cubic(a, b)]
+    points = [curve.point(Fraction(x), Fraction(0)) for x in integer_roots_by_divisors(a, b)]
     y = 1
     while y * y <= disc:
         if disc % (y * y) == 0:
-            for x in _integer_roots_cubic(a, b - y * y):
+            for x in integer_roots_by_divisors(a, b - y * y):
                 points += [curve.point(Fraction(x), Fraction(y)),
                            curve.point(Fraction(x), Fraction(-y))]
         y += 1
