@@ -8,6 +8,11 @@ ring type, ZqRing, serves both: its methods multiply, invert, raise to
 powers and embed on such tuples, and FqField is Z_q at N = 1 plus its
 size q and the enumeration of its elements.  Everything is exact
 modulo p^N.
+
+A quartic over F_p (K's, naming the primes of K above p) is factored one
+way: distinct-degree parts, each split by Cantor-Zassenhaus ("A new
+algorithm for factoring polynomials over finite fields", Math. Comp. 36
+(1981); Cohen, GTM 138, 3.4).
 """
 
 from __future__ import annotations
@@ -93,88 +98,76 @@ def _make_monic(v, p):
     return [c * inv % p for c in v]
 
 
-def poly_roots_mod_p(coeffs, p):
-    """Roots in F_p of an integer-coefficient polynomial (brute scan)."""
-    cs = [c % p for c in coeffs]
-    roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
+def _polgcd(a, b, p):
+    """The monic gcd of two polynomials over F_p (b trimmed)."""
+    while b:
+        a, b = b, _poldivmod(a, b, p)[1]
+    return _make_monic(a, p)
+
+
+def _distinct_degree_parts(f, p, degree_cap):
+    """([g_1, g_2, ...], rest) for a monic f over F_p: while d <= degree_cap
+    and 2d <= deg(rest), g_d = gcd(rest, x^(p^d) - x), the product of f's
+    irreducible factors of degree d, is divided out of rest.  When
+    2d > deg(rest) ends the loop, rest has no factor of degree < d, so on
+    a squarefree f it is irreducible (or 1)."""
+    parts, rest, d, xq = [], f, 1, [0, 1]        # xq = x^(p^(d-1)) mod rest
+    while d <= degree_cap and 2 * d <= len(rest) - 1:
+        xq = _poldivmod(xq, rest, p)[1]
+        xq = _fqpow(tuple(xq) + (0,) * (len(rest) - 1 - len(xq)), p, rest, p)
+        g = _polgcd(rest, _poldivmod([xq[0], xq[1] - 1, *xq[2:]], rest, p)[1], p)
+        parts.append(g)
+        rest, d = _poldivmod(rest, g, p)[0], d + 1
+    return parts, rest
+
+
+def _equal_degree_split(g, d, p):
+    """The factors of g, a monic product of distinct irreducibles of degree
+    d over F_p (p odd), by gcd(g, (x + a)^((p^d - 1)/2) - 1) for the first
+    a = 0, 1, ... that splits g.  For d <= 2 one does: at a root of a factor
+    h this is the quadratic character of h(-a), and by the Weil bound two
+    factors can agree at every a only for p < 11, where enumeration shows
+    they never do."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p**d - 1) // 2
+    for a in range(p):
+        t = _fqpow((a, 1) + (0,) * (n - 2), e, g, p)
+        u = _polgcd(g, _poldivmod([t[0] - 1, *t[1:]], g, p)[1], p)
+        if 0 < len(u) - 1 < n:
+            return (_equal_degree_split(u, d, p)
+                    + _equal_degree_split(_poldivmod(g, u, p)[0], d, p))
+    raise ArithmeticError(f"no x + a splits {g} mod {p}")
 
 
 def factor_quartic_mod_p(coeffs, p, degree_cap=4):
-    """Factor a degree <= 4 integer polynomial mod p into monic
-    irreducibles; returns a list of (coeff list, multiplicity).
-
-    With degree_cap < 4, factors of larger degree are omitted (cheap
-    root-only scans for large p); splitting a rootless quartic into two
-    quadratics uses a distinct-degree test first, then a bounded scan.
-    """
-    cs = [c % p for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ValueError("zero polynomial")
-    work = _make_monic(cs, p)
-    factors = {}
-
-    def record(f):
-        key = tuple(f)
-        factors[key] = factors.get(key, 0) + 1
-
-    # Strip each root as often as it divides.
-    for r in poly_roots_mod_p(work, p):
-        lin = [(-r) % p, 1]
-        q, rem = _poldivmod(work, lin, p)
-        while not rem:
-            record(lin)
-            work = q
-            q, rem = _poldivmod(work, lin, p)
-    # What is left has no root.  A quartic that passes the distinct-degree
-    # test is two quadratics; the first monic one dividing it is a factor.
-    if len(work) == 5 and degree_cap >= 2 and _has_quadratic_factor(work, p):
-        for quad in ([c, b, 1] for b in range(p) for c in range(p)):
-            q, rem = _poldivmod(work, quad, p)
-            if not rem:
-                record(quad)
-                work = q
-                break
-    if len(work) > 1:
-        record(work)
-    return sorted(((list(k), m) for k, m in factors.items()
-                   if len(k) - 1 <= degree_cap),
-                  key=lambda fm: (len(fm[0]), fm[0]))
-
-
-def _has_quadratic_factor(work, p):
-    """x^(p^2) = x (mod work, p) on a rootless squarefree quartic iff it
-    splits into two irreducible quadratics (callers guarantee p does not
-    divide the discriminant)."""
-    x = (0, 1) + (0,) * (len(work) - 3)
-    return _fqpow(x, p * p, work, p) == x
+    """The monic irreducible factors mod p, of degree <= degree_cap, of an
+    integer polynomial f of degree <= 4, sorted by (degree, coefficients).
+    Contract: p is odd and f is squarefree mod p (true at every odd p not
+    dividing disc(f)); ValueError otherwise."""
+    if p == 2:
+        raise ValueError("factor_quartic_mod_p needs an odd p")
+    f = _make_monic([c % p for c in coeffs], p)
+    df = _make_monic([i * c % p for i, c in enumerate(f)][1:], p)
+    if len(_polgcd(f, df, p)) != 1:
+        raise ValueError(f"{list(coeffs)} is not squarefree mod {p}")
+    parts, rest = _distinct_degree_parts(f, p, degree_cap)
+    factors = [h for d, g in enumerate(parts, 1) if len(g) > 1
+               for h in _equal_degree_split(g, d, p)]
+    if 1 < len(rest) <= degree_cap + 1:
+        factors.append(rest)
+    return sorted(factors, key=lambda g: (len(g), g))
 
 
 def residue_degrees(coeffs, p):
     """Sorted degrees of the irreducible factors mod p of a polynomial of
-    degree <= 4, in O(log p) products and without splitting it: deg gcd(f,
-    x^p - x) roots, then _has_quadratic_factor on a rootless quartic.
-    Exact when p does not divide disc(f); a repeated root counts once."""
-    f = _make_monic([c % p for c in coeffs], p)
-    n = len(f) - 1
-    if n < 2:
-        return (1,) * n
-    xp = _fqpow((0, 1) + (0,) * (n - 2), p, f, p)
-    a, b = f, _poldivmod([xp[0], xp[1] - 1, *xp[2:]], f, p)[1]   # x^p - x mod f
-    while b:
-        a, b = b, _poldivmod(a, b, p)[1]
-    rest = n - (len(a) - 1)
-    if rest == 4:
-        return (2, 2) if _has_quadratic_factor(f, p) else (4,)
-    return (1,) * (n - rest) + ((rest,) if rest else ())
+    degree <= 4, read from its distinct-degree parts without splitting
+    them: deg g_d / d factors of degree d, and one factor for a
+    nonconstant rest.  Exact when p does not divide disc(f)."""
+    parts, rest = _distinct_degree_parts(_make_monic([c % p for c in coeffs], p), p, 4)
+    degrees = [d for d, g in enumerate(parts, 1) for _ in range((len(g) - 1) // d)]
+    return tuple(degrees + [len(rest) - 1] * (len(rest) > 1))
 
 
 def _poldivmod(a, b, p):

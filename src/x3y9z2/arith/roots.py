@@ -24,7 +24,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 
-from .localfield import ZqRing, poly_roots_mod_p, residue_degrees
+from .localfield import ZqRing, factor_quartic_mod_p, residue_degrees
 from .numberfield import NfElem, NumberField
 from .rationals import rational_cube_root, rational_reconstruct, rational_sqrt
 
@@ -197,15 +197,15 @@ def _root_in_ring(xi: NfElem, n: int, ring: ZqRing):
 
 
 def degree_one_character_data(field: NumberField, bound, n):
-    """The degree-1 primes (q, alpha -> root) of the field, lazily in order
-    of q, with 5 <= q <= bound prime to the discriminant and q = 1 mod n:
+    """The degree-1 primes (q, alpha -> root) of the field, lazily by q then
+    root, with 5 <= q <= bound prime to the discriminant and q = 1 mod n:
     each carries an n-th power-residue symbol on q-units."""
     f_ints = field.minpoly.integer_coeffs()
     disc = field.discriminant()
     for q in small_primes(bound):
         if q < 5 or (q - 1) % n or disc.numerator % q == 0:
             continue
-        for r in poly_roots_mod_p(f_ints, q):
+        for r in sorted(-g[0] % q for g in factor_quartic_mod_p(f_ints, q, 1)):
             yield q, r
 
 

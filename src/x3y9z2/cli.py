@@ -200,7 +200,7 @@ def _primes(text):
     that the default primes reach; the point counts and the bound on the
     residue sieve's class count grow with that field.  The largest field
     above p has q = p^k elements, k the largest of residue_degrees(f, p)
-    (p^3 at the ramified 2 and 3, where f mod p is (x + 1)^4)."""
+    (p^3 at the ramified 2 and 3, where f = (x + 1)^4 gives one root and a cubic rest)."""
     try:
         primes = tuple(int(p) for p in text.split(","))
     except ValueError:

@@ -108,15 +108,12 @@ class NfPrime:
 
 def primes_above(field: NumberField, p: int, degree_cap: int = 4):
     """Primes of Z[alpha] above p with residue degree <= degree_cap,
-    sorted by (degree, factor); BadPrime when p ramifies in Z[alpha]
-    or divides disc(minpoly)."""
+    sorted by (degree, factor); BadPrime when p divides disc(minpoly),
+    which every prime that ramifies in Z[alpha] does."""
     if field.discriminant().numerator % p == 0:
         raise BadPrime(f"{p} divides disc of the defining polynomial")
-    f_ints = field.minpoly.integer_coeffs()
-    factors = factor_quartic_mod_p(f_ints, p, degree_cap=degree_cap)
-    if any(m > 1 for _, m in factors):
-        raise BadPrime(f"{p} ramifies in Z[alpha]")
-    return [NfPrime(field, p, fac, i) for i, (fac, m) in enumerate(factors)]
+    factors = factor_quartic_mod_p(field.minpoly.integer_coeffs(), p, degree_cap)
+    return [NfPrime(field, p, fac, i) for i, fac in enumerate(factors)]
 
 
 class FqCurve:

@@ -494,7 +494,7 @@ def test_degree_two_inverse_at_the_primes_of_k(K, rng):
     too."""
     f = K.minpoly.integer_coeffs()
     moduli = [(p, h) for p in (11, 31)
-              for h, _ in factor_quartic_mod_p(f, p) if len(h) == 3]
+              for h in factor_quartic_mod_p(f, p) if len(h) == 3]
     assert moduli == [(11, [1, 5, 1]), (31, [23, 11, 1]), (31, [27, 18, 1])]
     for p, h in moduli:
         lifted = [c + p * rng.randrange(p**3) for c in h[:2]] + [1]
@@ -513,16 +513,46 @@ def test_degree_two_inverse_at_the_primes_of_k(K, rng):
     assert "ZeroDivisionError: [31, 62] is not invertible mod 31, [23, 11, 1]" in out.stderr
 
 
+def _roots_by_evaluation(f, p):
+    return [x for x in range(p) if sum(c * x**i for i, c in enumerate(f)) % p == 0]
+
+
+def _monic_without_roots(degree, p, rng, irreducible=lambda g: True):
+    while True:
+        g = [rng.randrange(p) for _ in range(degree)] + [1]
+        if not _roots_by_evaluation(g, p) and irreducible(g):
+            return g
+
+
+def _check_factors_against_trial_division(f, p):
+    """factor_quartic_mod_p(f, p, cap) at caps 1, 2 and 4: the factors of
+    degree <= cap that trial division finds, without multiplicities, when
+    f is squarefree mod p; ValueError when it is not."""
+    ref = factor_by_trial_division(f, p)
+    for cap in (1, 2, 4):
+        if any(m > 1 for _, m in ref):
+            with pytest.raises(ValueError):
+                factor_quartic_mod_p(f, p, degree_cap=cap)
+        else:
+            expected = [g for g, _ in ref if len(g) - 1 <= cap]
+            assert factor_quartic_mod_p(f, p, degree_cap=cap) == expected, (f, p, cap)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_factor_quartic_with_repeated_roots_matches_trial_division(p, rng):
-    """factor_quartic_mod_p scans for roots once and divides each root out
-    as often as it divides.  On seeded quartics with repeated roots, and
-    on two distinct quadratics, each with a unit leading coefficient, it
-    agrees with trial division at every degree cap.  A rootless cofactor
-    is squarefree here, as it is at every prime not dividing the
-    discriminant."""
+    """On seeded quartics with repeated roots, and on two distinct
+    quadratics, each with a unit leading coefficient, factor_quartic_mod_p
+    raises ValueError exactly when trial division finds a repeated factor,
+    and otherwise agrees with it at every degree cap.  Then squarefree
+    quartics of each shape (1,1,1,1), (1,1,2), (2,2), (1,3) and (4)."""
     def lin(a):
         return [-a % p, 1]
+
+    def with_unit_lead(parts):
+        f = [rng.randrange(1, p)]
+        for g in parts:
+            f = polmul(f, g, p)
+        return f
 
     quads = [[c, b, 1] for b in range(p) for c in range(p)
              if all((x * x + b * x + c) % p for x in range(p))]
@@ -532,13 +562,96 @@ def test_factor_quartic_with_repeated_roots_matches_trial_division(p, rng):
         for parts in ([lin(a)] * 4, [lin(a)] * 2 + [lin(b)] * 2, [lin(a)] * 3 + [lin(b)],
                       [lin(a), lin(a), lin(b), lin(c)], [lin(a), lin(a), quad],
                       [lin(a), lin(b), quad], [lin(a), lin(a), lin(b)], [quad, quad2]):
-            f = [rng.randrange(1, p)]
-            for g in parts:
-                f = polmul(f, g, p)
-            ref = factor_by_trial_division(f, p)
-            for cap in (1, 2, 4):
-                expected = [(g, m) for g, m in ref if len(g) - 1 <= cap]
-                assert factor_quartic_mod_p(f, p, degree_cap=cap) == expected, (f, p, cap)
+            _check_factors_against_trial_division(with_unit_lead(parts), p)
+    shapes = set()
+    for _ in range(20):
+        a, b, c, e = (lin(r) for r in rng.sample(range(p), 4))
+        quad, quad2 = rng.sample(quads, 2)
+        cubic = _monic_without_roots(3, p, rng)
+        quartic = _monic_without_roots(4, p, rng, lambda g: is_irreducible_quartic(g, p))
+        for parts in ([a, b, c, e], [a, b, quad], [quad, quad2], [a, cubic], [quartic]):
+            f = with_unit_lead(parts)
+            _check_factors_against_trial_division(f, p)
+            shapes.add(tuple(len(g) - 1 for g in factor_quartic_mod_p(f, p)))
+    assert shapes == {(1, 1, 1, 1), (1, 1, 2), (2, 2), (1, 3), (4,)}
+
+
+def test_factor_quartic_at_every_prime_below_400(K):
+    """K's quartic at every prime 5 <= q < 400 (none divides its
+    discriminant -1728), at caps 1, 2 and 4: monic factors of degree <=
+    cap, whose product at cap 4 is f mod q; the linear factors are the
+    roots found by evaluating f at every residue; no quadratic factor has
+    a root; a smaller cap drops the larger factors and keeps the order;
+    and for q < 100 the list is trial division's."""
+    f = K.minpoly.integer_coeffs()
+    for q in small_primes(400):
+        if q < 5:
+            continue
+        full = factor_quartic_mod_p(f, q)
+        product_ = [1]
+        for g in full:
+            product_ = polmul(product_, g, q)
+        assert product_ == [c % q for c in f], q
+        ref = factor_by_trial_division(f, q) if q < 100 else None
+        for cap in (1, 2, 4):
+            factors = factor_quartic_mod_p(f, q, degree_cap=cap)
+            assert factors == [g for g in full if len(g) - 1 <= cap], (q, cap)
+            assert all(g[-1] == 1 and len(g) - 1 <= cap for g in factors), (q, cap)
+            assert sorted(-g[0] % q for g in factors if len(g) == 2) == _roots_by_evaluation(f, q)
+            assert not any(_roots_by_evaluation(g, q) for g in factors if len(g) == 3), q
+            if ref is not None:
+                assert factors == [g for g, _ in ref if len(g) - 1 <= cap], (q, cap)
+
+
+def test_factor_quartic_refuses_p_2_under_optimize():
+    """factor_quartic_mod_p's split needs an odd p: p = 2 raises ValueError,
+    an exception and not an assert, so python -O keeps it."""
+    with pytest.raises(ValueError):
+        factor_quartic_mod_p([1, 1, 0, 0, 1], 2)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from x3y9z2.arith.localfield import factor_quartic_mod_p; "
+         "factor_quartic_mod_p([1, 1, 0, 0, 1], 2)"],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode != 0
+    assert "ValueError: factor_quartic_mod_p needs an odd p" in out.stderr
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_split_separates_every_pair_at_small_p(p):
+    """Below 11 the Weil bound does not promise that some x + a, a in F_p,
+    separates two factors of equal degree; at p = 3, 5 and 7 every product
+    of two distinct monic linear, or two distinct monic irreducible
+    quadratic, factors comes back as its two factors."""
+    lins = [[c, 1] for c in range(p)]
+    quads = [[c, b, 1] for b in range(p) for c in range(p)
+             if not _roots_by_evaluation([c, b, 1], p)]
+    for same_degree in (lins, quads):
+        for i, g in enumerate(same_degree):
+            for h in same_degree[i + 1:]:
+                assert factor_quartic_mod_p(polmul(g, h, p), p) == sorted([g, h]), (g, h)
+
+
+def _character_primes_by_evaluation(field, bound, n):
+    """degree_one_character_data's (q, r) sequence, by scanning every
+    residue r in ascending order for a root of the defining polynomial."""
+    f = field.minpoly.integer_coeffs()
+    disc = field.discriminant()
+    return [(q, r) for q in small_primes(bound)
+            if q >= 5 and (q - 1) % n == 0 and disc.numerator % q
+            for r in _roots_by_evaluation(f, q)]
+
+
+@pytest.mark.parametrize("where, bound, n", [("K", 400, 2), ("K", 400, 3),
+                                             ("sqrt-3", 250, 3)])
+def test_degree_one_character_data_order(where, bound, n, K, descent_data):
+    """The degree-1 primes come in order of q and then of the root r, as a
+    scan by evaluation gives them: descent._character_rank takes the first
+    24 usable characters, so this order is part of the report."""
+    field = K if where == "K" else descent_data.specs[5].algebra.components[2][1]
+    got = list(degree_one_character_data(field, bound, n))
+    assert got == _character_primes_by_evaluation(field, bound, n)
+    assert any(b[0] == a[0] for a, b in zip(got, got[1:]))      # some q has two roots
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -576,7 +689,7 @@ def _factoring_rule_primes(xi):
                 or disc.numerator % q == 0 or disc.denominator % q == 0):
             continue
         factors = factor_quartic_mod_p(f, q)
-        if len(factors) == 1 and factors[0][1] == 1 and len(factors[0][0]) == field.degree + 1:
+        if len(factors) == 1 and len(factors[0]) == field.degree + 1:
             out.append(q)
     return out
 
