@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from .poly import UPoly, dense_table
 from .rationals import divisors, rational_sqrt
@@ -268,9 +269,6 @@ class _PowerBasisElem:
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
 
-    def as_upoly(self) -> UPoly:
-        return UPoly(self.coords)
-
     def __bool__(self):
         return any(self.num)
 
@@ -417,7 +415,6 @@ class NumberField:
             if len(factors) != 1 or factors[0][1] != 1:
                 raise ValueError("defining polynomial is not irreducible")
         self.minpoly = minpoly
-        self.monic_poly = minpoly
         self.degree = minpoly.degree
         self.gen_name = gen_name
         # disc(f) = (-1)^(n(n-1)/2) N(f'(alpha)) for monic f of degree n.
@@ -440,10 +437,6 @@ class NumberField:
 
     def gen(self) -> "NfElem":
         return NfElem(self, [0, 1] + [0] * (self.degree - 2))
-
-    def from_upoly(self, p: UPoly) -> "NfElem":
-        p = p % self.monic_poly
-        return NfElem(self, [p[i] for i in range(self.degree)])
 
     def discriminant(self) -> Fraction:
         """disc(minpoly), an invariant of the field fixed at construction."""
@@ -511,11 +504,11 @@ class EtaleAlgebra:
     """Q[x]/(f) for a squarefree f of degree 4 whose monic form is
     integral, split into components.
 
-    Components are the irreducible factors of f: rational ones carry the
-    root itself, higher-degree ones a NumberField.  Component order is
-    deterministic: linear factors first with roots descending (so the
-    eq-5 algebra gets m1(theta) = 0, m2(theta) = -2 as in the source
-    tables), then by degree and coefficients.
+    Components are the number fields Q[x]/(h) of the irreducible factors
+    h of f, of degree 1 for a rational root r (h = x - r).  Component
+    order is deterministic: linear factors first with roots descending
+    (so the eq-5 algebra gets m1(theta) = 0, m2(theta) = -2 as in the
+    source tables), then by degree and coefficients.
     """
 
     def __init__(self, defining: UPoly, gen_name: str = "t"):
@@ -535,14 +528,14 @@ class EtaleAlgebra:
         linear = sorted((h for h, _ in factors if h.degree == 1), key=lambda h: h[0])
         rest = sorted((h for h, _ in factors if h.degree > 1),
                       key=lambda h: (h.degree, h.coeffs))
-        self.component_polys = linear + rest
-        self.components = []
-        for idx, h in enumerate(self.component_polys):
-            if h.degree == 1:
-                self.components.append(("Q", -h[0]))
-            else:
-                field = NumberField(h, gen_name=f"{gen_name}{idx}", check=False)
-                self.components.append(("field", field))
+        self.components = [NumberField(h, gen_name=f"{gen_name}{idx}", check=False)
+                            for idx, h in enumerate(linear + rest)]
+        # Column k of a component's table is coefficient k of x^j mod h for
+        # j < 4 (integral, as h is a monic factor of the monic integral f).
+        self._component_tables = [
+            list(zip(*([p[k].numerator for k in range(h.degree)]
+                       for p in (UPoly.x_power(j) % h for j in range(4)))))
+            for h in linear + rest]
 
     @property
     def n_components(self):
@@ -576,14 +569,12 @@ class EtaleAlgebra:
                 forms[m][e] = forms[m].get(e, 0) + c
         return list(zip(*(dense_table(f, 3) for f in forms)))
 
-    def component_map(self, i: int, elem: "AlgElem"):
-        """m_i: image of elem in the i-th component (Fraction or NfElem)."""
-        kind, data = self.components[i]
-        p = elem.as_upoly()
-        if kind == "Q":
-            return p(data)
-        field = data
-        return field.from_upoly(p)
+    def component_map(self, i: int, elem: "AlgElem") -> NfElem:
+        """m_i: image of elem in the i-th component field, the integer
+        table of x^j mod h_i times elem.num, over elem.den."""
+        num, den = elem.num, elem.den
+        return NfElem(self.components[i], [Fraction(sum(map(mul, num, col)), den)
+                                           for col in self._component_tables[i]])
 
     def component_images(self, elem: "AlgElem"):
         return [self.component_map(i, elem) for i in range(self.n_components)]
@@ -593,7 +584,7 @@ class EtaleAlgebra:
                                if not self.component_map(i, elem))
 
     def __repr__(self):
-        shape = "+".join(str(h.degree) for h in self.component_polys)
+        shape = "+".join(str(field.degree) for field in self.components)
         return f"EtaleAlgebra({self.defining!r}, shape {shape})"
 
 

@@ -20,31 +20,25 @@ that order, and the report pins it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .localfield import ZqRing, factor_quartic_mod_p, residue_degrees
 from .numberfield import NfElem, NumberField
 from .rationals import rational_cube_root, rational_reconstruct, rational_sqrt
 
-_PRIMES = []            # every prime <= _primes_bound, in order
-_primes_bound = 1
 
-
-def small_primes(bound):
-    """The primes <= bound, from one sieve of Eratosthenes that is
-    re-run at (at least) twice its size when a larger bound comes."""
-    global _primes_bound
-    if bound > _primes_bound:
-        _primes_bound = n = max(bound, 2 * _primes_bound)
-        flags = bytearray([1]) * (n + 1)
-        flags[:2] = b"\0\0"
-        for i in range(2, isqrt(n) + 1):
-            if flags[i]:
-                flags[i * i::i] = bytes(len(range(i * i, n + 1, i)))
-        _PRIMES[:] = [i for i, f in enumerate(flags) if f]
-    return _PRIMES[:bisect_right(_PRIMES, bound)]
+@lru_cache(maxsize=None)
+def small_primes(bound) -> tuple:
+    """The primes <= bound, in order, by a sieve of Eratosthenes."""
+    n = max(bound, 1)
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for i in range(2, isqrt(n) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, n + 1, i)))
+    return tuple(i for i, f in enumerate(flags) if f)
 
 
 def _rational_nth_root(x: Fraction, n: int):
@@ -85,15 +79,9 @@ def _inert_prime_rings(xi: NfElem, prec: int):
             yield ZqRing(q, [c % q**prec for c in f_ints], prec)
 
 
-def nf_nth_root(xi, n: int, field: NumberField | None = None):
-    """beta with beta^n = xi in the given number field, or None.
-
-    xi may be an NfElem or a Fraction (with field=None for plain Q).
-    """
-    if isinstance(xi, (int, Fraction)):
-        if field is None:
-            return _rational_nth_root(Fraction(xi), n)
-        xi = field(Fraction(xi))
+def nf_nth_root(xi: NfElem, n: int):
+    """beta with beta^n = xi in xi's number field, or None.  On a field of
+    degree 1 (a rational root of an etale algebra) the answer is exact."""
     field = xi.parent
     if not xi:
         return field.zero()
@@ -101,6 +89,8 @@ def nf_nth_root(xi, n: int, field: NumberField | None = None):
         r = _rational_nth_root(xi.rational_value(), n)
         if r is not None:
             return field(r)
+        if field.degree == 1:
+            return None
         # A rational can still have an irrational n-th root in K.
     for prec in (24, 60):
         tried = 0
@@ -210,21 +200,16 @@ def degree_one_character_data(field: NumberField, bound, n):
 
 
 def power_residue_symbol(xi, q: int, root: int, n: int):
-    """x^((q-1)/n) mod q for x the image of xi at the degree-1 prime
-    (q, alpha -> root); None if xi is not a q-unit there.
-
-    xi: NfElem or Fraction (root is then unused); n must divide q - 1.
-    The n-th powers of the field map to 1, so any other value proves xi
-    is not an n-th power.
+    """x^((q-1)/n) mod q for x the image of the NfElem xi at the degree-1
+    prime (q, alpha -> root); None if xi is not a q-unit there.  n must
+    divide q - 1.  The n-th powers of the field map to 1, so any other
+    value proves xi is not an n-th power.
     """
     if (q - 1) % n:
         raise ValueError(f"F_{q} has no {n}-th power residue symbol")
-    if isinstance(xi, (int, Fraction)):
-        num, den = Fraction(xi).as_integer_ratio()
-    else:
-        num, den = 0, xi.den
-        for c in reversed(xi.num):
-            num = (num * root + c) % q
+    num, den = 0, xi.den
+    for c in reversed(xi.num):
+        num = (num * root + c) % q
     if num % q == 0 or den % q == 0:
         return None
     return pow(num * pow(den, -1, q), (q - 1) // n, q)

@@ -119,8 +119,8 @@ def chabauty_setup_for_row(descent_data, mw_data, eq_id: int, row,
 
     # Construct a rational point on the descent curve and push it through.
     s, t, y = find_primitive_solution(eq_id, st_printed)
-    theta_A = algebra.components[0][1].gen()
-    xi = (s * algebra.components[0][1].one() - theta_A * t) * \
+    theta_A = algebra.components[0].gen()
+    xi = (s * algebra.components[0].one() - theta_A * t) * \
         algebra.component_map(0, delta_A).inverse()
     beta = nf_nth_root(xi, 3)
     if beta is None:

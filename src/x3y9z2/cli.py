@@ -59,11 +59,22 @@ def _print_claims(claims):
     return 0 if bad == 0 else 1
 
 
+class OutputPathError(Exception):
+    """The --json-out file cannot be written (exit 2)."""
+
+
+def _write_json_out(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputPathError(f"cannot write --json-out {path}: {type(exc).__name__}") from None
+
+
 def _emit(payload, args):
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as fh:
-            fh.write(text)
+        _write_json_out(args.json_out, text)
     else:
         sys.stdout.write(text)
 
@@ -178,8 +189,7 @@ def cmd_pipeline_run(args):
                           aux_bound=args.aux_bound, prec=args.precision)
     bad = [c for c in report["claims"] if unexpected_verdict(c["verdict"], c["id"])]
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(report_to_json(report))
+        _write_json_out(args.json_out, report_to_json(report))
     summary = report["verdict_summary"]
     print(f"claims: {summary['PASS']} PASS, {summary['CORRECTED']} CORRECTED, "
           f"{summary['FAIL']} FAIL")
@@ -301,6 +311,9 @@ def main(argv=None):
     except (PipelineError, CurveProblem, RankConditionViolated, TrustedDataError) as exc:
         print(f"x3y9z2: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OutputPathError as exc:
+        print(f"x3y9z2: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ _DATA_DIR_OVERRIDE = None
 
 
 class TrustedDataError(ValueError):
-    """A trusted data file disagrees with what the package builds itself."""
+    """A trusted data file is missing, unreadable or not JSON, or disagrees
+    with what the package builds itself."""
 
 
 def set_data_dir(path):
@@ -38,9 +39,19 @@ def set_data_dir(path):
 
 
 def _data_text(name: str) -> str:
-    if _DATA_DIR_OVERRIDE:
-        return Path(_DATA_DIR_OVERRIDE).joinpath(name).read_text()
-    return resources.files("x3y9z2.data").joinpath(name).read_text()
+    path = (Path(_DATA_DIR_OVERRIDE) if _DATA_DIR_OVERRIDE
+            else resources.files("x3y9z2.data")).joinpath(name)
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TrustedDataError(f"cannot read {path}: {type(exc).__name__}") from None
+
+
+def _data_json(name: str):
+    try:
+        return json.loads(_data_text(name))
+    except json.JSONDecodeError as exc:
+        raise TrustedDataError(f"{name} is not JSON: {exc}") from None
 
 
 def data_hashes() -> dict:
@@ -88,7 +99,7 @@ class DescentData:
             alg = EtaleAlgebra(_upoly(ed["defining"]), "theta")
             if alg.n_components != 1:
                 raise TrustedDataError(f"eq{eq}: quartic-field equations have irreducible algebras")
-            afield = alg.components[0][1]
+            afield = alg.components[0]
             theta_in_alpha = nf(ed["theta_in_alpha"], K)
             iso = FieldIso(afield, K, theta_in_alpha)
             gens = []
@@ -114,7 +125,7 @@ class DescentData:
 
 @lru_cache(maxsize=1)
 def load_descent_data() -> DescentData:
-    return DescentData(json.loads(_data_text("selmer_generators.json")))
+    return DescentData(_data_json("selmer_generators.json"))
 
 
 class MwData:
@@ -150,9 +161,9 @@ class MwData:
 
 @lru_cache(maxsize=1)
 def load_mw_data() -> MwData:
-    return MwData(json.loads(_data_text("mw_generators.json")))
+    return MwData(_data_json("mw_generators.json"))
 
 
 @lru_cache(maxsize=1)
 def load_tables() -> dict:
-    return json.loads(_data_text("paper_tables.json"))
+    return _data_json("paper_tables.json")

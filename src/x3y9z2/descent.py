@@ -16,7 +16,7 @@ from functools import cached_property
 from .arith.numberfield import AlgElem, EtaleAlgebra, NumberField
 from .arith.poly import MONOMIAL_EXPONENTS, MPoly, binary_form_divide
 from .arith.rationals import is_rational_cube, strip_primes
-from .arith.roots import degree_one_character_data, nf_cubic_character, small_primes
+from .arith.roots import degree_one_character_data, nf_cubic_character
 from .local import DenseForm
 from .param import STValue
 
@@ -62,34 +62,18 @@ def _character_rank(gens, algebra: EtaleAlgebra, max_chars=24):
     """F_3-rank of the cubic-character matrix of the generators."""
     vectors = [[] for _ in gens]
     images = [algebra.component_images(g) for g in gens]
-    for ci, (kind, data) in enumerate(algebra.components):
-        if kind == "Q":
-            char_data = [(q, None) for q in _split_rational_char_primes()]
-        else:
-            char_data = degree_one_character_data(data, 250, 3)
+    for ci, field in enumerate(algebra.components):
         used = 0
-        for (q, r) in char_data:
-            col = []
-            ok = True
-            for gi in range(len(gens)):
-                img = images[gi][ci]
-                e = (nf_cubic_character(img, q, 0) if kind == "Q"
-                     else nf_cubic_character(img, q, r))
-                if e is None:
-                    ok = False
-                    break
-                col.append(e)
-            if ok:
-                for gi in range(len(gens)):
-                    vectors[gi].append(col[gi])
-                used += 1
-                if used >= max_chars:
-                    break
+        for q, r in degree_one_character_data(field, 250, 3):
+            col = [nf_cubic_character(imgs[ci], q, r) for imgs in images]
+            if None in col:
+                continue
+            for vec, e in zip(vectors, col):
+                vec.append(e)
+            used += 1
+            if used >= max_chars:
+                break
     return _f3_rank(vectors)
-
-
-def _split_rational_char_primes(bound=300):
-    return [q for q in small_primes(bound) if q > 3 and q % 3 == 1]
 
 
 def _f3_rank(rows):
@@ -257,17 +241,16 @@ def genus1_quotients(eq_f: MPoly, C: Fraction, algebra: EtaleAlgebra, delta: Alg
     """
     n = delta.norm()
     out = []
-    rational_components = [i for i, (kind, _) in enumerate(algebra.components) if kind == "Q"]
+    rational_components = [i for i, field in enumerate(algebra.components) if field.degree == 1]
     if rational_components:
         for idx, ci in enumerate(rational_components, start=1):
-            r = algebra.components[ci][1]
-            m_delta = algebra.component_map(ci, delta)
-            c = n / m_delta
-            lin = MPoly(2, {(1, 0): Fraction(1), (0, 1): -Fraction(r)})
+            r = -algebra.components[ci].minpoly[0]
+            c = n / algebra.component_map(ci, delta).rational_value()
+            lin = MPoly(2, {(1, 0): Fraction(1), (0, 1): -r})
             form = binary_form_divide(eq_f * (Fraction(1) / C), lin)
             out.append(Genus1Quotient(label=f"E{idx},delta", constant=c, form=form))
     else:
-        fld: NumberField = algebra.components[0][1]
+        fld: NumberField = algebra.components[0]
         theta = fld.gen()
         delta_k = algebra.component_map(0, delta)
         c = delta_k.inverse() * n

@@ -20,7 +20,6 @@ import time
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith.rationals import rational_cube_root
 from .arith.roots import nf_nth_root
 from .chabauty.engine import DEFAULT_PREC, DEFAULT_PRIMES, rational_st_values
 from .chabauty.setup import chabauty_setup_for_row
@@ -146,15 +145,7 @@ def _stu_value(stu) -> STValue:
 def _same_class_etale(algebra, d1, d2) -> bool:
     """d1 = d2 modulo cubes in the etale algebra (componentwise test)."""
     ratio = d1 * d2.inverse()
-    for i, (kind, data) in enumerate(algebra.components):
-        img = algebra.component_map(i, ratio)
-        if kind == "Q":
-            if rational_cube_root(img) is None:
-                return False
-        else:
-            if nf_nth_root(img, 3) is None:
-                return False
-    return True
+    return all(nf_nth_root(img, 3) is not None for img in algebra.component_images(ratio))
 
 
 # -- stage: equations 1 and 2 -------------------------------------------------

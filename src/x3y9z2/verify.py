@@ -254,8 +254,8 @@ def verify_rank_table_constants():
     for k, row in enumerate(tables["rank_table"]["rows"], start=1):
         delta = spec.algebra([Fraction(c) for c in row["delta"]])
         n = delta.norm()
-        c1 = cube_free_part(n / spec.algebra.component_map(0, delta))
-        c2 = cube_free_part(n / spec.algebra.component_map(1, delta))
+        c1 = cube_free_part(n / spec.algebra.component_map(0, delta).rational_value())
+        c2 = cube_free_part(n / spec.algebra.component_map(1, delta).rational_value())
         ok = (c1 == Fraction(row["c1"]) and c2 == Fraction(row["c2"]))
         claims.append(Claim(
             claim_id=f"rank table row {k} constants (c1, c2)",

@@ -107,7 +107,7 @@ def _solve_linear(basis_rows, target):
 
 def minimal_polynomial(elem) -> UPoly:
     """Minimal polynomial over Q of a number-field element."""
-    table = ref_power_table(elem.parent.monic_poly)
+    table = ref_power_table(elem.parent.minpoly)
     deg = elem.parent.degree
     e = list(elem.coords)
     rows = [[Fraction(1)] + [Fraction(0)] * (deg - 1)]

@@ -135,6 +135,65 @@ class TestEtaleAlgebra:
             assert a.norm() == norm_resultant(a)
 
 
+# The component degrees of the descent algebras of equations 5, 1 and 2.
+DESCENT_SHAPES = {5: (1, 1, 2), 1: (4,), 2: (4,)}
+
+
+@pytest.mark.parametrize("eq", sorted(DESCENT_SHAPES))
+def test_descent_algebra_components_are_number_fields(eq, descent_data):
+    A = descent_data.specs[eq].algebra
+    assert all(isinstance(field, NumberField) for field in A.components)
+    assert tuple(field.degree for field in A.components) == DESCENT_SHAPES[eq]
+
+
+def _component_image_by_polynomials(field, coords):
+    """m_i by UPoly arithmetic: the value at the root on a field of
+    degree 1, the coordinates of the remainder mod its polynomial
+    otherwise."""
+    p, h = UPoly(coords), field.minpoly
+    if field.degree == 1:
+        return [p(-h[0])]
+    rem = p % h
+    return [rem[k] for k in range(field.degree)]
+
+
+@pytest.mark.parametrize("eq", sorted(DESCENT_SHAPES))
+def test_component_images_match_polynomial_reference(eq, descent_data):
+    """component_images (an integer table times the numerators) against
+    evaluation and polynomial remainders, with the product of the
+    component norms equal to the norm in the algebra."""
+    A = descent_data.specs[eq].algebra
+    rng = random.Random(f"component-images/{eq}")
+    for _ in range(200):
+        coords = [F(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(4)]
+        elem = A(coords)
+        images = A.component_images(elem)
+        assert all(img.parent is field for img, field in zip(images, A.components))
+        assert [list(img.coords) for img in images] == [
+            _component_image_by_polynomials(field, coords) for field in A.components]
+        norm = F(1)
+        for img in images:
+            norm *= img.norm()
+        assert norm == elem.norm()
+
+
+def test_rational_roots_never_reach_the_inert_primes(monkeypatch):
+    """On a field of degree 1 nf_nth_root answers from Q alone, for cubes,
+    squares, sixth powers and non-powers: _inert_prime_rings is never
+    called."""
+    def refuse(*args):
+        raise AssertionError("_inert_prime_rings reached")
+    monkeypatch.setattr("x3y9z2.arith.roots._inert_prime_rings", refuse)
+    for Q in (NumberField(UPoly([0, 1])), NumberField(UPoly([2, 1]))):    # roots 0, -2
+        for b in (F(2), F(-3, 5), F(7, 4)):
+            for n in (2, 3, 6):
+                r = nf_nth_root(Q(b**n), n)
+                assert r.parent is Q and r**n == Q(b**n)
+        for x, n in ((2, 3), (F(3, 4), 3), (-1, 2), (2, 2), (4, 6), (8, 6), (-64, 6)):
+            assert nf_nth_root(Q(x), n) is None, (x, n)
+        assert nf_nth_root(Q(0), 3) == Q(0)
+
+
 class TestNumberField:
     def test_unit_norms(self, K):
         al = K.gen()
@@ -185,7 +244,7 @@ class TestIntegerRepresentation:
     @pytest.mark.parametrize("name, poly", PARENTS, ids=[n for n, _ in PARENTS])
     def test_matches_fraction_reference(self, name, poly):
         A = _parent(poly)
-        table = ref_power_table(A.monic_poly)
+        table = ref_power_table(poly.monic())
         one = [F(1), F(0), F(0), F(0)]
         rng = random.Random(f"int-repr/{name}")
 
@@ -375,9 +434,9 @@ def test_small_primes_matches_trial_division():
             if all(n % p for p in out if p * p <= n):
                 out.append(n)
         return out
-    # Out of order, so that the sieve both grows and answers from its table.
-    for bound in (400, 1, 2, 3, 10, 97, 5000, 600, 2000, 10_000, 0):
-        assert small_primes(bound) == trial(bound)
+    # Out of order, and 400 twice, so that some answers come from the memo.
+    for bound in (400, 1, 2, 3, 10, 97, 5000, 600, 2000, 10_000, 0, 400):
+        assert small_primes(bound) == tuple(trial(bound))
 
 
 # d = 1, 2 and 4: a split prime, and the residue fields of K above 7 and 5.
@@ -642,16 +701,26 @@ def _character_primes_by_evaluation(field, bound, n):
             for r in _roots_by_evaluation(f, q)]
 
 
+# The eq-5 algebra's components: Q (theta -> 0), Q (theta -> -2), Q(sqrt -3).
+EQ5_COMPONENT = {"root0": 0, "root-2": 1, "sqrt-3": 2}
+
+
 @pytest.mark.parametrize("where, bound, n", [("K", 400, 2), ("K", 400, 3),
-                                             ("sqrt-3", 250, 3)])
+                                             ("sqrt-3", 250, 3), ("root0", 250, 3),
+                                             ("root-2", 250, 3)])
 def test_degree_one_character_data_order(where, bound, n, K, descent_data):
     """The degree-1 primes come in order of q and then of the root r, as a
     scan by evaluation gives them: descent._character_rank takes the first
-    24 usable characters, so this order is part of the report."""
-    field = K if where == "K" else descent_data.specs[5].algebra.components[2][1]
+    24 usable characters, so this order is part of the report.  On a
+    rational component those are the 24 primes q = 1 mod 3 from 7 to 229."""
+    field = (K if where == "K"
+             else descent_data.specs[5].algebra.components[EQ5_COMPONENT[where]])
     got = list(degree_one_character_data(field, bound, n))
     assert got == _character_primes_by_evaluation(field, bound, n)
-    assert any(b[0] == a[0] for a, b in zip(got, got[1:]))      # some q has two roots
+    # Some q has two roots, except on a field of degree 1.
+    assert any(b[0] == a[0] for a, b in zip(got, got[1:])) == (field.degree > 1)
+    if field.degree == 1:
+        assert [q for q, _ in got][:24] == [q for q in small_primes(229) if q % 3 == 1]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -709,7 +778,7 @@ def test_inert_prime_rings_match_the_factoring_rule(where, coords, scale, head, 
                                                     descent_data):
     """_inert_prime_rings yields the same primes, in the same order, as the
     factoring rule: which root nf_nth_root returns depends on them."""
-    field = K if where == "K" else descent_data.specs[5].algebra.components[2][1]
+    field = K if where == "K" else descent_data.specs[5].algebra.components[2]
     xi = field([F(c) * scale for c in coords])
     qs = [ring.p for ring in _inert_prime_rings(xi, 24)]
     assert qs == _factoring_rule_primes(xi)
@@ -719,17 +788,19 @@ def test_inert_prime_rings_match_the_factoring_rule(where, coords, scale, head, 
 def test_cubic_character_exhaustive(K):
     """For every q = 1 mod 3 below 200 and every x mod q: the character
     is 0 exactly on the nonzero cubes, adds under products, is 1 at the
-    first y >= 2 with y^((q-1)/3) != 1, and is None on non-units.  At a
-    root r of K's polynomial mod q it is the character of xi(r)."""
+    first y >= 2 with y^((q-1)/3) != 1, and is None on non-units (x read
+    in Q as the field of degree 1 with root 0).  At a root r of K's
+    polynomial mod q it is the character of xi(r)."""
+    Q = NumberField(UPoly([0, 1]))
     f = K.minpoly.integer_coeffs()
     # A denominator divisible by 37, and an image 0 at (37, 7).
     elements = [K([F(1, 2), 3, -1, F(2, 37)]), K([-7, 1, 0, 0])]
     for q in range(7, 200, 6):
         if factorize(q) != {q: 1}:
             continue
-        chi = [nf_cubic_character(F(x), q, None) for x in range(q)]
+        chi = [nf_cubic_character(Q(x), q, 0) for x in range(q)]
         cubes = {x**3 % q for x in range(1, q)}
-        assert chi[0] is None and nf_cubic_character(F(2, q), q, None) is None
+        assert chi[0] is None and nf_cubic_character(Q(F(2, q)), q, 0) is None
         assert [x for x in range(1, q) if chi[x] == 0] == sorted(cubes)
         for x in range(1, q):
             for y in range(x, q):
@@ -743,7 +814,7 @@ def test_cubic_character_exhaustive(K):
                             else chi[num * pow(xi.den, -1, q) % q])
                 assert nf_cubic_character(xi, q, r) == expected, (q, r, xi)
     with pytest.raises(ValueError):
-        nf_cubic_character(F(2), 11, None)
+        nf_cubic_character(Q(2), 11, 0)
 
 
 def test_zq_non_monic_modulus_refused_under_optimize():

@@ -263,6 +263,41 @@ def test_tampered_descent_data_exits_cleanly(data_copy):
         assert len(out.stderr.splitlines()) == 1
 
 
+def _cli(*args):
+    return subprocess.run([sys.executable, "-m", "x3y9z2.cli", *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_missing_data_dir_exits_cleanly(tmp_path):
+    """A --data-dir without the data files: one stderr line naming the
+    file, exit 1."""
+    missing = tmp_path / "nonexistent"
+    out = _cli("--data-dir", str(missing), "ec", "verify-tables")
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [
+        f"x3y9z2: TrustedDataError: cannot read {missing / 'selmer_generators.json'}: "
+        "FileNotFoundError"]
+
+
+def test_data_file_that_is_not_json_exits_cleanly(data_copy):
+    (data_copy / "paper_tables.json").write_text("{not json")
+    out = _cli("--data-dir", str(data_copy), "ec", "verify-tables")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("x3y9z2: TrustedDataError: paper_tables.json is not JSON: ")
+
+
+def test_unwritable_json_out_exits_cleanly(tmp_path):
+    """--json-out into a missing directory: one stderr line, exit 2."""
+    target = tmp_path / "nonexistent" / "x.json"
+    out = _cli("--json-out", str(target), "search", "--y-bound", "1", "--aux-bound", "10")
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [
+        f"x3y9z2: cannot write --json-out {target}: FileNotFoundError"]
+    assert not target.parent.exists()
+
+
 def test_rank_condition_violated(mw_data):
     from x3y9z2.chabauty.engine import ChabautyRun, RankConditionViolated, RationalFunctionOnE
     from x3y9z2.dataio import quartic_field

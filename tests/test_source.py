@@ -27,10 +27,19 @@ def test_memos_live_on_their_objects():
     """One memo rule: a memo lives on the object whose value it is
     (functools.cached_property or an instance attribute set by its own
     class) or on a pure function of its arguments (functools.lru_cache).
-    So no hasattr(obj, "_...") probe for a memo attribute, and no
-    module-level cache that can outlive the data it was computed from."""
+    So no hasattr(obj, "_...") probe for a memo attribute, no
+    module-level cache that can outlive the data it was computed from,
+    and no global statement: the one allowed, dataio.set_data_dir's
+    _DATA_DIR_OVERRIDE, is a deployment setting, not a memo."""
     found = []
     for rel, tree in _trees():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{rel}:{node.lineno} global {name}"
+                          for node in ast.walk(func) if isinstance(node, ast.Global)
+                          for name in node.names
+                          if (str(rel), func.name, name)
+                          != ("dataio.py", "set_data_dir", "_DATA_DIR_OVERRIDE")]
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "hasattr" and len(node.args) == 2
