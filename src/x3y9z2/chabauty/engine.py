@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import mul
 
 from ..arith.numberfield import NumberField
@@ -222,7 +222,14 @@ def _plus(u, v):
 
 class SieveData:
     """Z^r modulo the kernel of simultaneous reduction at the primes; a
-    class's images (one point of E(F_q) per prime) are a tuple and a key."""
+    class's images (one point of E(F_q) per prime) are a tuple and a key.
+
+    The image of c1 g1 at prime j depends only on c1 mod ord_j(g1), so
+    each prime keeps one row, its multiples c g1 for c < ord_j(g1), made
+    by adding g1 until the sum is O; g1 has order o1 = lcm_j ord_j(g1) on
+    the product, and the images of c1 g1 are (row_j[c1 mod len(row_j)])_j.
+    For rank 2 the starts c2 g2 (c2 < k2, k2 g2 = a g1) are walked on the
+    product, and each start S gets one row per prime, S_j + row_j[r]."""
 
     def __init__(self, contexts, rank):
         self.contexts = contexts
@@ -232,16 +239,14 @@ class SieveData:
         self.zeros = (None,) * len(contexts)
         if rank > 2:
             raise RankConditionViolated("only rank <= 2 lattices are handled")
-        # orbit: c1 g1 for c1 < o1 (g1's order); starts: c2 g2 for c2 < k2 (k2 g2 = a g1).
         self.o1, self.k2, self.a_rel, self.basis = 1, 1, 0, []
-        self.orbit, self.starts = [self.zeros], [self.zeros]
+        self.rows, self.starts = [[None] for _ in contexts], [self.zeros]
         if rank:
-            seen, T = {}, self.zeros
-            while T not in seen:
-                seen[T] = len(seen)
-                T = self.step(T, 0)
-            self.o1, self.orbit, self.basis = len(seen), list(seen), [(len(seen),)]
+            self.rows = [_multiples(E, g) for E, g in zip(self.curves, self.gens_imgs[0])]
+            self.o1 = lcm(*map(len, self.rows))
+            self.basis = [(self.o1,)]
         if rank == 2:
+            seen = {_images(self.rows, c1): c1 for c1 in range(self.o1)}
             T = self.gens_imgs[1]
             while T not in seen:
                 self.starts.append(T)
@@ -268,37 +273,50 @@ class SieveData:
         return out
 
     def iter_classes(self):
-        """(class, images): the class is (c1, c2)[:rank], c1 < o1, c2 < k2."""
-        for c1, T in enumerate(self.orbit):
-            yield (c1, 0)[:self.rank], T
-        for c2, T in enumerate(self.starts[1:], 1):
+        """(class, images), c2 outer and c1 inner: the class is
+        (c1, c2)[:rank], c1 < o1, c2 < k2, and its images c1 g1 + c2 g2."""
+        for c2, S in enumerate(self.starts):
+            rows = self.rows if not c2 else [[E.add(s, P) for P in row] for E, s, row
+                                             in zip(self.curves, S, self.rows)]
             for c1 in range(self.o1):
-                T = self.step(T, 0) if c1 else T
-                yield (c1, c2), T
+                yield (c1, c2)[:self.rank], _images(rows, c1)
+
+
+def _multiples(E, g):
+    """[O, g, 2g, ...] up to the last multiple before O: ord(g) points."""
+    row, T = [None], g
+    while T is not None:
+        row.append(T)
+        T = E.add(T, g)
+    return row
+
+
+def _images(rows, c1):
+    """c1 times the rows' generator: one point per prime."""
+    return tuple(row[c1 % len(row)] for row in rows)
 
 
 def residue_sieve(contexts, rank):
     """(SieveData, survivors): classes whose psi-reductions admit one
-    common P^1(F_p) value at every prime above p simultaneously."""
+    common P^1(F_p) value at every prime above p simultaneously.  Each
+    prime's residue value is computed once per distinct image point."""
     sd = SieveData(contexts, rank)
+    memos = [{} for _ in contexts]
     survivors = {}
     for cls, imgs in sd.iter_classes():
         vals = []
-        verdict = None
-        for ctx, P in zip(contexts, imgs):
-            v = ctx.residue_value(P)
+        for ctx, memo, P in zip(contexts, memos, imgs):
+            v = memo.get(P)
+            if v is None:
+                v = memo[P] = ctx.residue_value(P)
             if v == "incompatible":
-                verdict = "killed"
                 break
             vals.append(v)
-        if verdict == "killed":
-            continue
-        if "undefined" in vals:
-            survivors[cls] = {"images_key": imgs, "residue_value": "undefined"}
-            continue
-        if any(v != vals[0] for v in vals[1:]):
-            continue
-        survivors[cls] = {"images_key": imgs, "residue_value": vals[0]}
+        else:
+            if "undefined" in vals:
+                survivors[cls] = {"images_key": imgs, "residue_value": "undefined"}
+            elif all(v == vals[0] for v in vals[1:]):
+                survivors[cls] = {"images_key": imgs, "residue_value": vals[0]}
     return sd, survivors
 
 

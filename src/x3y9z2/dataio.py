@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -25,8 +26,32 @@ _DATA_DIR_OVERRIDE = None
 
 
 class TrustedDataError(ValueError):
-    """A trusted data file is missing, unreadable or not JSON, or disagrees
-    with what the package builds itself."""
+    """A trusted data file is missing, unreadable or not JSON, lacks a key
+    or has an entry of the wrong shape, or disagrees with what the package
+    builds itself."""
+
+
+class _Entries(dict):
+    """A JSON object of a trusted file.  A missing key is a
+    TrustedDataError naming the file and the key, whichever reader asks."""
+
+    def __init__(self, name, pairs):
+        super().__init__(pairs)
+        self.name = name
+
+    def __missing__(self, key):
+        raise TrustedDataError(f"{self.name} has no key {key!r}")
+
+
+@contextmanager
+def _reading(name):
+    """Parsing one trusted file: an entry of the wrong shape is a
+    TrustedDataError naming the file, not a traceback."""
+    try:
+        yield
+    except (TypeError, IndexError) as exc:
+        raise TrustedDataError(f"{name} has a malformed entry: "
+                               f"{type(exc).__name__}: {exc}") from None
 
 
 def set_data_dir(path):
@@ -49,7 +74,7 @@ def _data_text(name: str) -> str:
 
 def _data_json(name: str):
     try:
-        return json.loads(_data_text(name))
+        return json.loads(_data_text(name), object_hook=lambda pairs: _Entries(name, pairs))
     except json.JSONDecodeError as exc:
         raise TrustedDataError(f"{name} is not JSON: {exc}") from None
 
@@ -125,7 +150,8 @@ class DescentData:
 
 @lru_cache(maxsize=1)
 def load_descent_data() -> DescentData:
-    return DescentData(_data_json("selmer_generators.json"))
+    with _reading("selmer_generators.json"):
+        return DescentData(_data_json("selmer_generators.json"))
 
 
 class MwData:
@@ -161,7 +187,8 @@ class MwData:
 
 @lru_cache(maxsize=1)
 def load_mw_data() -> MwData:
-    return MwData(_data_json("mw_generators.json"))
+    with _reading("mw_generators.json"):
+        return MwData(_data_json("mw_generators.json"))
 
 
 @lru_cache(maxsize=1)

@@ -405,17 +405,23 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
             visit(k + 1, len(children) - counted)
         return None
 
-    for vec in start_points:
-        patch = next(i for i in range(4) if vec[i] == 1 and all(v == 0 for v in vec[:i]))
-        w = descend(vec, 1, patch)
-        if w is not None:
-            verdict = LocalVerdict(prime=p, soluble=True, witness=w,
-                                   depth_searched=w["depth"],
-                                   nodes=node_budget - budget[0])
-            if not verdict.recheck(system):
-                raise AssertionError("certificate failed independent recheck")
-            return verdict
-    if undecided:
-        raise Undecided(max_depth, f"{len(undecided)} branch(es) alive")
-    return LocalVerdict(prime=p, soluble=False, witness=None, depth_searched=max_depth,
-                        nodes=node_budget - budget[0])
+    # descend refers to itself, so its closure (the patch tables, the
+    # child list, the cube tables) is a reference cycle: drop it on the
+    # way out rather than leave it to the cyclic collector.
+    try:
+        for vec in start_points:
+            patch = next(i for i in range(4) if vec[i] == 1 and all(v == 0 for v in vec[:i]))
+            w = descend(vec, 1, patch)
+            if w is not None:
+                verdict = LocalVerdict(prime=p, soluble=True, witness=w,
+                                       depth_searched=w["depth"],
+                                       nodes=node_budget - budget[0])
+                if not verdict.recheck(system):
+                    raise AssertionError("certificate failed independent recheck")
+                return verdict
+        if undecided:
+            raise Undecided(max_depth, f"{len(undecided)} branch(es) alive")
+        return LocalVerdict(prime=p, soluble=False, witness=None, depth_searched=max_depth,
+                            nodes=node_budget - budget[0])
+    finally:
+        descend = None

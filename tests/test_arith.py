@@ -17,7 +17,7 @@ from zq_reference import ZqElem
 from x3y9z2.arith import (
     EtaleAlgebra, NumberField, ZeroDivisorError, factor_deg_le4,
 )
-from x3y9z2.arith.localfield import (FqField, ZqRing, _fqinv, factor_quartic_mod_p,
+from x3y9z2.arith.localfield import (FqField, ZqRing, _fqinv, _fqmul, factor_quartic_mod_p,
                                      residue_degrees)
 from x3y9z2.arith.poly import UPoly
 from x3y9z2.arith.rationals import factorize, rational_reconstruct, valuation
@@ -470,6 +470,29 @@ class TestFqProduct:
                 for e in range(40):
                     assert ring.pow(u, e) == tuple(ref + [0] * (ring.d - len(ref))), (ring, e)
                     ref = polmod(polmul(ref, list(u), m), ring.h, m)
+
+    # The residue fields of K above 11 and 31 (h1 != 0), w^2 = -1 over 11
+    # (h1 = 0), and moduli of degree 1, 3 and 4 (K's minimal polynomial),
+    # whose products take the other paths of _fqmul.
+    PRODUCT_MODULI = [(11, [1, 5, 1]), (31, [23, 11, 1]), (31, [27, 18, 1]), (11, [1, 0, 1]),
+                      (11, [8, 1]), (31, [3, 1]), (11, [1, 1, 0, 1]), (31, [5, 0, 2, 1]),
+                      (11, [1, -2, 0, -2, 1]), (31, [1, -2, 0, -2, 1])]
+
+    @pytest.mark.parametrize("p, modulus", PRODUCT_MODULI)
+    @pytest.mark.parametrize("prec", [1, 30])
+    def test_written_out_product_matches_schoolbook(self, p, modulus, prec):
+        """_fqmul on seeded pairs, reduced tuples and unreduced lists (the
+        point sums pass both), against polmul and polmod."""
+        ring = ZqRing(p, modulus, prec)
+        m, d = ring.mod, ring.d
+        rng = random.Random(f"fqmul/{p}/{modulus}/{prec}")
+        for k in range(200):
+            if k % 2:
+                u, v = ([rng.randrange(-m * m, m * m) for _ in range(d)] for _ in "uv")
+            else:
+                u, v = _random_elem(ring, rng), _random_elem(ring, rng)
+            ref = polmod(polmul(list(u), list(v), m), ring.h, m)
+            assert _fqmul(u, v, ring.h, m) == tuple(ref + [0] * (d - len(ref))), (u, v)
 
     def test_non_monic_modulus_refused(self):
         with pytest.raises(ValueError, match="not monic"):

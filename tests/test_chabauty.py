@@ -1,5 +1,6 @@
 """The Chabauty machinery: formal log, sieve, and per-curve runs."""
 
+import math
 import random
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from x3y9z2.chabauty.engine import (ChabautyRun, CurveProblem, PrimeContext, _em
 from x3y9z2.chabauty.series import PrecisionTooLow, formal_log
 from x3y9z2.chabauty.setup import (_known_points, chabauty_setup_for_row,
                                    find_primitive_solution, trivial_torsion_certificate)
-from x3y9z2.ec.reduction import all_points_fq, primes_above
+from x3y9z2.ec.reduction import FqCurve, all_points_fq, primes_above
 from x3y9z2.ec.weierstrass import WeierstrassCurve, _complete_add
 from x3y9z2.param import STValue
 
@@ -96,26 +97,40 @@ class TestSieve:
         assert sd.n_classes() == 144
         assert len(survivors) == 3
 
-    @pytest.mark.parametrize("eq, delta, p, steps", [(1, 3, 11, 444), (1, 3, 31, 84),
-                                                     (2, 1, 11, 144)])
+    @pytest.mark.parametrize("eq, delta, p, n_classes, adds, values",
+                             [(1, 3, 11, 444, 124, 127), (1, 3, 31, 84, 124, 46),
+                              (2, 1, 11, 144, 390, 60)],
+                             ids=["1-3-11-444", "1-3-31-84", "2-1-11-144"])
     def test_classes_walk_each_orbit_once(self, descent_data, mw_data, tables, monkeypatch,
-                                          eq, delta, p, steps):
+                                          eq, delta, p, n_classes, adds, values):
         """iter_classes yields, c2 outer and c1 inner, the class
         (c1, c2)[:rank] and the images c1 g1 + c2 g2 at every prime, as
-        FqCurve.mul makes them.  The images are distinct, and SieveData's
-        walks and rows together take one step per class."""
+        FqCurve.mul makes them.  The images are distinct.  Each prime's row
+        holds ord_j(g1) multiples and o1 is their lcm, so residue_sieve
+        adds points per prime and row, at most o1 k2 #primes times (one
+        step per class and prime), and evaluates each image once."""
         from x3y9z2.chabauty import engine
         row = tables["quartic_field_table"][f"eq{eq}"]["rows"][delta]
         s = chabauty_setup_for_row(descent_data, mw_data, eq, row)
         run = ChabautyRun(s.curve, s.psi, s.gens, s.known_points, p)
         rank = len(s.gens)
-        counted = []
-        step = engine.SieveData.step
-        monkeypatch.setattr(engine.SieveData, "step",
-                            lambda sd, T, i: counted.append(i) or step(sd, T, i))
-        sd = engine.SieveData(run.contexts, rank)
+        counted = Counter()
+        add, value = FqCurve.add, engine.PrimeContext.residue_value
+        monkeypatch.setattr(FqCurve, "add",
+                            lambda E, P, Q: counted.update(["add"]) or add(E, P, Q))
+        monkeypatch.setattr(engine.PrimeContext, "residue_value",
+                            lambda ctx, P: counted.update(["value"]) or value(ctx, P))
+        sd, _ = residue_sieve(run.contexts, rank)
+        assert (counted["add"], counted["value"]) == (adds, values)
+        assert sd.n_classes() == n_classes
+        assert adds <= n_classes * len(run.contexts)    # 1,332 / 168 / 432
+        monkeypatch.undo()
+        for ctx, mults in zip(run.contexts, sd.rows):
+            g = ctx.gens_bar[0]
+            assert ctx.Ebar.mul(len(mults), g) is None
+            assert all(ctx.Ebar.mul(k, g) is not None for k in range(1, len(mults)))
+        assert sd.o1 == math.lcm(*map(len, sd.rows))
         classes = list(sd.iter_classes())
-        assert len(counted) == sd.n_classes() == steps
         expected = [((c1, c2)[:rank],
                      tuple(ctx.Ebar.add(ctx.Ebar.mul(c1, ctx.gens_bar[0]),
                                         ctx.Ebar.mul(c2, ctx.gens_bar[-1]))

@@ -1,5 +1,6 @@
 """3-adic solubility of the descent curves."""
 
+import gc
 import hashlib
 import json
 import random
@@ -139,6 +140,23 @@ def pipeline_verdicts(class_systems):
     """(eq, exponents, verdict) for every class of the Q_3 filter."""
     return [(eq, expo, is_locally_soluble(system, 3, max_depth=12))
             for eq in (5, 1, 2) for expo, system in class_systems[eq]]
+
+
+def test_search_leaves_no_cyclic_garbage(class_systems):
+    """A search's recursive closure refers to itself; the search drops it
+    when it returns or raises, so its tables are freed at once and not
+    left to the cyclic collector (whose timing would set the peak memory)."""
+    systems = [system for eq in (1, 2) for _, system in class_systems[eq]]
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts = {is_locally_soluble(system, 3).soluble for system in systems}
+        with pytest.raises(Undecided):
+            is_locally_soluble(class_systems[5][11][1], 2, max_depth=2)
+        assert verdicts == {True, False}
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_node_totals(pipeline_verdicts):

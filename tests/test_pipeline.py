@@ -288,6 +288,25 @@ def test_data_file_that_is_not_json_exits_cleanly(data_copy):
     assert out.stderr.startswith("x3y9z2: TrustedDataError: paper_tables.json is not JSON: ")
 
 
+@pytest.mark.parametrize("name, change, message", [
+    ("selmer_generators.json", lambda d: d.pop("eq5"),
+     "selmer_generators.json has no key 'eq5'"),
+    ("mw_generators.json", lambda d: d["curves"][0].pop("points"),
+     "mw_generators.json has no key 'points'"),
+    ("paper_tables.json", lambda d: d.pop("quotient_claims"),
+     "paper_tables.json has no key 'quotient_claims'"),
+    ("mw_generators.json", lambda d: d.update(curves=5),
+     "mw_generators.json has a malformed entry: TypeError: 'int' object is not iterable"),
+], ids=["selmer-key", "mw-key", "tables-key", "mw-shape"])
+def test_data_file_without_a_key_exits_cleanly(data_copy, name, change, message):
+    """A trusted file that parses but lacks a key, or holds an entry of
+    the wrong shape: one stderr line naming the file, exit 1."""
+    _edit_json(data_copy / name, change)
+    out = _cli("--data-dir", str(data_copy), "ec", "verify-tables")
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [f"x3y9z2: TrustedDataError: {message}"]
+
+
 def test_unwritable_json_out_exits_cleanly(tmp_path):
     """--json-out into a missing directory: one stderr line, exit 2."""
     target = tmp_path / "nonexistent" / "x.json"
