@@ -29,10 +29,10 @@ from .rationals import valuation
 def _fqmul(u, v, h, m):
     """Product of two coordinate tuples in (Z/m)[w]/(h), h monic of degree
     d = len(u).  Written out for d <= 2, the residue degrees the pipeline
-    reaches: for d = 2, (a + b w)(c + e w) = (ac - h0 be) + (ae + bc - h1 be) w,
-    as in curve_order_fq.  Otherwise a schoolbook product into 2d - 1
-    integer slots, reduced from the top down by
-    w^d = -(h_0 + ... + h_(d-1) w^(d-1)), with one final reduction mod m."""
+    reaches: for d = 2, (a + b w)(c + e w) = (ac - h0 be) + (ae + bc - h1 be) w.
+    Otherwise a schoolbook product into 2d - 1 integer slots, reduced from
+    the top down by w^d = -(h_0 + ... + h_(d-1) w^(d-1)), with one final
+    reduction mod m."""
     d = len(u)
     if d == 1:
         return (u[0] * v[0] % m,)

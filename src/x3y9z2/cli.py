@@ -207,10 +207,12 @@ def cmd_pipeline_run(args):
 def _primes(text):
     """--primes: comma-separated primes, e.g. 11,31.  Each prime of K
     above an entry must have a residue field no larger than the largest
-    that the default primes reach; the point counts and the bound on the
-    residue sieve's class count grow with that field.  The largest field
-    above p has q = p^k elements, k the largest of residue_degrees(f, p)
-    (p^3 at the ramified 2 and 3, where f = (x + 1)^4 gives one root and a cubic rest)."""
+    that the default primes reach; the residue sieve's rows of multiples
+    and the bound on its class count grow with that field (the point
+    counts do not: curve_order_fq scans F_p, or at degree >= 2 reads
+    #E(F_q) off a closed form).  The largest field above p has q = p^k
+    elements, k the largest of residue_degrees(f, p) (p^3 at the ramified
+    2 and 3, where f = (x + 1)^4 gives one root and a cubic rest)."""
     try:
         primes = tuple(int(p) for p in text.split(","))
     except ValueError:

@@ -155,12 +155,19 @@ def load_descent_data() -> DescentData:
 
 
 class MwData:
-    """Parsed mw_generators.json: the curves E_i: y^2 = x^3 + c over K
-    with their trusted independent points."""
+    """Parsed mw_generators.json: the curves E_i: y^2 = x^3 + c over K,
+    each of i = 1..6 once (TrustedDataError otherwise), with their trusted
+    independent points."""
 
     def __init__(self, raw):
         K = quartic_field()
         self.K = K
+        ids = [entry["i"] for entry in raw["curves"]]
+        wrong = [f"curve {i} {ids.count(i)} times" for i in range(1, 7) if ids.count(i) != 1]
+        wrong += [f"a curve {i!r}" for i in ids if i not in range(1, 7)]
+        if wrong:
+            raise TrustedDataError("mw_generators.json must hold each curve 1-6 once, not "
+                                   + ", ".join(wrong))
         self.curves = {}
         for entry in raw["curves"]:
             c = nf(entry["c"], K)
@@ -191,6 +198,37 @@ def load_mw_data() -> MwData:
         return MwData(_data_json("mw_generators.json"))
 
 
+# The parts of paper_tables.json that the readers in verify, pipeline and
+# cli iterate: {key: shape} is an object with those keys, [shape] a list
+# of items of that shape, and [] or {} any list or object.
+_TABLE_SHAPE = {
+    "rank_table": {"rows": [{"delta": []}]},
+    "quotient_claims": {"E1_base_point_printed": [], "E2_base_point_printed": [],
+                        "torsion": [{"points_printed": [[]]}]},
+    "quartic_field_table": {"eq1": {"rows": [{"delta": []}]}, "eq2": {"rows": [{"delta": []}]}},
+    "value_sets": {"eq5": [], "eq6": [], "eq1": [], "eq2": []},
+    "chabauty_claims": {"flex_point": {"delta": [], "point_ust": [[]]},
+                        "psi_formula": {"a": [], "b": [], "d": []}},
+    "final_assembly": {"family3_rows": [{}], "family1_rows": [{}], "theorem1_printed": [[]]},
+}
+
+
+def _check_shape(node, shape, at):
+    """TrustedDataError naming the entry (at) of paper_tables.json that
+    does not have its shape."""
+    if not isinstance(node, type(shape)):
+        raise TrustedDataError(f"paper_tables.json has a malformed entry: {at} is not "
+                               f"{'a list' if isinstance(shape, list) else 'an object'}")
+    if isinstance(shape, dict):
+        for key, inner in shape.items():
+            _check_shape(node[key], inner, f"{at}.{key}" if at else key)
+    elif shape:
+        for i, item in enumerate(node):
+            _check_shape(item, shape[0], f"{at}[{i}]")
+
+
 @lru_cache(maxsize=1)
 def load_tables() -> dict:
-    return _data_json("paper_tables.json")
+    tables = _data_json("paper_tables.json")
+    _check_shape(tables, _TABLE_SHAPE, "")
+    return tables

@@ -17,9 +17,9 @@ pair (x, y), its own dict key.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, product, repeat
-from math import gcd
+from math import gcd, isqrt
 
 from ..arith.localfield import FqField, ZqRing, factor_quartic_mod_p
 from ..arith.numberfield import NfElem, NumberField
@@ -106,14 +106,17 @@ class NfPrime:
         return f"prime({self.p}, deg {self.degree}, {self.factor})"
 
 
+@lru_cache(maxsize=None)
 def primes_above(field: NumberField, p: int, degree_cap: int = 4):
-    """Primes of Z[alpha] above p with residue degree <= degree_cap,
-    sorted by (degree, factor); BadPrime when p divides disc(minpoly),
-    which every prime that ramifies in Z[alpha] does."""
+    """The primes of Z[alpha] above p with residue degree <= degree_cap, as
+    a tuple sorted by (degree, factor); BadPrime when p divides
+    disc(minpoly), which every prime that ramifies in Z[alpha] does.  Each
+    (field, p, degree_cap) is factored once per process: the curves over
+    one field share their primes."""
     if field.discriminant().numerator % p == 0:
         raise BadPrime(f"{p} divides disc of the defining polynomial")
     factors = factor_quartic_mod_p(field.minpoly.integer_coeffs(), p, degree_cap)
-    return [NfPrime(field, p, fac, i) for i, fac in enumerate(factors)]
+    return tuple(NfPrime(field, p, fac, i) for i, fac in enumerate(factors))
 
 
 class FqCurve:
@@ -201,42 +204,28 @@ def reduce_point(Ebar: FqCurve, P: EcPoint, pr: NfPrime):
 
 
 def curve_order_fq(Ebar: FqCurve) -> int:
-    """#E(F_q) = 1 + sum over x in F_q of #{y : y^2 = x^3 + a x + b}.
+    """#E(F_q), q = p^d, for y^2 = x^3 + a x + b.
 
-    Counted on coordinate integers: a table of how many y square to each
-    value, then one cubic per x: count_points_fp for d = 1, the product
-    of F_p[w]/(h) written out for d = 2 (the residue fields the pipeline
-    reaches) and the field's integer product for larger d.  When a = 0 and
-    q = 2 (mod 3), x -> x^3 is a bijection of F_q, so x^3 + b runs over
-    F_q once and #E = q + 1 without a scan.
+    Every curve the pipeline reduces has a = 0.  Then #E = q + 1 when
+    q = 2 (mod 3), since x -> x^3 permutes F_q; count_points_fp counts it
+    when d = 1; and when d >= 2 and q = 1 (mod 6), E is a sextic twist of
+    E_1: y^2 = x^3 + 1 and #E = q + 1 - Tr(conj(u) pi^d), pi the Frobenius
+    of E_1 over F_p in Z[omega] and u the unit of Z[omega] that reduces to
+    b^((q-1)/6) (_sextic_twist_trace; Ireland-Rosen, GTM 84, ch. 18 §3 and
+    the Hasse-Davenport relation, ch. 11 §4; Silverman, AEC X.5, on twists
+    by Aut(E) = mu_6).  Any other curve (a != 0 at d >= 2, which the
+    pipeline never reaches) is counted by a scan of F_q: a table of how
+    many y square to each value, then one cubic per x.
     """
     fq = Ebar.fq
-    p, d, q, h = fq.p, fq.d, fq.q, fq.h
+    p, d, q = fq.p, fq.d, fq.q
     a, b = Ebar.a, Ebar.b
     if not any(a) and q % 3 == 2:
         return q + 1
     if d == 1:
         return count_points_fp(a[0], b[0], p)
-    if d == 2:
-        # w^2 = -h1 w - h0; the element c0 + c1 w has index c0 * p + c1.
-        h0, h1 = h[0], h[1]
-        (a0, a1), (b0, b1) = a, b
-        sq = [0] * q
-        for y0 in range(p):
-            for y1 in range(p):
-                t = y1 * y1
-                sq[(y0 * y0 - h0 * t) % p * p + (2 * y0 * y1 - h1 * t) % p] += 1
-        total = 1
-        for x0 in range(p):
-            for x1 in range(p):
-                t = x1 * x1
-                s0 = x0 * x0 - h0 * t + a0          # x^2 + a
-                s1 = 2 * x0 * x1 - h1 * t + a1
-                t = s1 * x1                          # (x^2 + a) x + b
-                c0 = s0 * x0 - h0 * t + b0
-                c1 = s0 * x1 + s1 * x0 - h1 * t + b1
-                total += sq[c0 % p * p + c1 % p]
-        return total
+    if not any(a) and q % 6 == 1:
+        return q + 1 - _sextic_twist_trace(fq, b)
     sq = {}
     for y in product(range(p), repeat=d):
         key = fq.mul(y, y)
@@ -246,6 +235,51 @@ def curve_order_fq(Ebar: FqCurve) -> int:
         s = tuple(u + v for u, v in zip(fq.mul(x, x), a))
         total += sq.get(tuple((u + v) % p for u, v in zip(fq.mul(s, x), b)), 0)
     return total
+
+
+def _sextic_twist_trace(fq: FqField, b) -> int:
+    """Tr(conj(u) pi^d), the trace of the q-Frobenius of E_b: y^2 = x^3 + b
+    over F_q, q = p^d = 1 (mod 6).
+
+    E_1: y^2 = x^3 + 1 is defined over F_p, with Frobenius pi of trace
+    t = p + 1 - #E_1(F_p).  With beta^6 = b, (x, y) -> (x/beta^2, y/beta^3)
+    maps E_b onto E_1 and carries the q-Frobenius of E_b to [chi] pi^d,
+    chi = beta^(q-1) = b^((q-1)/6), where [z](x, y) = (z^2 x, z^3 y)
+    multiplies the invariant differential dx/y by 1/z.  Reading an
+    endomorphism by its action on dx/y maps Z[omega] to F_p and pi to 0;
+    so [chi] is conj(u) for the unit u that maps to chi, and
+    #E_b(F_q) = deg(1 - conj(u) pi^d) = q + 1 - Tr(conj(u) pi^d).
+    - p = 1 (mod 3): E_1 is ordinary, 4p = t^2 + 3s^2, pi = A + B omega with
+      A = (t + s)/2 and B = s (norm p, trace t), the map is omega -> -A/B
+      mod p, and chi lies in mu_6 of F_p.
+    - p = 2 (mod 3): E_1 is supersingular, t = 0, pi^2 = -p and d is even,
+      so pi^d = (-p)^(d/2), and only the order of chi (1, 2, 3 or 6, for
+      Tr(u) = 2, -2, -1 or 1) matters.
+    ArithmeticError when chi is not in mu_6 (b = 0) or 4p - t^2 is not
+    three times a square."""
+    p, d = fq.p, fq.d
+    chi = fq.pow(b, (fq.q - 1) // 6)
+    if p % 3 == 2:
+        one, minus_one, cube = fq.one(), fq.elem(-1), fq.pow(chi, 3)
+        if cube not in (one, minus_one):
+            raise ArithmeticError(f"b^((q-1)/6) = {chi} is not in mu_6 of F_{fq.q}")
+        trace_u = 2 if chi == one else -2 if chi == minus_one else -1 if cube == one else 1
+        return (-p) ** (d // 2) * trace_u
+    t = p + 1 - count_points_fp(0, 1, p)
+    s = isqrt((4 * p - t * t) // 3)
+    if 3 * s * s != 4 * p - t * t:
+        raise ArithmeticError(f"4p - t^2 is not three times a square at p = {p}, t = {t}")
+    A, B = (t + s) // 2, s
+    w = -A * pow(B, -1, p) % p
+    # u = x + y omega over the six units 1, -1, omega, -omega, omega^2, -omega^2.
+    u = next((e for e in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))
+              if fq.elem(e[0] + e[1] * w) == chi), None)
+    if u is None:
+        raise ArithmeticError(f"b^((q-1)/6) = {chi} is not in mu_6 of F_{p}")
+    x, y = u[0] - u[1], -u[1]                       # conj(u), omega -> omega^2 = -1 - omega
+    for _ in range(d):                              # times pi, omega^2 = -1 - omega
+        x, y = x * A - y * B, x * B + y * A - y * B
+    return 2 * x - y
 
 
 def all_points_fq(Ebar: FqCurve):

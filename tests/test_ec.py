@@ -1,6 +1,8 @@
 """Curve arithmetic, flex models, torsion, reduction and sieves."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import reduce
 from itertools import product
@@ -15,6 +17,7 @@ from x3y9z2.chabauty.engine import reductions_at
 from x3y9z2.ec import (BadPrime, EcPoint, PlaneCubicWithFlex, WeierstrassCurve,
                        curve_order_fq, flex_to_weierstrass, non_divisibility_sieve,
                        torsion_over_Q)
+from x3y9z2.ec import reduction
 from x3y9z2.ec.reduction import FqCurve, all_points_fq, primes_above, reduce_curve, reduce_point
 from x3y9z2.ec.weierstrass import _classical_add
 
@@ -211,6 +214,19 @@ class TestReduction:
     def test_f_mod_31_two_quadratics(self):
         shape = [len(f) - 1 for f in factor_quartic_mod_p([1, -2, 0, -2, 1], 31)]
         assert shape == [2, 2]
+
+    def test_primes_above_factors_each_prime_once(self, K, monkeypatch):
+        """The curves over K share its primes: a second call with the same
+        (field, p, degree_cap) factors nothing and hands out the same
+        tuple of primes."""
+        calls = []
+        factor = reduction.factor_quartic_mod_p
+        monkeypatch.setattr(reduction, "factor_quartic_mod_p",
+                            lambda *args: calls.append(args) or factor(*args))
+        reduction.primes_above.cache_clear()
+        first = primes_above(K, 43, 2)
+        assert isinstance(first, tuple) and primes_above(K, 43, 2) is first
+        assert primes_above(K, 43, 1) != first and len(calls) == 2
 
     def test_residue_degrees_match_factoring(self, K):
         """residue_degrees, which factors nothing, against the residue
@@ -571,3 +587,66 @@ class TestPointCount:
             Ebar = FqCurve(fq, a, b)
             assert curve_order_fq(Ebar) == len(all_points_fq(Ebar)), (fq, a, b)
             checked += 1
+
+    # The sextic-twist closed form: every y^2 = x^3 + b at q = p^2 for two
+    # primes p = 2 (mod 3) (E_1 supersingular, only the order of
+    # b^((q-1)/6) counts) and two p = 1 (mod 3) (E_1 ordinary, pi in
+    # Z[omega]); seeded b at d = 3 and 4, where pi^d is not pi^2.  Only
+    # odd d pins the sign of t: -t gives -conj(pi) and the conjugate
+    # reduction map, which change Tr(conj(u) pi^d) by (-1)^d.
+
+    @staticmethod
+    def _field(p, d):
+        """F_(p^d) by the first monic irreducible h of degree d mod p."""
+        for tail in product(range(p), repeat=d):
+            h = [*tail, 1]
+            if residue_degrees(h, p) == (d,):
+                return FqField(p, h)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_closed_form_matches_enumeration_at_degree_2(self, p):
+        fq = self._field(p, 2)
+        for b in product(range(p), repeat=2):
+            if any(b):
+                Ebar = FqCurve(fq, (0, 0), b)
+                assert curve_order_fq(Ebar) == len(all_points_fq(Ebar)), b
+
+    @pytest.mark.parametrize("p, d", [(7, 3), (13, 3), (5, 4), (7, 4)])
+    def test_closed_form_matches_enumeration_at_degree_3_and_4(self, p, d):
+        fq = self._field(p, d)
+        rng = random.Random(f"sextic/{p}/{d}")
+        for _ in range(6):
+            b = tuple(rng.randrange(p) for _ in range(d))
+            Ebar = FqCurve(fq, (0,) * d, b)
+            assert curve_order_fq(Ebar) == len(all_points_fq(Ebar)), b
+
+    def test_closed_form_matches_every_degree_2_row(self, mw_data):
+        """The rows the index sieve and the Chabauty primes read: every
+        prime of degree 2 of reductions_at(E_i, q), q <= 60."""
+        checked = 0
+        for i in range(1, 7):
+            for q in small_primes(60):
+                for pr, Ebar, N in reductions_at(mw_data.curve(i), q):
+                    if pr.degree == 2:
+                        assert N == len(all_points_fq(Ebar)), (i, pr)
+                        checked += 1
+        assert checked == 6 * 14
+
+    def test_closed_form_refuses_an_impossible_state(self, monkeypatch):
+        """b = 0 (b^((q-1)/6) not in mu_6), at p = 2 and 1 (mod 3), and a
+        trace t of E_1 with 4p - t^2 not three times a square, raise."""
+        for p in (5, 7):
+            with pytest.raises(ArithmeticError, match="is not in mu_6"):
+                curve_order_fq(FqCurve(self._field(p, 2), (0, 0), (0, 0)))
+        monkeypatch.setattr(reduction, "count_points_fp", lambda a, b, p: p + 1)
+        with pytest.raises(ArithmeticError, match="4p - t"):
+            curve_order_fq(FqCurve(self._field(7, 2), (0, 0), (1, 0)))
+
+    def test_closed_form_tests_hold_under_optimize(self):
+        """python -O strips assert statements; the closed form has none,
+        and its tests pass there too."""
+        out = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              f"{__file__}::TestPointCount", "-k", "closed_form and not optimize"],
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stdout[-2000:]
+        assert out.stdout.splitlines()[-1].startswith("10 passed"), out.stdout[-2000:]

@@ -297,7 +297,11 @@ def test_data_file_that_is_not_json_exits_cleanly(data_copy):
      "paper_tables.json has no key 'quotient_claims'"),
     ("mw_generators.json", lambda d: d.update(curves=5),
      "mw_generators.json has a malformed entry: TypeError: 'int' object is not iterable"),
-], ids=["selmer-key", "mw-key", "tables-key", "mw-shape"])
+    ("paper_tables.json", lambda d: d["rank_table"].update(rows=5),
+     "paper_tables.json has a malformed entry: rank_table.rows is not a list"),
+    ("paper_tables.json", lambda d: d["final_assembly"]["family1_rows"].__setitem__(2, [1]),
+     "paper_tables.json has a malformed entry: final_assembly.family1_rows[2] is not an object"),
+], ids=["selmer-key", "mw-key", "tables-key", "mw-shape", "tables-shape", "tables-row-shape"])
 def test_data_file_without_a_key_exits_cleanly(data_copy, name, change, message):
     """A trusted file that parses but lacks a key, or holds an entry of
     the wrong shape: one stderr line naming the file, exit 1."""
@@ -305,6 +309,25 @@ def test_data_file_without_a_key_exits_cleanly(data_copy, name, change, message)
     out = _cli("--data-dir", str(data_copy), "ec", "verify-tables")
     assert out.returncode == 1
     assert out.stderr.splitlines() == [f"x3y9z2: TrustedDataError: {message}"]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda curves: curves.pop(2), "curve 3 0 times"),
+    (lambda curves: curves[3].update(i=2), "curve 2 2 times, curve 4 0 times"),
+    (lambda curves: curves[5].update(i=7), "curve 6 0 times, a curve 7"),
+], ids=["missing", "repeated", "unknown"])
+def test_mw_data_without_one_curve_exits_cleanly(data_copy, change, message):
+    """mw_generators.json must hold each of E_1..E_6 once: a missing or
+    repeated curve stops `ec verify-tables`, which checks the points it
+    has, and `pipeline run`, which asks for each curve, with one stderr
+    line and exit 1."""
+    _edit_json(data_copy / "mw_generators.json", lambda d: change(d["curves"]))
+    for command in (("ec", "verify-tables"), ("pipeline", "run")):
+        out = _cli("--data-dir", str(data_copy), *command)
+        assert out.returncode == 1, command
+        assert out.stderr.splitlines() == [
+            "x3y9z2: TrustedDataError: mw_generators.json must hold each curve 1-6 once, "
+            f"not {message}"], command
 
 
 def test_unwritable_json_out_exits_cleanly(tmp_path):
