@@ -204,7 +204,7 @@ def reduce_point(Ebar: FqCurve, P: EcPoint, pr: NfPrime):
 
 
 def curve_order_fq(Ebar: FqCurve) -> int:
-    """#E(F_q), q = p^d, for y^2 = x^3 + a x + b.
+    """#E(F_q), q = p^d, for y^2 = x^3 + a x + b with a = 0 or d = 1.
 
     Every curve the pipeline reduces has a = 0.  Then #E = q + 1 when
     q = 2 (mod 3), since x -> x^3 permutes F_q; count_points_fp counts it
@@ -213,9 +213,8 @@ def curve_order_fq(Ebar: FqCurve) -> int:
     of E_1 over F_p in Z[omega] and u the unit of Z[omega] that reduces to
     b^((q-1)/6) (_sextic_twist_trace; Ireland-Rosen, GTM 84, ch. 18 §3 and
     the Hasse-Davenport relation, ch. 11 §4; Silverman, AEC X.5, on twists
-    by Aut(E) = mu_6).  Any other curve (a != 0 at d >= 2, which the
-    pipeline never reaches) is counted by a scan of F_q: a table of how
-    many y square to each value, then one cubic per x.
+    by Aut(E) = mu_6).  Any other curve, such as a != 0 at d >= 2, which
+    the pipeline never reaches, is a ValueError.
     """
     fq = Ebar.fq
     p, d, q = fq.p, fq.d, fq.q
@@ -224,17 +223,9 @@ def curve_order_fq(Ebar: FqCurve) -> int:
         return q + 1
     if d == 1:
         return count_points_fp(a[0], b[0], p)
-    if not any(a) and q % 6 == 1:
-        return q + 1 - _sextic_twist_trace(fq, b)
-    sq = {}
-    for y in product(range(p), repeat=d):
-        key = fq.mul(y, y)
-        sq[key] = sq.get(key, 0) + 1
-    total = 1
-    for x in product(range(p), repeat=d):
-        s = tuple(u + v for u, v in zip(fq.mul(x, x), a))
-        total += sq.get(tuple((u + v) % p for u, v in zip(fq.mul(s, x), b)), 0)
-    return total
+    if any(a) or q % 6 != 1:
+        raise ValueError(f"no point count for y^2 = x^3 + {a} x + {b} over F_{q}")
+    return q + 1 - _sextic_twist_trace(fq, b)
 
 
 def _sextic_twist_trace(fq: FqField, b) -> int:

@@ -290,21 +290,21 @@ def test_data_file_that_is_not_json_exits_cleanly(data_copy):
 
 @pytest.mark.parametrize("name, change, message", [
     ("selmer_generators.json", lambda d: d.pop("eq5"),
-     "selmer_generators.json has no key 'eq5'"),
+     "selmer_generators.json has a malformed entry: the file has no key 'eq5'"),
     ("mw_generators.json", lambda d: d["curves"][0].pop("points"),
-     "mw_generators.json has no key 'points'"),
+     "mw_generators.json has a malformed entry: the file.curves[0] has no key 'points'"),
     ("paper_tables.json", lambda d: d.pop("quotient_claims"),
-     "paper_tables.json has no key 'quotient_claims'"),
+     "paper_tables.json has a malformed entry: the file has no key 'quotient_claims'"),
     ("mw_generators.json", lambda d: d.update(curves=5),
-     "mw_generators.json has a malformed entry: TypeError: 'int' object is not iterable"),
+     "mw_generators.json has a malformed entry: the file.curves is 5"),
     ("paper_tables.json", lambda d: d["rank_table"].update(rows=5),
-     "paper_tables.json has a malformed entry: rank_table.rows is not a list"),
+     "paper_tables.json has a malformed entry: the file.rank_table.rows is 5"),
     ("paper_tables.json", lambda d: d["final_assembly"]["family1_rows"].__setitem__(2, [1]),
-     "paper_tables.json has a malformed entry: final_assembly.family1_rows[2] is not an object"),
+     "paper_tables.json has a malformed entry: the file.final_assembly.family1_rows[2] is [1]"),
 ], ids=["selmer-key", "mw-key", "tables-key", "mw-shape", "tables-shape", "tables-row-shape"])
 def test_data_file_without_a_key_exits_cleanly(data_copy, name, change, message):
     """A trusted file that parses but lacks a key, or holds an entry of
-    the wrong shape: one stderr line naming the file, exit 1."""
+    the wrong shape: one stderr line naming the file and the entry, exit 1."""
     _edit_json(data_copy / name, change)
     out = _cli("--data-dir", str(data_copy), "ec", "verify-tables")
     assert out.returncode == 1
@@ -312,22 +312,22 @@ def test_data_file_without_a_key_exits_cleanly(data_copy, name, change, message)
 
 
 @pytest.mark.parametrize("change, message", [
-    (lambda curves: curves.pop(2), "curve 3 0 times"),
-    (lambda curves: curves[3].update(i=2), "curve 2 2 times, curve 4 0 times"),
-    (lambda curves: curves[5].update(i=7), "curve 6 0 times, a curve 7"),
+    (lambda curves: curves.pop(2), "must hold each curve 1-6 once, not curve 3 0 times"),
+    (lambda curves: curves[3].update(i=2),
+     "must hold each curve 1-6 once, not curve 2 2 times, curve 4 0 times"),
+    (lambda curves: curves[5].update(i=7), "has a malformed entry: the file.curves[5].i is 7"),
 ], ids=["missing", "repeated", "unknown"])
 def test_mw_data_without_one_curve_exits_cleanly(data_copy, change, message):
-    """mw_generators.json must hold each of E_1..E_6 once: a missing or
-    repeated curve stops `ec verify-tables`, which checks the points it
-    has, and `pipeline run`, which asks for each curve, with one stderr
-    line and exit 1."""
+    """mw_generators.json must hold each of E_1..E_6 once: a missing,
+    repeated or unknown curve stops `ec verify-tables`, which checks the
+    points it has, and `pipeline run`, which asks for each curve, with one
+    stderr line and exit 1."""
     _edit_json(data_copy / "mw_generators.json", lambda d: change(d["curves"]))
     for command in (("ec", "verify-tables"), ("pipeline", "run")):
         out = _cli("--data-dir", str(data_copy), *command)
         assert out.returncode == 1, command
         assert out.stderr.splitlines() == [
-            "x3y9z2: TrustedDataError: mw_generators.json must hold each curve 1-6 once, "
-            f"not {message}"], command
+            f"x3y9z2: TrustedDataError: mw_generators.json {message}"], command
 
 
 def test_unwritable_json_out_exits_cleanly(tmp_path):
