@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
-from operator import mul
 
 from ..arith.numberfield import NumberField
 from ..arith.rationals import factorize, valuation
@@ -374,9 +373,11 @@ class ChabautyRun:
         for nvec, P, val in self.known:
             key = tuple(reduce_point(ctx.Ebar, P, ctx.pr) for ctx in self.contexts)
             known_by_key.setdefault(key, []).append((nvec, P, val))
-        for key in known_by_key:
+        for key, pts in known_by_key.items():
             if not any(info["images_key"] == key for info in survivors.values()):
-                raise AssertionError("a known rational-value point was sieved out (soundness bug)")
+                raise CurveProblem(f"the curve {self.curve!r} at p={self.p}: the known point "
+                                   f"{pts[0][1]!r} reduces into no surviving class of the "
+                                   "span of its trusted points")
 
         certs = []
         all_closed = True
@@ -540,24 +541,23 @@ def _empty_mod(p, k, terms):
     terms: (e, Delta^e H(0)) for every offset |e| < k.  In Newton form
     H(n) = sum_e Delta^e H(0) C(n, e), with C(n, e) = prod_i C(n_i, e_i),
     and a difference of order j carries valuation >= j, so the terms of
-    order k and above vanish mod p^k and H(n) mod p^k depends on n mod
-    p^(k-1) only, or on n mod p^k when a first difference is a unit."""
+    order k and above vanish mod p^k, and H(n) mod p^j depends on n mod
+    p^(j-1) only, or on n mod p^j when a first difference is a unit.  So
+    the zeros mod p^j are lifted to p^(j+1) one p-adic digit of n at a time."""
     if any(known < k for _, diff in terms for _, known in diff):
         raise PrecisionTooLow(f"not enough digits for the mod-p^{k} sieve")
-    unit = any(d % p for e, diff in terms if sum(e) == 1 for d, _ in diff)
-    mod = p**k
-    box = mod if unit else mod // p
-    binoms = [[comb(m, j) for j in range(k)] for m in range(box)]
-    for head in product(range(box), repeat=len(terms[0][0]) - 1):
-        # Each equation at n = (*head, m) as coefficients of C(m, j).
-        polys = [[0] * k for _ in terms[0][1]]
-        for e, diff in terms:
-            w = prod(map(comb, head, e))
-            for poly, (d, _) in zip(polys, diff):
-                poly[e[-1]] += w * d
-        if any(all(sum(map(mul, poly, bm)) % mod == 0 for poly in polys) for bm in binoms):
-            return False
-    return True
+    lag = 0 if any(d % p for e, diff in terms if sum(e) == 1 for d, _ in diff) else 1
+    offsets, rank = [e for e, _ in terms], len(terms[0][0])
+    equations = list(zip(*([d for d, _ in diff] for _, diff in terms)))
+    zeros = [(0,) * rank]
+    for j in range(1, k + 1):
+        if j > lag:  # n mod p^(j - lag): one more digit, at p^(j - 1 - lag)
+            zeros = [tuple(a + p ** (j - 1 - lag) * b for a, b in zip(n, digit))
+                     for n in zeros for digit in product(range(p), repeat=rank)]
+        zeros = [n for n in zeros if not any(
+            sum(d * prod(map(comb, n, e)) for d, e in zip(eq, offsets)) % p**j
+            for eq in equations)]
+    return not zeros
 
 
 @lru_cache(maxsize=None)
@@ -601,9 +601,9 @@ def certify_index_coprimality(curve, gens, ells):
     return certified, failed
 
 
-def rational_st_values(curve, psi, gens, known_points, primes=DEFAULT_PRIMES,
-                       prec=DEFAULT_PREC):
-    """ChabautyOutcome over the given primes (each tried until Complete).
+def rational_st_values(curve, psi, gens, known_points, primes=DEFAULT_PRIMES):
+    """ChabautyOutcome over the given primes (each tried until Complete),
+    at DEFAULT_PREC digits and, after PrecisionTooLow, at twice as many.
 
     known_points: list of (nvec or None, EcPoint, STValue) with rational
     psi-values; completeness means every surviving residue class is
@@ -616,14 +616,10 @@ def rational_st_values(curve, psi, gens, known_points, primes=DEFAULT_PRIMES,
     certificates = []
     last_reason = ""
     for p in primes:
-        for use_prec in (prec, 2 * prec):
+        for use_prec in (DEFAULT_PREC, 2 * DEFAULT_PREC):
             try:
                 run = ChabautyRun(curve, psi, gens, known_points, p, use_prec)
-                ells = {p}
-                for ctx in run.contexts:
-                    for ell in _prime_factors(ctx.order):
-                        if ell not in (2, 3):
-                            ells.add(ell)
+                ells = {p} | {ell for ctx in run.contexts for ell in factorize(ctx.order)} - {2, 3}
                 certified, failed = certify_index_coprimality(curve, gens, ells)
                 if failed:
                     last_reason = f"p={p}: index coprimality uncertified for {failed}"
@@ -653,10 +649,6 @@ def rational_st_values(curve, psi, gens, known_points, primes=DEFAULT_PRIMES,
             break
     return ChabautyOutcome(values=[], witnesses={}, status="Inconclusive",
                            reason=last_reason, certificates=certificates)
-
-
-def _prime_factors(n: int):
-    return set(factorize(n)) if n > 1 else set()
 
 
 def _witness_name(nvec, P):

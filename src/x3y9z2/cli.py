@@ -14,15 +14,15 @@ import sys
 from . import __version__
 from .arith.localfield import residue_degrees
 from .arith.rationals import factorize
-from .chabauty.engine import (DEFAULT_PREC, DEFAULT_PRIMES, CurveProblem, RankConditionViolated,
-                              rational_st_values)
+from .chabauty.engine import DEFAULT_PRIMES, CurveProblem, RankConditionViolated, rational_st_values
 from .chabauty.setup import chabauty_setup_for_row
 from .dataio import (TrustedDataError, load_descent_data, load_mw_data, load_tables,
                      quartic_field, set_data_dir)
 from .descent import build_descent_forms, cubic_norm_filter, enumerate_delta
 from .local import ProjectiveSystem, Undecided, is_locally_soluble
 from .param import lift_to_ninth
-from .pipeline import PipelineError, brute_search, report_to_json, run_pipeline, signed_triples
+from .pipeline import (BRUTE_BOUNDS, PipelineError, brute_search, report_to_json, run_pipeline,
+                       signed_triples)
 from .verify import (verify_mw_table, verify_parametrizations, verify_quotient_claims,
                      verify_rank_table_constants)
 
@@ -137,25 +137,21 @@ def cmd_descent_build(args):
 def cmd_local_sweep(args):
     spec, classes = _spec_and_classes(args.eq)
     verdicts = []
-    survivors = 0
     for idx, (expo, delta) in enumerate(classes):
         sysd = build_descent_forms(spec.algebra, delta)
         system = ProjectiveSystem.from_mpolys(list(sysd.curve_forms()))
+        verdicts.append({"index": idx, "exponents": list(expo)})
         try:
-            v = is_locally_soluble(system, args.p, max_depth=args.max_depth)
-            soluble = v.soluble
-            survivors += soluble
-            verdicts.append({"index": idx, "exponents": list(expo), "soluble": soluble,
-                             "witness_depth": v.depth_searched if soluble else None,
-                             "nodes": v.nodes})
+            v = is_locally_soluble(system, args.p)
+            verdicts[-1].update(soluble=v.soluble, nodes=v.nodes,
+                                witness_depth=v.depth_searched if v.soluble else None)
         except Undecided as e:
-            verdicts.append({"index": idx, "exponents": list(expo), "soluble": None,
-                             "undecided": str(e)})
+            verdicts[-1].update(soluble=None, undecided=str(e))
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
     _emit({"eq": args.eq, "p": args.p, "n_classes": len(classes),
-           "survivors": survivors, "verdicts": verdicts}, args)
+           "survivors": sum(v["soluble"] is True for v in verdicts), "verdicts": verdicts}, args)
     return 0 if all(v["soluble"] is not None for v in verdicts) else 1
 
 
@@ -175,8 +171,7 @@ def cmd_chabauty_run(args):
     row = rows[args.delta]
     setup = chabauty_setup_for_row(dd, mw, args.eq, row)
     outcome = rational_st_values(setup.curve, setup.psi, setup.gens,
-                                 setup.known_points, primes=args.primes,
-                                 prec=args.precision)
+                                 setup.known_points, primes=args.primes)
     _emit({"eq": args.eq, "delta": row["delta"], "table_i": row["i"],
            "setup_checks": {k: (v if isinstance(v, (bool, int)) else str(v))
                             for k, v in setup.checks.items()},
@@ -185,8 +180,7 @@ def cmd_chabauty_run(args):
 
 
 def cmd_pipeline_run(args):
-    report = run_pipeline(primes=args.primes, y_bound=args.y_bound,
-                          aux_bound=args.aux_bound, prec=args.precision)
+    report = run_pipeline(primes=args.primes)
     bad = [c for c in report["claims"] if unexpected_verdict(c["verdict"], c["id"])]
     if args.json_out:
         _write_json_out(args.json_out, report_to_json(report))
@@ -230,29 +224,17 @@ def _primes(text):
     return primes
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return n
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="x3y9z2",
                                  description="Exact re-execution of the x^3 + y^9 = z^2 computation")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     ap.add_argument("--data-dir", help="override directory for the trusted data files")
-    ap.add_argument("--precision", type=_positive_int, default=DEFAULT_PREC,
-                    help="p-adic working precision for the Chabauty stage")
     ap.add_argument("--json-out", help="write JSON output to this file")
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("search", help="brute-force primitive solutions")
-    s.add_argument("--y-bound", type=int, default=3)
-    s.add_argument("--aux-bound", type=int, default=10_000)
+    s.add_argument("--y-bound", type=int, default=BRUTE_BOUNDS[0])
+    s.add_argument("--aux-bound", type=int, default=BRUTE_BOUNDS[1])
     s.set_defaults(func=cmd_search)
 
     p = sub.add_parser("param", help="parametrization utilities")
@@ -277,7 +259,6 @@ def build_parser():
     ls = lsub.add_parser("sweep")
     ls.add_argument("--eq", type=int, choices=(1, 2, 5), required=True)
     ls.add_argument("--p", type=int, default=3)
-    ls.add_argument("--max-depth", type=int, default=12)
     ls.set_defaults(func=cmd_local_sweep)
 
     e = sub.add_parser("ec", help="elliptic-curve table verification")
@@ -297,8 +278,6 @@ def build_parser():
     ppsub = pp.add_subparsers(dest="subcommand", required=True)
     pr = ppsub.add_parser("run")
     pr.add_argument("--primes", type=_primes, default=DEFAULT_PRIMES)
-    pr.add_argument("--y-bound", type=int, default=3)
-    pr.add_argument("--aux-bound", type=int, default=10_000)
     pr.set_defaults(func=cmd_pipeline_run)
     return ap
 

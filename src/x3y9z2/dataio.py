@@ -168,6 +168,9 @@ class DescentData:
             alg = _built(EtaleAlgebra, _SELMER, f"the file.eq{eq}.defining",
                          _upoly(ed["defining"]), "theta")
             if eq == 5:
+                if (n := sum(F.degree == 1 for F in alg.components)) < 2:
+                    raise TrustedDataError(f"{_SELMER} has a malformed entry: the file.eq5"
+                                           f".defining has {n} rational roots, fewer than 2")
                 gens = [alg([Fraction(c) for c in g]).scale_to_integral()
                         for g in ed["generators"]]
             elif alg.n_components != 1:

@@ -4,8 +4,8 @@ Exhaustive residue enumeration plus quantitative Hensel certificates: a
 branch is certified liftable when both forms vanish beyond twice the
 valuation of some 2x2 Jacobian minor in the free coordinates of its
 affine patch; insolubility requires exhausting every branch.  Branches
-still alive at the depth limit surface as an Undecided error, never as
-a boolean.
+still alive when no deeper pass can run surface as an Undecided error,
+never as a boolean.
 
 Refinement is exhaustive: a live branch v mod p^k has all p^3 children
 c = v + p^k e, e ranging over {0..p-1}^3 on the free coordinates of its
@@ -71,6 +71,7 @@ distinct pairs of forms mod 3, and 11 distinct forms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,6 +85,8 @@ from .arith.rationals import valuation
 
 # the column pairs of the 2x2 Jacobian minors on a patch's free coordinates
 MINORS = ((0, 1), (0, 2), (1, 2))
+# frames a search adds below its deepest `descend`, with a margin
+LEAF_FRAMES = 20
 
 
 class Undecided(Exception):
@@ -181,6 +184,14 @@ class LocalVerdict:
         det = (system.jacobian_entry(0, i, vec) * system.jacobian_entry(1, j, vec)
                - system.jacobian_entry(0, j, vec) * system.jacobian_entry(1, i, vec))
         return det != 0 and valuation(det, p) == m
+
+
+def _frames_left():
+    """The frames that the caller can still nest before a RecursionError."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return sys.getrecursionlimit() - depth
 
 
 def _small_p_memo(maxsize):
@@ -305,9 +316,13 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
     order (the rejected ones between two passing children at once), and
     the node budget runs out at the same child as with no parent-side test.
 
-    soluble=True carries a re-checkable witness; soluble=False is only
-    returned once every branch died; anything else raises Undecided.
-    `nodes` counts the branch nodes visited; p must be a prime <= 101.
+    The first pass ends at depth max_depth; a pass that leaves live
+    branches and no witness is run again at twice the depth, on what is
+    left of the node budget.  soluble=True carries a re-checkable witness;
+    soluble=False is only returned once every branch died.  Undecided is
+    raised when the budget runs out, or when the next pass would nest more
+    frames of `descend` (one a level) than the recursion limit allows.
+    `nodes` counts the branch nodes of every pass; p must be a prime <= 101.
     """
     if len(system.forms) != 2:
         raise ValueError("solubility search expects a pair of forms")
@@ -409,19 +424,23 @@ def is_locally_soluble(system: ProjectiveSystem, p: int, max_depth: int = 12,
     # child list, the cube tables) is a reference cycle: drop it on the
     # way out rather than leave it to the cyclic collector.
     try:
-        for vec in start_points:
-            patch = next(i for i in range(4) if vec[i] == 1 and all(v == 0 for v in vec[:i]))
-            w = descend(vec, 1, patch)
-            if w is not None:
-                verdict = LocalVerdict(prime=p, soluble=True, witness=w,
-                                       depth_searched=w["depth"],
-                                       nodes=node_budget - budget[0])
-                if not verdict.recheck(system):
-                    raise AssertionError("certificate failed independent recheck")
-                return verdict
-        if undecided:
-            raise Undecided(max_depth, f"{len(undecided)} branch(es) alive")
-        return LocalVerdict(prime=p, soluble=False, witness=None, depth_searched=max_depth,
-                            nodes=node_budget - budget[0])
+        while True:
+            for vec in start_points:
+                patch = next(i for i in range(4) if vec[i] == 1 and all(v == 0 for v in vec[:i]))
+                w = descend(vec, 1, patch)
+                if w is not None:
+                    verdict = LocalVerdict(prime=p, soluble=True, witness=w,
+                                           depth_searched=w["depth"],
+                                           nodes=node_budget - budget[0])
+                    if not verdict.recheck(system):
+                        raise AssertionError("certificate failed independent recheck")
+                    return verdict
+            if not undecided:
+                return LocalVerdict(prime=p, soluble=False, witness=None,
+                                    depth_searched=max_depth, nodes=node_budget - budget[0])
+            if 2 * max_depth + LEAF_FRAMES > _frames_left():
+                raise Undecided(max_depth, f"{len(undecided)} branch(es) alive")
+            undecided.clear()
+            max_depth *= 2
     finally:
         descend = None

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .arith.roots import nf_nth_root
-from .chabauty.engine import DEFAULT_PREC, DEFAULT_PRIMES, rational_st_values
+from .chabauty.engine import DEFAULT_PRIMES, rational_st_values
 from .chabauty.setup import chabauty_setup_for_row
 from .dataio import data_hashes, load_descent_data, load_mw_data, load_tables, nf
 from .descent import build_descent_forms, cubic_norm_filter, enumerate_delta
@@ -34,6 +34,7 @@ from .verify import (Claim, quotient_torsion, rank0_sides, verify_chabauty_claim
                      verify_rank_table_constants, verify_value_sets)
 
 SCHEMA_VERSION = 1
+BRUTE_BOUNDS = (3, 10_000)
 
 # Wall-clock stage durations of the most recent run_pipeline call; kept
 # out of the report so reports stay byte-identical across runs.
@@ -151,7 +152,7 @@ def _same_class_etale(algebra, d1, d2) -> bool:
 # -- stage: equations 1 and 2 -------------------------------------------------
 
 
-def run_quartic_stage(eq_id: int, primes=DEFAULT_PRIMES, prec=DEFAULT_PREC):
+def run_quartic_stage(eq_id: int, primes=DEFAULT_PRIMES):
     dd = load_descent_data()
     tables = load_tables()
     spec = dd.specs[eq_id]
@@ -170,7 +171,7 @@ def run_quartic_stage(eq_id: int, primes=DEFAULT_PRIMES, prec=DEFAULT_PREC):
     for row in rows:
         setup = chabauty_setup_for_row(dd, mw, eq_id, row)
         outcome = rational_st_values(setup.curve, setup.psi, setup.gens,
-                                     setup.known_points, primes=primes, prec=prec)
+                                     setup.known_points, primes=primes)
         if not outcome.complete:
             raise PipelineError(
                 f"eq {eq_id} delta {row['delta']}: Chabauty inconclusive ({outcome.reason})")
@@ -260,7 +261,7 @@ def verify_theorem1(final_set):
 # -- the full pipeline ---------------------------------------------------------
 
 
-def run_pipeline(primes=DEFAULT_PRIMES, y_bound=3, aux_bound=10_000, prec=DEFAULT_PREC):
+def run_pipeline(primes=DEFAULT_PRIMES):
     """Execute all stages; returns the report dictionary."""
     timings = {}
     t0 = time.monotonic()
@@ -280,8 +281,8 @@ def run_pipeline(primes=DEFAULT_PRIMES, y_bound=3, aux_bound=10_000, prec=DEFAUL
     eq6_values = {transfer_st_value(v) for v in eq5["values"]}
 
     t0 = time.monotonic()
-    eq1 = run_quartic_stage(1, primes=primes, prec=prec)
-    eq2 = run_quartic_stage(2, primes=primes, prec=prec)
+    eq1 = run_quartic_stage(1, primes=primes)
+    eq2 = run_quartic_stage(2, primes=primes)
     timings["chabauty_stage"] = time.monotonic() - t0
     t0 = time.monotonic()
     setups = {**eq1["setups"], **eq2["setups"]}
@@ -301,7 +302,7 @@ def run_pipeline(primes=DEFAULT_PRIMES, y_bound=3, aux_bound=10_000, prec=DEFAUL
     t1_claims, final_signed = verify_theorem1(final)
     claims += t1_claims
 
-    oracle = brute_search(y_bound, aux_bound)
+    oracle = brute_search(*BRUTE_BOUNDS)
     oracle_signed = signed_triples(oracle)
     timings["assembly_and_oracle"] = time.monotonic() - t0
     claims.append(Claim(
@@ -315,7 +316,7 @@ def run_pipeline(primes=DEFAULT_PRIMES, y_bound=3, aux_bound=10_000, prec=DEFAUL
         "provenance": {
             "data_hashes": data_hashes(),
             "primes": list(primes),
-            "brute_bounds": [y_bound, aux_bound],
+            "brute_bounds": list(BRUTE_BOUNDS),
         },
         "counts": {
             "eq5": [eq5["n_candidates"], eq5["n_cubic_norm"], eq5["n_soluble"]],

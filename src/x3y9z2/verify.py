@@ -15,7 +15,8 @@ from math import gcd, lcm
 from .arith.numberfield import _rational_roots
 from .arith.poly import MPoly, UPoly
 from .arith.rationals import factorize
-from .dataio import load_descent_data, load_mw_data, load_tables, nf, quartic_field
+from .dataio import (TrustedDataError, load_descent_data, load_mw_data, load_tables, nf,
+                     quartic_field)
 from .descent import genus1_quotients, plane_cubic
 from .ec.cubic import PlaneCubicWithFlex, flex_to_weierstrass
 from .ec.torsion import integralize_curve, torsion_over_Q
@@ -254,6 +255,9 @@ def verify_rank_table_constants():
     for k, row in enumerate(tables["rank_table"]["rows"], start=1):
         delta = spec.algebra([Fraction(c) for c in row["delta"]])
         n = delta.norm()
+        if not n:
+            raise TrustedDataError(f"paper_tables.json has a malformed entry: the file.rank_table"
+                                   f".rows[{k - 1}].delta is a zero divisor of the eq-5 algebra")
         c1 = cube_free_part(n / spec.algebra.component_map(0, delta).rational_value())
         c2 = cube_free_part(n / spec.algebra.component_map(1, delta).rational_value())
         ok = (c1 == Fraction(row["c1"]) and c2 == Fraction(row["c2"]))

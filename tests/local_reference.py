@@ -4,9 +4,10 @@ The exhaustive refinement: every child v + p^k e of a live node is
 visited and judged by the full valuation-gap test at its own node, from
 `ProjectiveSystem.evaluate` and `ProjectiveSystem.jacobian_entry`.  No
 child is judged at its parent.  The witness, node count and Undecided
-outcome are defined exactly as in `is_locally_soluble`.  Given a list as
-`trail`, the search appends [depth, dead] for each node it visits, in
-order, with dead true when the node fails its own gap test.
+outcome, and the passes at doubling depths, are defined exactly as in
+`is_locally_soluble`.  Given a list as `trail`, the search appends
+[depth, dead] for each node it visits, in order, with dead true when the
+node fails its own gap test.
 
 `_taylor` writes out, child by child, the parent-side expansion of the
 module docstring of x3y9z2.local: F(c) exactly and J(c) mod p^(k+1).
@@ -16,8 +17,8 @@ from itertools import product
 from math import gcd
 
 from x3y9z2.arith.rationals import valuation
-from x3y9z2.local import (LocalVerdict, NodeBudgetExceeded, Undecided,
-                          enumerate_points_mod_p)
+from x3y9z2.local import (LEAF_FRAMES, LocalVerdict, NodeBudgetExceeded, Undecided,
+                          _frames_left, enumerate_points_mod_p)
 
 
 def exhaustive_search(system, p, max_depth=12, node_budget=1_000_000, trail=None):
@@ -62,16 +63,20 @@ def exhaustive_search(system, p, max_depth=12, node_budget=1_000_000, trail=None
                 return w
         return None
 
-    for vec in enumerate_points_mod_p(system, p):
-        patch = next(i for i, x in enumerate(vec) if x)
-        w = descend(vec, 1, patch)
-        if w is not None:
-            return LocalVerdict(prime=p, soluble=True, witness=w, depth_searched=w["depth"],
+    while True:
+        for vec in enumerate_points_mod_p(system, p):
+            patch = next(i for i, x in enumerate(vec) if x)
+            w = descend(vec, 1, patch)
+            if w is not None:
+                return LocalVerdict(prime=p, soluble=True, witness=w, depth_searched=w["depth"],
+                                    nodes=node_budget - budget[0])
+        if not undecided:
+            return LocalVerdict(prime=p, soluble=False, witness=None, depth_searched=max_depth,
                                 nodes=node_budget - budget[0])
-    if undecided:
-        raise Undecided(max_depth, f"{len(undecided)} branch(es) alive")
-    return LocalVerdict(prime=p, soluble=False, witness=None, depth_searched=max_depth,
-                        nodes=node_budget - budget[0])
+        if 2 * max_depth + LEAF_FRAMES > _frames_left():
+            raise Undecided(max_depth, f"{len(undecided)} branch(es) alive")
+        undecided.clear()
+        max_depth *= 2
 
 
 def _taylor(f, j, h, z, e, pk):

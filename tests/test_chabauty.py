@@ -5,10 +5,11 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import product
 from fractions import Fraction as F
 
 import pytest
-from chabauty_reference import known_points_direct
+from chabauty_reference import empty_mod_box, known_points_direct
 from zq_reference import ZqElem
 
 from x3y9z2.arith.localfield import ZqRing
@@ -316,6 +317,51 @@ class TestClosing:
                                        ((0, 1), [0, 25])] + second))
         with pytest.raises(PrecisionTooLow, match=r"mod-p\^3 sieve"):
             _empty_mod(5, 3, terms([((0,), [50]), ((1,), [25]), ((2,), [50])], known=2))
+
+    def test_empty_mod_agrees_with_the_box_scan_on_the_runs(self, descent_data, mw_data,
+                                                            tables, setup_eq1_row0,
+                                                            monkeypatch):
+        """Each _empty_mod call on every class of the default run (the rows
+        of equations 1 and 2 at the default primes) and of eq 1 delta 0 at
+        p = 13, where closed-empty-mod-p3 occurs, decides what the scan of
+        the whole box decides."""
+        from x3y9z2.chabauty import engine
+        calls = []
+        monkeypatch.setattr(engine, "_empty_mod", lambda *call: calls.append(call)
+                            or _empty_mod(*call))
+        for eq in (1, 2):
+            for row in tables["quartic_field_table"][f"eq{eq}"]["rows"]:
+                s = chabauty_setup_for_row(descent_data, mw_data, eq, row)
+                assert rational_st_values(s.curve, s.psi, s.gens, s.known_points).complete
+        s = setup_eq1_row0
+        ChabautyRun(s.curve, s.psi, s.gens, s.known_points, 13).run()
+        assert all(_empty_mod(*call) == empty_mod_box(*call) for call in calls)
+        assert Counter((p, k, _empty_mod(p, k, terms)) for p, k, terms in calls) == {
+            (11, 2, True): 10, (11, 2, False): 4, (11, 3, False): 4,
+            (13, 2, True): 6, (13, 2, False): 8, (13, 3, True): 6, (13, 3, False): 2}
+
+    def test_empty_mod_agrees_with_the_box_scan_on_random_tables(self):
+        """Seeded Newton-form tables at p = 3, 5, 7, 11, k = 2, 3 and ranks 1
+        and 2, with one to three equations: a difference of order j >= 1 is
+        p^j times a random residue, a first difference a unit in about a
+        third of the tables, and H(0) has a random valuation up to k."""
+        rng = random.Random(2718)
+        outcomes = Counter()
+        for p, k, rank in product((3, 5, 7, 11), (2, 3), (1, 2)):
+            for _ in range(8 if p**k * rank > 700 else 25):
+                unit, n_eq = rng.random() < 0.3, rng.randint(1, 3)
+                terms = []
+                for e in product(range(k), repeat=rank):
+                    order = sum(e)
+                    if order < k:
+                        v = rng.randint(0, k) if not order else (
+                            rng.randint(0, 1) if order == 1 and unit else order)
+                        terms.append((e, [(p**v * rng.randrange(p**k), k)
+                                          for _ in range(n_eq)]))
+                empty = _empty_mod(p, k, terms)
+                assert empty == empty_mod_box(p, k, terms), (p, k, terms)
+                outcomes[empty] += 1
+        assert min(outcomes.values()) >= 100
 
 
 def test_reduction_orders_count_each_prime_once(mw_data, monkeypatch):

@@ -116,8 +116,9 @@ def test_a_damaged_file_exits_cleanly_from_the_cli(data_copy, name, keys):
             f"x3y9z2: TrustedDataError: {_refusal(name, keys, 'x')}"], command
 
 
-# Values of the right type that the shapes (a divisor marked nonzero) or
-# the builders of K-objects (EtaleAlgebra, FieldIso, WeierstrassCurve)
+# Values of the right type that the shapes (a divisor marked nonzero),
+# the builders of K-objects (EtaleAlgebra, FieldIso, WeierstrassCurve) or
+# the readers that know the eq-5 algebra (DescentData, the rank table's)
 # refuse; each was a traceback before.  A JSON true where an int belongs
 # was read as 1 before.
 @pytest.mark.parametrize("name, keys, value, refusal", [
@@ -142,8 +143,13 @@ def test_a_damaged_file_exits_cleanly_from_the_cli(data_copy, name, keys):
     ("paper_tables.json", ("rank_table", "rows", 1, "rk1"), True,
      "the file.rank_table.rows[1].rk1 is True"),
     ("mw_generators.json", ("curves", 0, "i"), True, "the file.curves[0].i is True"),
+    ("selmer_generators.json", ("eq5", "defining"), ["1", "0", "0", "0", "1"],
+     "the file.eq5.defining has 0 rational roots, fewer than 2"),
+    ("paper_tables.json", ("rank_table", "rows", 0, "delta"), ["0", "1", "0", "0"],
+     "the file.rank_table.rows[0].delta is a zero divisor of the eq-5 algebra"),
 ], ids=["eq5-C", "eq5-defining", "eq1-defining", "eq1-theta", "mw-c", "torsion-c",
-        "rank-c1", "rank-delta", "quartic-delta", "rank-bool", "mw-bool"])
+        "rank-c1", "rank-delta", "quartic-delta", "rank-bool", "mw-bool", "eq5-unsplit",
+        "rank-zero-divisor"])
 def test_value_damage_exits_cleanly(data_copy, capsys, name, keys, value, refusal):
     """`ec verify-tables` and `pipeline run`, in process: exit 1 and one
     stderr line naming the file and the entry."""
@@ -155,3 +161,44 @@ def test_value_damage_exits_cleanly(data_copy, capsys, name, keys, value, refusa
                 f"x3y9z2: TrustedDataError: {name} has a malformed entry: {refusal}"], command
     finally:
         set_data_dir(None)
+
+
+def _cli_run(data_dir, *command):
+    return subprocess.run([sys.executable, "-m", "x3y9z2.cli", "--data-dir", str(data_dir),
+                           *command], capture_output=True, text=True, timeout=300)
+
+
+def test_a_zero_divisor_delta_exits_cleanly_from_the_cli(data_copy):
+    """The rank-table delta theta (eq 5's defining polynomial has the root
+    0) in a fresh interpreter: exit 1 and one stderr line, which was a
+    ZeroDivisionError traceback."""
+    keys = ("rank_table", "rows", 0, "delta")
+    _write(data_copy, "paper_tables.json", lambda doc: _edited(doc, keys, ["0", "1", "0", "0"]))
+    for command in (("ec", "verify-tables"), ("pipeline", "run")):
+        out = _cli_run(data_copy, *command)
+        assert out.returncode == 1 and "Traceback" not in out.stderr, command
+        assert out.stderr.splitlines() == [
+            "x3y9z2: TrustedDataError: paper_tables.json has a malformed entry: the file"
+            ".rank_table.rows[0].delta is a zero divisor of the eq-5 algebra"], command
+
+
+def test_a_curve_without_points_exits_cleanly_from_the_cli(data_copy):
+    """E_1 with an empty points list (rank 0 claimed) passes the shapes and
+    `ec verify-tables`; the Chabauty stage then finds the known point of
+    the eq 2 row on E_1 in no class of the empty lattice.  That is a
+    CurveProblem naming the curve and the prime, one stderr line and exit
+    1 from `chabauty run` and `pipeline run`, where it was an
+    AssertionError traceback."""
+    def drop_points(doc):
+        next(c for c in doc["curves"] if c["i"] == 1)["points"] = []
+        return doc
+
+    _write(data_copy, "mw_generators.json", drop_points)
+    for command in (("chabauty", "run", "--eq", "2", "--delta", "1"), ("pipeline", "run")):
+        out = _cli_run(data_copy, *command)
+        assert out.returncode == 1 and "Traceback" not in out.stderr, command
+        line, = out.stderr.splitlines()
+        assert line.startswith("x3y9z2: CurveProblem: the curve y^2 = x^3 + (0)*x + "), command
+        assert line.endswith(" at p=11: the known point (2, alpha + 2*alpha^2 - 1*alpha^3) "
+                             "reduces into no surviving class of the span of its trusted "
+                             "points"), command

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -14,8 +15,10 @@ from x3y9z2.arith.poly import MPoly
 from x3y9z2.arith.rationals import valuation
 from x3y9z2.descent import build_descent_forms, cubic_norm_filter, enumerate_delta
 from x3y9z2.arith.poly import PAIRS, monomials
-from x3y9z2.local import (NodeBudgetExceeded, ProjectiveSystem, Undecided, _child_key,
-                          _passing_children, enumerate_points_mod_p, is_locally_soluble)
+from x3y9z2 import cli
+from x3y9z2.local import (LEAF_FRAMES, NodeBudgetExceeded, ProjectiveSystem, Undecided,
+                          _child_key, _frames_left, _passing_children, enumerate_points_mod_p,
+                          is_locally_soluble)
 
 from local_reference import _taylor, exhaustive_search
 
@@ -145,14 +148,16 @@ def pipeline_verdicts(class_systems):
 def test_search_leaves_no_cyclic_garbage(class_systems):
     """A search's recursive closure refers to itself; the search drops it
     when it returns or raises, so its tables are freed at once and not
-    left to the cyclic collector (whose timing would set the peak memory)."""
+    left to the cyclic collector (whose timing would set the peak memory).
+    The raising search runs out of nodes in a pass after its first."""
     systems = [system for eq in (1, 2) for _, system in class_systems[eq]]
     gc.collect()
     gc.disable()
     try:
         verdicts = {is_locally_soluble(system, 3).soluble for system in systems}
-        with pytest.raises(Undecided):
-            is_locally_soluble(class_systems[5][11][1], 2, max_depth=2)
+        with pytest.raises(NodeBudgetExceeded) as raised:
+            is_locally_soluble(class_systems[5][11][1], 2, max_depth=2, node_budget=2000)
+        assert raised.value.depth > 2
         assert verdicts == {True, False}
         assert gc.collect() == 0
     finally:
@@ -207,16 +212,74 @@ def test_search_matches_exhaustive_reference(class_systems, eq, p):
 
 @pytest.mark.parametrize("p, max_depth", [(2, 12), (3, 12), (2, 5)])
 def test_search_matches_exhaustive_reference_on_eq5_sample(class_systems, p, max_depth):
-    """The same on a seeded sample of equation 5 classes; at depth 5 some of
-    them are still undecided at p = 2, and both searches must say so with
-    the same count of live branches."""
+    """The same on a seeded sample of equation 5 classes; at p = 2 some of
+    them still have live branches at depth 5, and both searches must
+    decide them in a second pass at twice the depth, with the same node
+    count over both passes."""
     systems = class_systems[5]
     outcomes = []
     for i in random.Random(13).sample(range(len(systems)), 6):
         outcome = _outcome(is_locally_soluble, systems[i][1], p, max_depth=max_depth)
         assert outcome == _outcome(exhaustive_search, systems[i][1], p, max_depth=max_depth)
         outcomes.append(outcome)
-    assert max_depth == 12 or "Undecided" in [o[0] for o in outcomes]
+    assert max_depth == 12 or any(o[3] > max_depth for o in outcomes)
+
+
+def test_p2_sweep_decides_every_class_by_deepening(tmp_path, monkeypatch):
+    """`local sweep --eq 5 --p 2`, in process: exit 0 with 63 soluble and 180
+    insoluble classes.  Each witness passes recheck, and exactly classes
+    11, 23, 86 and 98 keep live branches at depth 12 and are decided in a
+    second pass, at depth 24, with witnesses at depths 21, 19, 20 and 20."""
+    searched = []
+
+    def search(system, p):
+        searched.append((system, is_locally_soluble(system, p)))
+        return searched[-1][1]
+
+    monkeypatch.setattr(cli, "is_locally_soluble", search)
+    out = tmp_path / "sweep.json"
+    assert cli.main(["--json-out", str(out), "local", "sweep", "--eq", "5", "--p", "2"]) == 0
+    report = json.loads(out.read_text())
+    assert Counter(v["soluble"] for v in report["verdicts"]) == {True: 63, False: 180}
+    assert report["survivors"] == 63 and len(searched) == 243
+    assert all(v.recheck(system) for system, v in searched)
+    assert {i: v.depth_searched for i, (_, v) in enumerate(searched)
+            if v.depth_searched > 12} == {11: 21, 23: 19, 86: 20, 98: 20}
+
+
+# y1^2 - 2 y2^2 and y3^2 - 2 y2^2: 2 is no square mod 3, so over Q_3 their
+# one common zero is (1:0:0:0), where the Jacobian vanishes.  The branch
+# at (1, 0, 0, 0) mod 3^k stays alive at every depth, and no other does.
+SINGULAR_ONLY = ProjectiveSystem(forms=[{(0, 2, 0, 0): 1, (0, 0, 2, 0): -2},
+                                        {(0, 0, 0, 2): 1, (0, 0, 2, 0): -2}])
+
+
+def _search_below(frames, system, p):
+    """The search's outcome and the frames it had left, called `frames`
+    frames below here."""
+    if frames:
+        return _search_below(frames - 1, system, p)
+    try:
+        is_locally_soluble(system, p)
+    except Undecided as exc:
+        return exc, _frames_left()
+    return None, _frames_left()
+
+
+@pytest.mark.parametrize("frames", [0, 600, 900])
+def test_deepening_stops_before_the_recursion_limit(frames):
+    """A branch that no depth settles: the passes double from depth 12 while
+    the next one fits in the frames left, then Undecided (not a
+    RecursionError) names the last depth and its one live branch, however
+    deep in the stack the search was called."""
+    exc, room = _search_below(frames, SINGULAR_ONLY, 3)
+    assert type(exc) is Undecided and str(exc) == (
+        f"undecided after depth {exc.depth} 1 branch(es) alive")
+    assert exc.depth in (12 * 2**i for i in range(10))
+    # the search's own frame is one below the caller's
+    assert exc.depth == 12 or exc.depth + LEAF_FRAMES <= room - 1
+    assert 2 * exc.depth + LEAF_FRAMES > room - 1
+    assert frames or exc.depth >= 384
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

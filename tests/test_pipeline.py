@@ -149,8 +149,6 @@ class TestCli:
         ("chabauty", "run", "--eq", "1", "--delta", "0", "--primes", "25"),
         ("pipeline", "run", "--primes", "143"),
         ("pipeline", "run", "--primes", "11,"),
-        ("--precision", "0", "chabauty", "run", "--eq", "1", "--delta", "0"),
-        ("--precision", "x", "pipeline", "run"),
     ])
     def test_bad_primes_and_precision_refused(self, args):
         out = subprocess.run([sys.executable, "-m", "x3y9z2.cli", *args],
@@ -158,6 +156,21 @@ class TestCli:
         assert out.returncode == 2
         assert "error: argument --" in out.stderr and "Traceback" not in out.stderr
         assert out.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ("--precision=40", "chabauty", "run", "--eq", "1", "--delta", "0"),
+        ("local", "sweep", "--eq", "5", "--p", "2", "--max-depth=20"),
+        ("pipeline", "run", "--y-bound=2"),
+        ("pipeline", "run", "--aux-bound=100"),
+    ])
+    def test_tuning_options_are_gone(self, args, capsys):
+        """The p-adic precision, the first search depth and the oracle box
+        are the program's own: each former option is an unknown argument."""
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(args)
+        assert exited.value.code == 2
+        option, = (a for a in args if "=" in a)
+        assert f"error: unrecognized arguments: {option}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ("chabauty", "run", "--eq", "1", "--delta", "0", "--primes", "1009"),
